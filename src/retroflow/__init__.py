@@ -12,6 +12,7 @@ from .errors import (
     DomainError,
     GeneratorDomainError,
     HorizonExceededError,
+    NotConvergedError,
     NotFullyReversibleError,
     NotWithinBackwardReachError,
     OracleFailedError,

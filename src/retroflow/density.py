@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import OracleFailedError
-from .logdomain import LOG_ZERO
+from .errors import NotConvergedError, OracleFailedError
+from .logdomain import LOG_ZERO, log_hurwitz_zeta
 from .reversibility import backward_evolve
 from .spectral import (
     ExpTail,
@@ -26,7 +26,6 @@ from .spectral import (
     log_distance,
     log_norm,
 )
-from scipy.special import zeta
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
     if isinstance(tail, ExpTail):
         series = _log_gauss_tail(2.0 * tail.rate * math.pi**2, n_prime + 1)
         return math.log(tail.coeff) + 0.5 * series
-    return math.log(tail.coeff) + 0.5 * math.log(float(zeta(2.0 * tail.power, n_prime + 1)))
+    return math.log(tail.coeff) + 0.5 * log_hurwitz_zeta(2.0 * tail.power, n_prime + 1)
 
 
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
@@ -123,7 +122,9 @@ def truncate_to_reversible(
             lo = hi
             hi *= 2
             if hi > 50_000_000:
-                raise RuntimeError("truncation scan did not terminate")
+                raise NotConvergedError(
+                    "truncation scan passed 50M modes without meeting eps"
+                )
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if small_enough(mid):

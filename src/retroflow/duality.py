@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotFullyReversibleError, UnrepresentableFunctionalError
 from .extended import ExtendedState, canonicalize, lift
-from .logdomain import LOG_ZERO, LogAmplitude
+from .logdomain import LogAmplitude
 from .reversibility import ReversibilityClass, backward_evolve, classify
 from .spectral import (
     ExpTail,
@@ -28,6 +28,7 @@ from .spectral import (
     ZERO_TAIL,
     ZeroTail,
     _normalized_tail,
+    coefficient_arrays,
     log_inner_product,
 )
 
@@ -43,16 +44,7 @@ class Functional:
     tail: TailModel = ZERO_TAIL
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8).copy()
-        logs = np.asarray(self.log_mags, dtype=float).copy()
-        if signs.shape != (self.spectrum.num_modes,) or logs.shape != signs.shape:
-            raise ValueError("coefficient arrays must match the spectrum length")
-        signs[logs == LOG_ZERO] = 0
-        logs[signs == 0] = LOG_ZERO
-        if np.any(~np.isfinite(logs[signs != 0])):
-            raise ValueError("nonzero coefficients need finite log magnitudes")
-        signs.flags.writeable = False
-        logs.flags.writeable = False
+        signs, logs = coefficient_arrays(self.spectrum, self.signs, self.log_mags)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "log_mags", logs)
         tail = _normalized_tail(self.tail)

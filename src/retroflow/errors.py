@@ -46,6 +46,10 @@ class NotWithinBackwardReachError(DomainError):
         )
 
 
+class NotConvergedError(DomainError):
+    """A series or a depth scan reached its iteration cap without converging."""
+
+
 class GeneratorDomainError(DomainError):
     """The state is outside the domain of the generator."""
 

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc, logsumexp, zeta
 
-from .logdomain import LOG_ZERO, LogAmplitude, log_sub_magnitudes
+from .errors import NotConvergedError
+from .logdomain import (
+    LOG_ZERO,
+    LogAmplitude,
+    log_erfc,
+    log_hurwitz_zeta,
+    signed_add,
+    signed_logsumexp,
+)
 
 # Relative accuracy target for tail series summation.
 SERIES_RTOL = 1e-12
@@ -179,7 +186,7 @@ def _decreasing_log_series(term_log, start: int) -> float:
             return total
         n += 1
         if n > start + 2_000_000:
-            raise RuntimeError("tail series did not converge; rate too small?")
+            raise NotConvergedError("tail series did not converge in 2M terms; rate too small?")
 
 
 def _log_gauss_tail(a: float, start: int) -> float:
@@ -192,7 +199,7 @@ def _log_gauss_tail(a: float, start: int) -> float:
     if a >= 1e-6:
         return _decreasing_log_series(lambda n: -a * n * n, start)
     edge = math.sqrt(a) * (start - 0.5)
-    return 0.5 * math.log(math.pi / a) + math.log(0.5 * float(erfc(edge)))
+    return 0.5 * math.log(math.pi / a) + math.log(0.5) + log_erfc(edge)
 
 
 def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
@@ -214,8 +221,7 @@ def _tail_log_sq_sum(spectrum: Spectrum, tail: TailModel) -> float:
         series = _log_gauss_tail(2.0 * tail.rate * math.pi**2, start)
         return 2.0 * math.log(tail.coeff) + series
     # PowerTail: sum_{n > N} n**(-2p) is the Hurwitz zeta value.
-    z = float(zeta(2.0 * tail.power, start))
-    return 2.0 * math.log(tail.coeff) + math.log(z)
+    return 2.0 * math.log(tail.coeff) + log_hurwitz_zeta(2.0 * tail.power, start)
 
 
 def _tail_cross_log(spectrum: Spectrum, a: TailModel, b: TailModel) -> float:
@@ -230,7 +236,7 @@ def _tail_cross_log(spectrum: Spectrum, a: TailModel, b: TailModel) -> float:
             raise ValueError("cross term of growing tails has no finite value")
         return log_c + _log_gauss_tail(rate * math.pi**2, start)
     if isinstance(a, PowerTail) and isinstance(b, PowerTail):
-        return log_c + math.log(float(zeta(a.power + b.power, start)))
+        return log_c + log_hurwitz_zeta(a.power + b.power, start)
     exp_t = a if isinstance(a, ExpTail) else b
     pow_t = b if isinstance(a, ExpTail) else a
     if exp_t.rate <= 0.0:
@@ -312,6 +318,33 @@ def scale_tail(tail: TailModel, factor: float) -> TailModel:
 # states
 # ---------------------------------------------------------------------------
 
+def coefficient_arrays(spectrum: Spectrum, signs, log_mags) -> tuple[np.ndarray, np.ndarray]:
+    """Validated, read-only copies of a coefficient sequence in sign/log form.
+
+    Signs are checked on the raw input, before the ``int8`` cast could wrap
+    or truncate them: only integral values in ``{-1, 0, +1}`` pass.  A zero
+    sign and a ``-inf`` log both mean a zero coefficient, and are made to
+    agree; any other log must be finite.
+    """
+    raw = np.asarray(signs)
+    if raw.dtype.kind not in "biuf" or not np.all((raw >= -1) & (raw <= 1)):
+        raise ValueError("signs must be integers in {-1, 0, +1}")
+    signs = raw.astype(np.int8)
+    if raw.dtype.kind == "f" and not np.all(signs == raw):
+        raise ValueError("signs must be integers in {-1, 0, +1}")
+    logs = np.array(log_mags, dtype=float)
+    if signs.shape != (spectrum.num_modes,) or logs.shape != signs.shape:
+        raise ValueError("coefficient arrays must match the spectrum length")
+    zero = (signs == 0) | (logs == LOG_ZERO)
+    signs[zero] = 0
+    logs[zero] = LOG_ZERO
+    if not np.all(np.isfinite(logs) | zero):
+        raise ValueError("nonzero coefficients need finite log magnitudes")
+    signs.flags.writeable = False
+    logs.flags.writeable = False
+    return signs, logs
+
+
 @dataclass(frozen=True)
 class SpectralState:
     """Truncated modal coefficients in sign/log form plus a tail envelope.
@@ -325,19 +358,7 @@ class SpectralState:
     tail: TailModel = ZERO_TAIL
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int8).copy()
-        logs = np.asarray(self.log_mags, dtype=float).copy()
-        if signs.shape != (self.spectrum.num_modes,) or logs.shape != signs.shape:
-            raise ValueError("coefficient arrays must match the spectrum length")
-        if not np.all(np.isin(signs, (-1, 0, 1))):
-            raise ValueError("signs must lie in {-1, 0, +1}")
-        signs[logs == LOG_ZERO] = 0
-        logs[signs == 0] = LOG_ZERO
-        live = signs != 0
-        if np.any(~np.isfinite(logs[live])):
-            raise ValueError("nonzero coefficients need finite log magnitudes")
-        signs.flags.writeable = False
-        logs.flags.writeable = False
+        signs, logs = coefficient_arrays(self.spectrum, self.signs, self.log_mags)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "log_mags", logs)
         tail = _normalized_tail(self.tail)
@@ -455,10 +476,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 
 def log_norm(state: SpectralState) -> float:
     """Natural log of the ambient (square-sum) norm; ``-inf`` for zero."""
-    live = state.signs != 0
-    finite_part = float(logsumexp(2.0 * state.log_mags[live])) if np.any(live) else LOG_ZERO
-    tail_part = _tail_log_sq_sum(state.spectrum, state.tail)
-    return 0.5 * float(np.logaddexp(finite_part, tail_part))
+    squares = np.append(2.0 * state.log_mags, _tail_log_sq_sum(state.spectrum, state.tail))
+    return 0.5 * float(signed_logsumexp(1, squares)[1])
 
 
 def norm(state: SpectralState) -> float:
@@ -478,21 +497,11 @@ def tail_norm(state: SpectralState) -> float:
 def log_inner_product(x: SpectralState, y: SpectralState) -> LogAmplitude:
     """Sign-aware log-domain inner product, including the tail cross term."""
     _require_same_spectrum(x, y)
-    prod_sign = x.signs.astype(int) * y.signs.astype(int)
-    prod_log = x.log_mags + y.log_mags
-    pos = prod_sign > 0
-    neg = prod_sign < 0
-    log_pos = float(logsumexp(prod_log[pos])) if np.any(pos) else LOG_ZERO
-    log_neg = float(logsumexp(prod_log[neg])) if np.any(neg) else LOG_ZERO
-    cross = _tail_cross_log(x.spectrum, x.tail, y.tail)
-    log_pos = float(np.logaddexp(log_pos, cross))
-    if log_pos == LOG_ZERO and log_neg == LOG_ZERO:
-        return LogAmplitude.zero()
-    if log_neg == LOG_ZERO:
-        return LogAmplitude(1, log_pos)
-    if log_pos == LOG_ZERO:
-        return LogAmplitude(-1, log_neg)
-    return log_sub_magnitudes(log_pos, log_neg, 1)
+    # the tail cross term is one more positive entry (envelopes are nonnegative)
+    signs = np.append(x.signs * y.signs, 1)
+    logs = np.append(x.log_mags + y.log_mags, _tail_cross_log(x.spectrum, x.tail, y.tail))
+    sign, log = signed_logsumexp(signs, logs)
+    return LogAmplitude(int(sign), float(log))
 
 
 def inner_product(x: SpectralState, y: SpectralState) -> float:
@@ -506,24 +515,8 @@ def inner_product(x: SpectralState, y: SpectralState) -> float:
 def add(x: SpectralState, y: SpectralState) -> SpectralState:
     """Modewise sign-aware log addition; tails combine by dominating envelope."""
     _require_same_spectrum(x, y)
-    sa, la = x.signs.astype(int), x.log_mags
-    sb, lb = y.signs.astype(int), y.log_mags
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        both = (sa != 0) & (sb != 0)
-        same = both & (sa == sb)
-        opp = both & (sa != sb)
-        log_same = np.logaddexp(la, lb)
-        big = np.maximum(la, lb)
-        small = np.minimum(la, lb)
-        log_opp = big + np.log1p(-np.exp(small - big))
-        cancelled = opp & ((log_opp - big) < math.log(1e-300))
-        sign_opp = np.where(la >= lb, sa, sb)
-        out_sign = np.where(same, sa, np.where(opp, sign_opp, np.where(sa != 0, sa, sb)))
-        out_log = np.where(same, log_same, np.where(opp, log_opp, np.where(sa != 0, la, lb)))
-        out_sign = np.where(cancelled, 0, out_sign)
-        out_log = np.where(cancelled, LOG_ZERO, out_log)
-    tail = combine_tails_add(x.spectrum, x.tail, y.tail)
-    return SpectralState(x.spectrum, out_sign.astype(np.int8), out_log, tail)
+    signs, logs = signed_add(x.signs, x.log_mags, y.signs, y.log_mags)
+    return SpectralState(x.spectrum, signs, logs, combine_tails_add(x.spectrum, x.tail, y.tail))
 
 
 def scale(state: SpectralState, factor: float) -> SpectralState:
@@ -557,16 +550,17 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
     spectrum = state.spectrum.extended(num_modes)
     signs = np.zeros(num_modes, dtype=np.int8)
     logs = np.full(num_modes, LOG_ZERO)
-    signs[: state.num_modes] = state.signs
-    logs[: state.num_modes] = state.log_mags
+    old = state.num_modes
+    signs[:old] = state.signs
+    logs[:old] = state.log_mags
     tail = state.tail
+    if isinstance(tail, ExpTail):
+        logs[old:] = math.log(tail.coeff) + tail.rate * spectrum.eigenvalues[old:]
+    elif isinstance(tail, PowerTail):
+        n = np.arange(old + 1, num_modes + 1, dtype=float)
+        logs[old:] = math.log(tail.coeff) - tail.power * np.log(n)
     if not isinstance(tail, ZeroTail):
-        for n in range(state.num_modes + 1, num_modes + 1):
-            if isinstance(tail, ExpTail):
-                logs[n - 1] = math.log(tail.coeff) + tail.rate * spectrum.eigenvalues[n - 1]
-            else:
-                logs[n - 1] = math.log(tail.coeff) - tail.power * math.log(n)
-            signs[n - 1] = 1
+        signs[old:] = 1
     return SpectralState(spectrum, signs, logs, tail)
 
 

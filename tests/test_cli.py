@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,25 @@ def test_trajectory_past_horizon_exits_3(power_state_file, tmp_path, capsys):
     code = main(["trajectory", "--in", str(power_state_file), "--t-min", "-1",
                  "--t-max", "0", "--steps", "3", "--out", str(out)])
     assert code == 3
+
+
+def test_density_scan_cap_exits_3(tmp_path, capsys):
+    # the tail norm of n**-0.6 past depth m falls like m**-0.1: the depth scan
+    # for eps 0.01 passes its 50M-mode cap, a domain failure, not a crash
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(0.6, 1.0))
+    xp = tmp_path / "x.json"
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    assert main(["density", "--in", str(xp), "--eps", "0.01"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NotConvergedError"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(rf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, retroflow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_parse_failure_exits_2():

@@ -142,3 +142,10 @@ def test_mixed_signs_survive_realization():
     for mode in (1, 2, 5):
         got = rf.log_pairing(rf.SpectralState.basis(sp, mode), z)
         assert got.sign == int(signs[mode - 1])
+
+
+@pytest.mark.parametrize("signs", [[5, 1, -7], [300, 1, 0], [0.5, 1, 0]])
+def test_functional_signs_validated_before_cast(signs):
+    # 300 would wrap to 44 in int8; 5 and -7 were once kept as they were
+    with pytest.raises(ValueError, match="signs"):
+        rf.Functional(rf.make_heat_spectrum(3), signs, np.zeros(3))

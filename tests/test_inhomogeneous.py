@@ -19,6 +19,21 @@ def test_zero_forcing_reduces_to_flow():
     assert rf.duhamel_evolve(x, rf.ZERO_FORCING, 0.8, QUAD) == rf.evolve(x, 0.8)
 
 
+def test_unforced_modes_match_the_flow_bit_for_bit():
+    rng = np.random.default_rng(2)
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), rng.normal(size=6),
+                                     rf.ExpTail(0.5, 1.0))
+    forcing = rf.Forcing.from_dict({2: rf.ConstantForcing(1.5), 5: rf.ConstantForcing(-0.25)})
+    forced, flowed = rf.duhamel_evolve(x, forcing, 0.3, QUAD), rf.evolve(x, 0.3)
+    unforced = [0, 2, 3, 5]
+    assert np.array_equal(forced.signs[unforced], flowed.signs[unforced])
+    assert np.array_equal(forced.log_mags[unforced], flowed.log_mags[unforced])
+    assert forced.tail == flowed.tail
+    drive = rf.forcing_integral(x.spectrum, forcing, 0.3, QUAD).coeff_values()
+    np.testing.assert_allclose(forced.coeff_values()[[1, 4]],
+                               flowed.coeff_values()[[1, 4]] + drive[[1, 4]], rtol=1e-13)
+
+
 def test_constant_forcing_against_ode_closed_form():
     # frozen: (1 - exp(-pi^2)) / pi^2, the solution of a' = -pi^2 a + 1 at t = 1
     x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(4))

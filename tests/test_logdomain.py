@@ -1,12 +1,24 @@
-"""Sign/log-magnitude scalar arithmetic against plain float arithmetic."""
+"""Sign/log-magnitude arithmetic against plain float arithmetic, and the
+array kernel and log-valued tail functions against mpmath."""
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retroflow.logdomain import LOG_ZERO, LogAmplitude, log_add, log_sum
+from retroflow.logdomain import (
+    LOG_ZERO,
+    LogAmplitude,
+    log_add,
+    log_erfc,
+    log_hurwitz_zeta,
+    log_sum,
+    signed_add,
+    signed_logsumexp,
+)
 
 
 def test_zero_encoding():
@@ -87,3 +99,141 @@ def test_scaled_and_times():
     assert a.scaled(-2.0).to_linear() == pytest.approx(3.0, rel=1e-15)
     assert a.times(a).to_linear() == pytest.approx(2.25, rel=1e-15)
     assert a.scaled(0.0).sign == 0
+
+
+# --- the array kernel ---------------------------------------------------------
+
+def mp_signed_sum(signs, logs):
+    """Reference sign and log of sum(signs * exp(logs)) at 60 digits."""
+    with mp.workdps(60):
+        total = mp.fsum(int(sg) * mp.exp(mp.mpf(float(lg))) for sg, lg in zip(signs, logs) if sg)
+        if total == 0:
+            return 0, LOG_ZERO
+        return (1 if total > 0 else -1), float(mp.log(abs(total)))
+
+
+def test_signed_logsumexp_against_mpmath():
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 8, 256):
+        for spread in (1.0, 50.0, 800.0):  # 800: most terms below exp(-745) of the top
+            signs = rng.integers(-1, 2, size=size)
+            logs = np.where(signs != 0, rng.normal(scale=spread, size=size) + 1e4, LOG_ZERO)
+            sign, log = signed_logsumexp(signs, logs)
+            want_sign, want_log = mp_signed_sum(signs, logs)
+            assert int(sign) == want_sign
+            if want_sign:
+                # rounding of the result, plus the summation error magnified by
+                # the cancellation ratio sum(|terms|) / |sum|
+                _, log_abs = mp_signed_sum(np.abs(signs), logs)
+                bound = 4 * np.spacing(abs(want_log)) + 4e-16 * size * math.exp(log_abs - want_log)
+                assert abs(float(log) - want_log) <= bound
+
+
+def test_signed_logsumexp_cancels_to_exact_zero():
+    logs = np.array([700.0, math.log(3.0) + 700.0, 700.0, math.log(3.0) + 700.0])
+    sign, log = signed_logsumexp([1, 1, -1, -1], logs)
+    assert int(sign) == 0 and float(log) == LOG_ZERO
+
+
+def test_signed_logsumexp_empty_and_all_zero_rows():
+    assert [float(v) for v in signed_logsumexp([], [])] == [0.0, LOG_ZERO]
+    sign, log = signed_logsumexp([0, 0], [LOG_ZERO, LOG_ZERO])
+    assert int(sign) == 0 and float(log) == LOG_ZERO
+
+
+def test_signed_logsumexp_far_outside_float_range():
+    # 1e5 copies of exp(1e6): a float64 sum would overflow long before
+    sign, log = signed_logsumexp(np.ones(100_000), np.full(100_000, 1e6))
+    assert int(sign) == 1
+    assert float(log) == pytest.approx(1e6 + math.log(1e5), rel=1e-15)
+
+
+def test_signed_logsumexp_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(4)
+    signs = rng.integers(-1, 2, size=(3, 5, 7))
+    logs = rng.normal(size=(3, 5, 7))
+    sign, log = signed_logsumexp(signs, logs)
+    assert sign.shape == log.shape == (3, 5)
+    for i in range(3):
+        for j in range(5):
+            row_sign, row_log = signed_logsumexp(signs[i, j], logs[i, j])
+            assert sign[i, j] == row_sign and log[i, j] == row_log
+
+
+def test_signed_add_matches_mpmath_and_cancels():
+    rng = np.random.default_rng(5)
+    sa, sb = rng.integers(-1, 2, size=200), rng.integers(-1, 2, size=200)
+    la = np.where(sa != 0, rng.normal(scale=30.0, size=200), LOG_ZERO)
+    lb = np.where(sb != 0, la + rng.normal(scale=3.0, size=200), LOG_ZERO)
+    lb[:10], sb[:10] = la[:10], -sa[:10]  # exact cancellations
+    sign, log = signed_add(sa, la, sb, lb)
+    for i in range(200):
+        want_sign, want_log = mp_signed_sum((sa[i], sb[i]), (la[i], lb[i]))
+        assert sign[i] == want_sign
+        if want_sign:
+            _, log_abs = mp_signed_sum((abs(sa[i]), abs(sb[i])), (la[i], lb[i]))
+            cancellation = math.exp(log_abs - want_log)
+            assert abs(log[i] - want_log) < 1e-14 * cancellation * max(1, abs(want_log))
+
+
+def test_signed_add_of_zero_is_bitwise_identity():
+    logs = np.array([-3.25, 0.1, 1e300 ** 0.5, -7e10])
+    signs = np.array([1, -1, 1, -1], dtype=np.int8)
+    zeros = np.zeros(4, dtype=np.int8)
+    sign, log = signed_add(signs, logs, zeros, np.full(4, LOG_ZERO))
+    assert np.array_equal(sign, signs) and np.array_equal(log, logs)
+    sign, log = signed_add(zeros, np.full(4, LOG_ZERO), signs, logs)
+    assert np.array_equal(sign, signs) and np.array_equal(log, logs)
+
+
+# --- log-valued tail functions ------------------------------------------------
+
+def close_in_log(got, want, rtol=1e-14):
+    """Agreement of logs relative to their size: a float64 log near -1000 is
+    itself resolved only to about 2e-13."""
+    return abs(got - want) <= rtol * max(1.0, abs(want))
+
+
+ZETA_S = (1.001, 1.5, 2.0, 3.7, 12.5, 33.3, 55.03, 60.0)
+ZETA_A = (2.0, 7.0, 64.0, 630.0, 10_003.0, 1_000_001.0, 50_000_000.0)
+
+
+@pytest.mark.parametrize("s", ZETA_S)
+def test_log_hurwitz_zeta_against_mpmath(s):
+    for a in ZETA_A:
+        # mpmath's zeta(s, a) loses about s*log10(a) digits to cancellation
+        with mp.workdps(30 + int(s * math.log10(a))):
+            want = float(mp.log(mp.zeta(s, a)))
+        assert close_in_log(log_hurwitz_zeta(s, a), want), (s, a)
+
+
+def test_log_hurwitz_zeta_where_the_value_underflows():
+    # zeta(60, 10**6 + 1) is about 1e-360, below the float64 range
+    got = log_hurwitz_zeta(60.0, 1_000_001.0)
+    with mp.workdps(400):
+        want = float(mp.log(mp.zeta(60, 1_000_001)))
+    assert close_in_log(got, want)
+    assert got < math.log(5e-324)
+
+
+def test_log_hurwitz_zeta_large_order_takes_the_direct_sum():
+    got = log_hurwitz_zeta(400.0, 3.0)
+    with mp.workdps(300):
+        want = float(mp.log(mp.zeta(400, 3)))
+    assert close_in_log(got, want)
+
+
+def test_log_hurwitz_zeta_domain():
+    for s, a in ((1.0, 2.0), (0.5, 2.0), (2.0, 0.5), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            log_hurwitz_zeta(s, a)
+
+
+@pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1e-8, 0.7, 3.3, 10.0, 24.9, 25.0, 25.1,
+                               26.7, 27.3, 30.0, 60.0, 1e3, 1e6])
+def test_log_erfc_against_mpmath(x):
+    # from 25 on, including past the underflow of erfc near 27.2, the
+    # asymptotic series replaces math.erfc
+    with mp.workdps(50):
+        want = float(mp.log(mp.erfc(x)))
+    assert close_in_log(log_erfc(x), want)

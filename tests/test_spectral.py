@@ -7,6 +7,7 @@ closed-form zeta values) and are pinned here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,28 @@ def test_tail_norm_consistent_with_norm_for_pure_tail():
     empty = Spectrum(np.array([]), "heat")
     x = rf.SpectralState.zeros(empty, rf.ExpTail(0.3, 1.0))
     assert rf.tail_norm(x) == rf.norm(x)
+
+
+def test_norm_of_deep_exponential_tail_in_integral_regime():
+    # rate 1e-9 past mode 2e5: the integral branch evaluates erfc(28), which
+    # underflows to zero in float64; the log of the sum must stay finite
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(200_000), rf.ExpTail(1e-9, 1.0))
+    got = rf.log_norm(x)
+    a, start = 2e-9 * PI2, 200_001
+    with mp.workdps(30):
+        # sum_{n >= start} exp(-a n^2) = exp(-a start^2) sum_k exp(-a k (2 start + k))
+        series = mp.nsum(lambda k: mp.exp(-a * k * (2 * start + k)), [0, mp.inf])
+        want = float((-a * start**2 + mp.log(series)) / 2)
+    # the midpoint integral is an upper bound, relatively off by order a * start
+    assert want <= got < want + 1e-5
+
+
+def test_norm_of_power_tail_whose_zeta_underflows():
+    # zeta(60, 10**6 + 1) is about 1e-360: below float64, finite in logs
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(1_000_000), rf.PowerTail(30.0, 1.0))
+    with mp.workdps(400):
+        want = float(mp.log(mp.zeta(60, 1_000_001)) / 2)
+    assert rf.log_norm(x) == pytest.approx(want, rel=1e-14)
 
 
 def test_gauss_tail_small_rate_against_integral():
@@ -248,6 +271,58 @@ def test_embed_keeps_distance_coherent():
     sp = rf.make_heat_spectrum(2)
     x = rf.SpectralState.from_values(sp, [1.0, 2.0], rf.PowerTail(1.5, 0.5))
     assert rf.relative_gap(x, rf.embed(x, 40)) < 1e-12
+
+
+def embed_by_loop(state, num_modes):
+    """The mode-by-mode loop that the vectorised embed replaced."""
+    spectrum = state.spectrum.extended(num_modes)
+    signs = np.zeros(num_modes, dtype=np.int8)
+    logs = np.full(num_modes, -math.inf)
+    signs[: state.num_modes] = state.signs
+    logs[: state.num_modes] = state.log_mags
+    tail = state.tail
+    for n in range(state.num_modes + 1, num_modes + 1):
+        if isinstance(tail, rf.ExpTail):
+            logs[n - 1] = math.log(tail.coeff) + tail.rate * spectrum.eigenvalues[n - 1]
+        else:
+            logs[n - 1] = math.log(tail.coeff) - tail.power * math.log(n)
+        signs[n - 1] = 1
+    return signs, logs
+
+
+@pytest.mark.parametrize("tail", [rf.ExpTail(0.003, 2.5), rf.PowerTail(1.5, 0.5),
+                                  rf.PowerTail(0.75, 3e-7)])
+def test_embed_matches_mode_by_mode_loop(tail):
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(3), [1.0, -2.0, 0.0], tail)
+    big = rf.embed(x, 20_000)
+    signs, logs = embed_by_loop(x, 20_000)
+    assert np.array_equal(big.signs, signs)
+    assert big.log_mags[2] == -math.inf and np.array_equal(big.log_mags[:2], logs[:2])
+    # float64 rounding of log(n) may differ between libm and numpy: 4 ulp
+    assert np.all(np.abs(big.log_mags[3:] - logs[3:]) <= 4 * np.spacing(np.abs(logs[3:])))
+
+
+def test_embed_of_zero_tail_pads_zeros():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, -2.0])
+    big = rf.embed(x, 6)
+    np.testing.assert_array_equal(big.coeff_values(), [1.0, -2.0, 0.0, 0.0, 0.0, 0.0])
+
+
+# --- sign validation ----------------------------------------------------------
+
+@pytest.mark.parametrize("signs", [[257, 1, -255], [0.5, 1, 0], [2, 0, 0], [-128, 1, 1],
+                                   [math.nan, 1, 1], ["1", "0", "1"]])
+def test_signs_outside_minus_one_zero_one_rejected(signs):
+    # 257 and -255 would wrap to 1 in int8, 0.5 would truncate to 0
+    with pytest.raises(ValueError, match="signs"):
+        rf.SpectralState(rf.make_heat_spectrum(3), signs, np.zeros(3))
+
+
+def test_integral_float_and_bool_signs_accepted():
+    sp = rf.make_heat_spectrum(3)
+    x = rf.SpectralState(sp, [1.0, -1.0, 0.0], np.zeros(3))
+    assert x.signs.tolist() == [1, -1, 0] and x.signs.dtype == np.int8
+    assert rf.SpectralState(sp, [True, False, True], np.zeros(3)).signs.tolist() == [1, 0, 1]
 
 
 def test_immutability():
