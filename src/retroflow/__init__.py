@@ -17,7 +17,6 @@ from .errors import (
     NotWithinBackwardReachError,
     OracleFailedError,
     RetroflowError,
-    UnrepresentableFunctionalError,
 )
 from .logdomain import LogAmplitude, log_add, log_sum
 from .spectral import (

@@ -42,12 +42,10 @@ def _default_tol(fallback: float = 1e-9) -> float:
 
 def _emit(payload: dict, out_path, fmt: str):
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
         if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+            serialize.save_json(out_path, payload)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return
     # flat CSV: one header row, one value row
     flat = _flatten(payload)
@@ -78,10 +76,6 @@ def _load_state(path) -> SpectralState:
 
 def _load_extended(path) -> ExtendedState:
     return serialize.extended_from_dict(serialize.load_json(path))
-
-
-def _write_state(state: SpectralState, path):
-    serialize.save_json(path, serialize.state_to_dict(state))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,19 +210,13 @@ def _dispatch(args) -> int:
 
     if args.verb == "evolve":
         state = evolve(_load_state(args.input), args.t)
-        if args.output:
-            _write_state(state, args.output)
-        else:
-            _emit(serialize.state_to_dict(state), None, args.format)
+        _emit(serialize.state_to_dict(state), args.output, args.format)
         return 0
 
     if args.verb == "backward":
         state = _load_state(args.input)
         moved = backward_evolve(state, args.t)
-        if args.output:
-            _write_state(moved, args.output)
-        else:
-            _emit(serialize.state_to_dict(moved), None, args.format)
+        _emit(serialize.state_to_dict(moved), args.output, args.format)
         amp = amplification_log(state, args.t)
         sys.stderr.write(
             f"amplification of the deepest mode: exp({amp:.6g}) "
@@ -257,10 +245,7 @@ def _dispatch(args) -> int:
         state = _load_state(args.input)
         forcing = serialize.forcing_from_dict(serialize.load_json(args.forcing))
         moved = duhamel_evolve(state, forcing, args.t, quad)
-        if args.output:
-            _write_state(moved, args.output)
-        else:
-            _emit(serialize.state_to_dict(moved), None, args.format)
+        _emit(serialize.state_to_dict(moved), args.output, args.format)
         est = forcing_error_estimate(state.spectrum, forcing, args.t, quad)
         sys.stderr.write(f"worst quadrature error estimate: {est:.3e}\n")
         return 0
@@ -270,7 +255,7 @@ def _dispatch(args) -> int:
         out, cert = iterate_to_reversible(
             state, args.eps, truncation_preimage_oracle(), max_iters=args.max_iters)
         if args.output:
-            _write_state(out, args.output)
+            serialize.save_json(args.output, serialize.state_to_dict(out))
         _emit(serialize.certificate_to_dict(cert), None, args.format)
         return 0
 
@@ -296,7 +281,9 @@ def _dispatch(args) -> int:
             value = getattr(args, key)
             if value is not None:
                 overrides[key] = value
-        if "tol" not in overrides and os.environ.get("RETROFLOW_TOL"):
+        # the environment's tolerance applies only where a tolerance applies
+        if ("tol" not in overrides and os.environ.get("RETROFLOW_TOL")
+                and verification.suite_takes(args.suite, "tol")):
             overrides["tol"] = _default_tol()
         results = verification.run_suite(args.suite, **overrides)
         failures = 0

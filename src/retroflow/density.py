@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotConvergedError, OracleFailedError
-from .logdomain import LOG_ZERO, log_hurwitz_zeta
+from .logdomain import LOG_ZERO
 from .reversibility import backward_evolve
 from .spectral import (
-    ExpTail,
     SpectralState,
     ZeroTail,
-    _log_gauss_tail,
+    _tail_cross_log,
     embed,
     evolve,
     log_distance,
@@ -76,13 +75,7 @@ class DensityCertificate:
 
 def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
     """log norm of the tail restricted to modes beyond ``n_prime``."""
-    tail = state.tail
-    if isinstance(tail, ZeroTail):
-        return LOG_ZERO
-    if isinstance(tail, ExpTail):
-        series = _log_gauss_tail(2.0 * tail.rate * math.pi**2, n_prime + 1)
-        return math.log(tail.coeff) + 0.5 * series
-    return math.log(tail.coeff) + 0.5 * log_hurwitz_zeta(2.0 * tail.power, n_prime + 1)
+    return 0.5 * _tail_cross_log(state.tail, state.tail, n_prime + 1)
 
 
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
@@ -139,6 +132,17 @@ def truncate_to_reversible(
 
 
 PreimageOracle = Callable[[SpectralState, float], SpectralState]
+
+# Relative roundoff allowed between an oracle output's unit-step image and its
+# target.  Stepping a log magnitude ``L`` backward and forward rounds it twice,
+# an absolute error of a few ``2**-52 * |L|`` in the log and so the same
+# relative error in the coefficient, and the difference's norm is at most the
+# largest such error times the target's norm.  Deep truncations reach
+# ``|L| ~ 1e11``, far past a fixed 1e-6, so 64 units of the spacing at the
+# largest ``|L|`` cover the two roundings and the eigenvalue products with
+# margin; 1e-6 stays the floor for desk-scale states.
+_ROUNDOFF_ULPS = 64.0 * 2.0**-52
+_ROUNDOFF_FLOOR = 1e-6
 
 
 def truncation_preimage_oracle(margin: float = 0.5) -> PreimageOracle:
@@ -198,7 +202,9 @@ def iterate_to_reversible(
         gap = log_distance(evolve(candidate, 1.0), current)
         # an exact preimage is exact only to roundoff once iterates leave
         # float range; machine-level relative agreement counts as in budget
-        exact_to_roundoff = gap < log_norm(current) + math.log(1e-6)
+        deepest = abs(candidate.log_mags[candidate.signs != 0]).max(initial=0.0)
+        allowance = max(_ROUNDOFF_FLOOR, _ROUNDOFF_ULPS * deepest)
+        exact_to_roundoff = gap < log_norm(current) + math.log(allowance)
         if gap >= math.log(eps_k) and not exact_to_roundoff:
             partial = DensityCertificate(
                 eps0,

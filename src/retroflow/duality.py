@@ -11,50 +11,30 @@ or by a genuinely extended class (negative shift, encoded as an offset).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFullyReversibleError, UnrepresentableFunctionalError
+from .errors import NotFullyReversibleError
 from .extended import ExtendedState, canonicalize, lift
 from .logdomain import LogAmplitude
 from .reversibility import ReversibilityClass, backward_evolve, classify
 from .spectral import (
     ExpTail,
-    PowerTail,
     SpectralState,
     Spectrum,
     TailModel,
-    ZERO_TAIL,
     ZeroTail,
-    _normalized_tail,
-    coefficient_arrays,
     log_inner_product,
 )
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Coefficient functional: explicit coefficients plus a tail law that is
+class Functional(SpectralState):
+    """Coefficient functional: a :class:`SpectralState` whose tail law is
     allowed to grow (exponential envelope with a rate of either sign)."""
 
-    spectrum: Spectrum
-    signs: np.ndarray
-    log_mags: np.ndarray
-    tail: TailModel = ZERO_TAIL
-
-    def __post_init__(self):
-        signs, logs = coefficient_arrays(self.spectrum, self.signs, self.log_mags)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "log_mags", logs)
-        tail = _normalized_tail(self.tail)
-        if not isinstance(tail, (ZeroTail, ExpTail, PowerTail)):
-            raise UnrepresentableFunctionalError(
-                f"no square-summability shift is known for tail law {type(tail).__name__}"
-            )
-        if not isinstance(tail, ZeroTail) and self.spectrum.kind != "heat":
-            raise ValueError("tail laws need an eigenvalue law; use a heat spectrum")
-        object.__setattr__(self, "tail", tail)
+    @staticmethod
+    def _check_decay(tail: TailModel):
+        """Any exponential rate is allowed: a functional's law may grow."""
 
     @classmethod
     def from_exp_law(cls, spectrum: Spectrum, rate: float, coeff: float = 1.0) -> "Functional":
@@ -66,14 +46,6 @@ class Functional:
         logs = math.log(coeff) + rate * spectrum.eigenvalues
         signs = np.ones(spectrum.num_modes, dtype=np.int8)
         return cls(spectrum, signs, logs, ExpTail(rate, coeff))
-
-    @property
-    def num_modes(self) -> int:
-        return self.spectrum.num_modes
-
-    def coeff(self, mode: int) -> LogAmplitude:
-        i = mode - 1
-        return LogAmplitude(int(self.signs[i]), float(self.log_mags[i]))
 
 
 def representable_time(functional: Functional) -> float:

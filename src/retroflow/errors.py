@@ -61,7 +61,3 @@ class OracleFailedError(DomainError):
         self.step = step
         self.certificate = certificate
         super().__init__(f"preimage oracle failed at step {step}: {message}")
-
-
-class UnrepresentableFunctionalError(DomainError):
-    """The functional's coefficient law cannot be shifted into square-summable form."""

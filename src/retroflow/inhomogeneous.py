@@ -14,9 +14,8 @@ from typing import Union
 
 import numpy as np
 
-from .logdomain import signed_add
 from .reversibility import backward_evolve
-from .spectral import SpectralState, Spectrum, evolve, exp_or_inf, log_norm, subtract
+from .spectral import SpectralState, Spectrum, add, evolve, exp_or_inf, log_norm, subtract
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,7 @@ def duhamel_evolve(
     hom = evolve(x0, t)
     if not forcing.entries:
         return hom
-    drive = forcing_integral(x0.spectrum, forcing, t, quad)
-    signs, logs = signed_add(hom.signs, hom.log_mags, drive.signs, drive.log_mags)
-    return SpectralState(x0.spectrum, signs, logs, hom.tail)
+    return add(hom, forcing_integral(x0.spectrum, forcing, t, quad))
 
 
 def affine_backward(
@@ -268,12 +265,8 @@ def log_affine_norm(
     the forcing convolution, measured in the ambient norm.  The subtraction
     cancels the forcing exactly, so this equals the homogeneous backward-depth
     norm while exercising the affine identity."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    flowed = duhamel_evolve(x, forcing, t, quad)
     drive = forcing_integral(x.spectrum, forcing, t, quad)
-    return log_norm(subtract(flowed, drive))
+    return log_norm(subtract(add(evolve(x, t), drive), drive))
 
 
 def affine_norm(

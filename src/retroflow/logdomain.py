@@ -91,29 +91,9 @@ class LogAmplitude:
 
 
 def log_add(a: LogAmplitude, b: LogAmplitude) -> LogAmplitude:
-    """Sign-aware addition of two log-domain scalars."""
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    if a.sign == b.sign:
-        return LogAmplitude(a.sign, float(np.logaddexp(a.log_mag, b.log_mag)))
-    return log_sub_magnitudes(a.log_mag, b.log_mag, a.sign)
-
-
-def log_sub_magnitudes(log_a: float, log_b: float, sign_a: int) -> LogAmplitude:
-    """``sign_a * (exp(log_a) - exp(log_b))`` with cancellation detection."""
-    if log_a == log_b:
-        return LogAmplitude.zero()
-    big, small = max(log_a, log_b), min(log_a, log_b)
-    if small == LOG_ZERO:
-        rel = 0.0
-    else:
-        rel = math.log1p(-math.exp(small - big))
-    if rel < CANCEL_LOG:
-        return LogAmplitude.zero()
-    sign = sign_a if log_a > log_b else -sign_a
-    return LogAmplitude(sign, big + rel)
+    """Sign-aware addition of two log-domain scalars through :func:`signed_add`."""
+    sign, log = signed_add(a.sign, a.log_mag, b.sign, b.log_mag)
+    return LogAmplitude(int(sign), float(log))
 
 
 def log_sum(entries) -> LogAmplitude:
@@ -132,8 +112,7 @@ def signed_add(sign_a, log_a, sign_b, log_b) -> tuple[np.ndarray, np.ndarray]:
 
     A zero sign goes with a ``-inf`` log.  Opposite-signed operands whose
     difference falls below ``CANCEL_LOG`` relative to the larger cancel to
-    exact zero, as in :func:`log_sub_magnitudes`; an operand added to zero
-    comes back bit for bit.
+    exact zero; an operand added to zero comes back bit for bit.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         big = np.maximum(log_a, log_b)

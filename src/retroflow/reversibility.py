@@ -17,8 +17,8 @@ from .spectral import (
     ExpTail,
     SpectralState,
     ZeroTail,
+    exp_or_inf,
     log_norm,
-    norm,
 )
 
 
@@ -140,14 +140,10 @@ def frechet_seminorms(state: SpectralState, n_max: int) -> list[float]:
     Only fully reversible states carry the whole family.  Values can overflow
     to ``inf``; use :func:`log_frechet_seminorms` for deep modes.
     """
-    return _seminorms(state, n_max, linear=True)
+    return [exp_or_inf(v) for v in log_frechet_seminorms(state, n_max)]
 
 
 def log_frechet_seminorms(state: SpectralState, n_max: int) -> list[float]:
-    return _seminorms(state, n_max, linear=False)
-
-
-def _seminorms(state: SpectralState, n_max: int, linear: bool) -> list[float]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     c = classify(state)
@@ -156,8 +152,4 @@ def _seminorms(state: SpectralState, n_max: int, linear: bool) -> list[float]:
             f"seminorm family needs unbounded backward reach; state is {c.label.value} "
             f"({c.certificate})"
         )
-    out = []
-    for k in range(n_max + 1):
-        img = backward_evolve(state, float(k))
-        out.append(norm(img) if linear else log_norm(img))
-    return out
+    return [log_norm(backward_evolve(state, float(k))) for k in range(n_max + 1)]

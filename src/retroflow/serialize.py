@@ -113,17 +113,22 @@ def _coeffs_from_dict(d: dict):
 
 
 def state_to_dict(state: SpectralState, encoding: str = "log") -> dict:
+    """A functional's tail is marked ``"may_grow": true``; a state's is not."""
     return {
         "spectrum": spectrum_to_dict(state.spectrum),
         "coeffs": _coeffs_to_dict(state.signs, state.log_mags, encoding),
-        "tail": tail_to_dict(state.tail),
+        "tail": tail_to_dict(state.tail, may_grow=isinstance(state, Functional)),
     }
 
 
-def state_from_dict(d: dict) -> SpectralState:
+def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
     spectrum = spectrum_from_dict(d["spectrum"])
     signs, logs = _coeffs_from_dict(d["coeffs"])
-    return SpectralState(spectrum, signs, logs, tail_from_dict(d.get("tail", {"variant": "zero"})))
+    return cls(spectrum, signs, logs, tail_from_dict(d.get("tail", {"variant": "zero"})))
+
+
+def state_from_dict(d: dict) -> SpectralState:
+    return _coefficients_from_dict(d, SpectralState)
 
 
 def extended_to_dict(state: ExtendedState, encoding: str = "log") -> dict:
@@ -135,17 +140,11 @@ def extended_from_dict(d: dict) -> ExtendedState:
 
 
 def functional_to_dict(functional: Functional, encoding: str = "log") -> dict:
-    return {
-        "spectrum": spectrum_to_dict(functional.spectrum),
-        "coeffs": _coeffs_to_dict(functional.signs, functional.log_mags, encoding),
-        "tail": tail_to_dict(functional.tail, may_grow=True),
-    }
+    return state_to_dict(functional, encoding)
 
 
 def functional_from_dict(d: dict) -> Functional:
-    spectrum = spectrum_from_dict(d["spectrum"])
-    signs, logs = _coeffs_from_dict(d["coeffs"])
-    return Functional(spectrum, signs, logs, tail_from_dict(d.get("tail", {"variant": "zero"})))
+    return _coefficients_from_dict(d, Functional)
 
 
 def classification_to_dict(c: Classification) -> dict:

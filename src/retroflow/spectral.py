@@ -210,25 +210,13 @@ def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
     return power * math.log(n_at) - rate * (n_at * math.pi) ** 2
 
 
-def _tail_log_sq_sum(spectrum: Spectrum, tail: TailModel) -> float:
-    """log of the tail's contribution ``sum_{n > N} a_n**2``."""
-    if isinstance(tail, ZeroTail):
-        return LOG_ZERO
-    start = spectrum.num_modes + 1
-    if isinstance(tail, ExpTail):
-        if tail.rate <= 0.0:
-            raise ValueError("tail with nonpositive rate has no finite norm")
-        series = _log_gauss_tail(2.0 * tail.rate * math.pi**2, start)
-        return 2.0 * math.log(tail.coeff) + series
-    # PowerTail: sum_{n > N} n**(-2p) is the Hurwitz zeta value.
-    return 2.0 * math.log(tail.coeff) + log_hurwitz_zeta(2.0 * tail.power, start)
+def _tail_cross_log(a: TailModel, b: TailModel, start: int) -> float:
+    """log of ``sum_{n >= start} law_a(n) * law_b(n)``; envelopes are nonnegative.
 
-
-def _tail_cross_log(spectrum: Spectrum, a: TailModel, b: TailModel) -> float:
-    """log of ``sum_{n > N} law_a(n) * law_b(n)``; envelopes are nonnegative."""
+    With ``a == b`` this is the tail's squared norm beyond ``start - 1``.
+    """
     if isinstance(a, ZeroTail) or isinstance(b, ZeroTail):
         return LOG_ZERO
-    start = spectrum.num_modes + 1
     log_c = math.log(a.coeff) + math.log(b.coeff)
     if isinstance(a, ExpTail) and isinstance(b, ExpTail):
         rate = a.rate + b.rate
@@ -349,7 +337,9 @@ def coefficient_arrays(spectrum: Spectrum, signs, log_mags) -> tuple[np.ndarray,
 class SpectralState:
     """Truncated modal coefficients in sign/log form plus a tail envelope.
 
-    Immutable; all operations on states are pure functions.
+    Immutable; all operations on states are pure functions.  The tail is a
+    :class:`ZeroTail`, :class:`ExpTail` or :class:`PowerTail`; a state's
+    exponential tail must decay (see :meth:`_check_decay`).
     """
 
     spectrum: Spectrum
@@ -362,11 +352,17 @@ class SpectralState:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "log_mags", logs)
         tail = _normalized_tail(self.tail)
-        if isinstance(tail, ExpTail) and tail.rate <= 0.0:
-            raise ValueError("a state's exponential tail must decay (rate > 0)")
+        if not isinstance(tail, (ZeroTail, ExpTail, PowerTail)):
+            raise ValueError(f"unknown tail law {type(tail).__name__}")
+        self._check_decay(tail)
         if not isinstance(tail, ZeroTail) and self.spectrum.kind != "heat":
             raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
         object.__setattr__(self, "tail", tail)
+
+    @staticmethod
+    def _check_decay(tail: TailModel):
+        if isinstance(tail, ExpTail) and tail.rate <= 0.0:
+            raise ValueError("a state's exponential tail must decay (rate > 0)")
 
     # construction -----------------------------------------------------------
 
@@ -476,7 +472,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 
 def log_norm(state: SpectralState) -> float:
     """Natural log of the ambient (square-sum) norm; ``-inf`` for zero."""
-    squares = np.append(2.0 * state.log_mags, _tail_log_sq_sum(state.spectrum, state.tail))
+    tail_squares = _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
+    squares = np.append(2.0 * state.log_mags, tail_squares)
     return 0.5 * float(signed_logsumexp(1, squares)[1])
 
 
@@ -486,7 +483,7 @@ def norm(state: SpectralState) -> float:
 
 
 def log_tail_norm(state: SpectralState) -> float:
-    return 0.5 * _tail_log_sq_sum(state.spectrum, state.tail)
+    return 0.5 * _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
 
 
 def tail_norm(state: SpectralState) -> float:
@@ -499,7 +496,7 @@ def log_inner_product(x: SpectralState, y: SpectralState) -> LogAmplitude:
     _require_same_spectrum(x, y)
     # the tail cross term is one more positive entry (envelopes are nonnegative)
     signs = np.append(x.signs * y.signs, 1)
-    logs = np.append(x.log_mags + y.log_mags, _tail_cross_log(x.spectrum, x.tail, y.tail))
+    logs = np.append(x.log_mags + y.log_mags, _tail_cross_log(x.tail, y.tail, x.num_modes + 1))
     sign, log = signed_logsumexp(signs, logs)
     return LogAmplitude(int(sign), float(log))
 
@@ -535,10 +532,8 @@ def negate(state: SpectralState) -> SpectralState:
 def subtract(x: SpectralState, y: SpectralState) -> SpectralState:
     """``x - y``; identical tail laws cancel exactly, near ones leave a residual."""
     _require_same_spectrum(x, y)
-    diff = add(SpectralState(x.spectrum, x.signs, x.log_mags), negate(
-        SpectralState(y.spectrum, y.signs, y.log_mags)))
-    tail = combine_tails_sub(x.spectrum, x.tail, y.tail)
-    return SpectralState(x.spectrum, diff.signs, diff.log_mags, tail)
+    signs, logs = signed_add(x.signs, x.log_mags, -y.signs, y.log_mags)
+    return SpectralState(x.spectrum, signs, logs, combine_tails_sub(x.spectrum, x.tail, y.tail))
 
 
 def embed(state: SpectralState, num_modes: int) -> SpectralState:

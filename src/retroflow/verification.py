@@ -725,21 +725,33 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 }
 
 
-def _call_with_supported(fn: Callable, overrides: dict) -> list[CheckResult]:
+def _takes(fn: Callable, key: str) -> bool:
     import inspect
 
-    supported = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in overrides.items() if k in supported})
+    return key in inspect.signature(fn).parameters
+
+
+def suite_takes(name: str, key: str) -> bool:
+    """Whether :func:`run_suite` hands override ``key`` to suite ``name``;
+    ``"all"`` hands each override to the suites that take it."""
+    return name == "all" or (name in SUITES and _takes(SUITES[name], key))
 
 
 def run_suite(name: str, **overrides) -> list[CheckResult]:
-    """Run one named suite (or ``"all"``); overrides a suite does not accept
-    are ignored, so shared flags like ``modes``/``tol`` can be passed freely."""
+    """Run one named suite, or every suite for ``"all"``.
+
+    ``"all"`` hands each override to the suites that take it; a named suite
+    rejects an override it does not take instead of dropping it silently.
+    Override names are the ``verify`` flags, so the error names the flag.
+    """
     if name == "all":
         out = []
         for fn in SUITES.values():
-            out.extend(_call_with_supported(fn, overrides))
+            out.extend(fn(**{k: v for k, v in overrides.items() if _takes(fn, k)}))
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return _call_with_supported(SUITES[name], overrides)
+    for key in overrides:
+        if not _takes(SUITES[name], key):
+            raise ValueError(f"suite {name!r} does not take --{key}")
+    return SUITES[name](**overrides)

@@ -238,3 +238,24 @@ def test_csv_format_output(state_file, capsys):
     assert main(["horizon", "--in", str(state_file), "--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].split(",")[0] == "value"
+
+
+@pytest.mark.parametrize("verb", ["evolve", "backward"])
+def test_state_verbs_honour_format_with_out(verb, state_file, tmp_path, capsys):
+    args = [verb, "--in", str(state_file), "--t", "0.5"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == printed
+    table = tmp_path / "out.csv"
+    assert main(args + ["--format", "csv", "--out", str(table)]) == 0
+    header, row = csv.reader(table.open())
+    assert header[:2] == ["spectrum.kind", "spectrum.modes"] and row[:2] == ["heat", "4"]
+
+
+@pytest.mark.parametrize("suite, flag, value", [("shift", "--modes", "3"),
+                                                ("restriction", "--tol", "1e-6")])
+def test_verify_rejects_a_flag_the_suite_does_not_take(suite, flag, value, capsys):
+    assert main(["verify", "--suite", suite, flag, value]) == 2
+    assert flag in capsys.readouterr().err

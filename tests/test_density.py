@@ -101,6 +101,16 @@ def test_iteration_lands_within_budget():
         assert rf.classify(out).label is rf.ReversibilityClass.FULL
 
 
+@pytest.mark.parametrize("power, eps0", [(2.0, 1e-6), (1.5, 1e-4)])
+def test_iteration_past_float_range_within_roundoff(power, eps0):
+    # deep truncations carry log magnitudes near 1e10 whose rounding exceeds
+    # a fixed relative allowance of 1e-6
+    x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(power, 1.0))
+    out, cert = rf.iterate_to_reversible(x0, eps0, rf.truncation_preimage_oracle())
+    assert math.exp(log_distance(out, x0)) <= cert.achieved_error_bound <= eps0
+    assert rf.classify(out).label is rf.ReversibilityClass.FULL
+
+
 def test_iteration_on_already_reversible_state():
     x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -1.0, 0.5, 2.0])
     out, cert = rf.iterate_to_reversible(x0, 0.3, rf.truncation_preimage_oracle())

@@ -64,7 +64,7 @@ def test_cross_series_mixed_families_against_brute_force():
         0.7 * math.exp(-0.05 * (n * math.pi) ** 2) * 0.9 * n**-1.3
         for n in range(9, 2000)
     )
-    got = _tail_cross_log(SPECTRUM, exp_t, pow_t)
+    got = _tail_cross_log(exp_t, pow_t, SPECTRUM.num_modes + 1)
     assert math.exp(got) == pytest.approx(brute, rel=1e-11)
 
 

@@ -63,6 +63,16 @@ def test_near_total_cancellation_snaps_to_zero():
     assert log_add(a, b).sign == 0
 
 
+def test_log_add_of_magnitudes_one_ulp_apart_does_not_raise():
+    # below |x| = 0.5 the logs' spacing is under half the spacing of 1.0, so
+    # exp of their difference rounds to 1 and a log1p(-1) would follow
+    x = 0.3611960753068763
+    got = log_add(LogAmplitude(1, x), LogAmplitude(-1, float(np.nextafter(x, 1))))
+    want_sign, want_log = signed_add(1, x, -1, float(np.nextafter(x, 1)))
+    assert (got.sign, got.log_mag) == (int(want_sign), float(want_log))
+    assert got.sign == 0 or got.log_mag < x - 30.0
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
     lambda v: v == 0.0 or abs(v) > 1e-6
 )

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflow as rf
-from retroflow.spectral import Spectrum, _log_gauss_tail
+from retroflow.spectral import Spectrum, _log_gauss_tail, combine_tails_sub
 
 PI2 = math.pi**2
 
@@ -229,6 +229,28 @@ def test_subtract_self_is_zero():
     assert diff.is_zero()
 
 
+def test_subtract_matches_add_of_negated_bit_for_bit():
+    # reference: the modes as add(x, negate(y)) on tail-free copies, the tail
+    # from combine_tails_sub
+    rng = np.random.default_rng(12)
+    tails = (rf.ZERO_TAIL, rf.ExpTail(0.4, 0.7), rf.ExpTail(0.41, 0.7), rf.PowerTail(1.3, 0.5))
+    for k in range(60):
+        sp = rf.make_heat_spectrum(int(rng.integers(1, 40)))
+        n = sp.num_modes
+        a = rng.normal(size=n) * (rng.random(n) < 0.8)
+        b = np.where(rng.random(n) < 0.4, a, rng.normal(size=n) * (rng.random(n) < 0.8))
+        x = rf.SpectralState.from_values(sp, a, tails[k % 4])
+        y = rf.SpectralState.from_values(sp, b, tails[(k // 4) % 4])
+        modes = rf.add(rf.SpectralState(sp, x.signs, x.log_mags),
+                       rf.negate(rf.SpectralState(sp, y.signs, y.log_mags)))
+        want = rf.SpectralState(sp, modes.signs, modes.log_mags,
+                                combine_tails_sub(sp, x.tail, y.tail))
+        got = rf.subtract(x, y)
+        assert got == want
+        assert got.signs.tobytes() == want.signs.tobytes()
+        assert got.log_mags.tobytes() == want.log_mags.tobytes()
+
+
 def test_scale_by_zero():
     x = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 2.0], rf.ExpTail(1.0, 1.0))
     assert rf.scale(x, 0.0).is_zero()
@@ -316,6 +338,19 @@ def test_signs_outside_minus_one_zero_one_rejected(signs):
     # 257 and -255 would wrap to 1 in int8, 0.5 would truncate to 0
     with pytest.raises(ValueError, match="signs"):
         rf.SpectralState(rf.make_heat_spectrum(3), signs, np.zeros(3))
+
+
+@pytest.mark.parametrize("cls", [rf.SpectralState, rf.Functional])
+def test_unknown_tail_law_rejected(cls):
+    with pytest.raises(ValueError, match="tail law"):
+        cls.from_values(rf.make_heat_spectrum(4), [1, 2, 3, 4], tail=object())
+
+
+def test_only_a_functional_tail_may_grow():
+    sp = rf.make_heat_spectrum(3)
+    with pytest.raises(ValueError, match="decay"):
+        rf.SpectralState.zeros(sp, rf.ExpTail(-0.2, 1.0))
+    assert rf.Functional.zeros(sp, rf.ExpTail(-0.2, 1.0)).tail == rf.ExpTail(-0.2, 1.0)
 
 
 def test_integral_float_and_bool_signs_accepted():
