@@ -229,13 +229,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "pair":
-        value = log_pairing(_load_state(args.x), _load_extended(args.z))
-        zc = canonicalize(_load_extended(args.z))
+        x = _load_state(args.x)
+        z = canonicalize(_load_extended(args.z))
+        value = log_pairing(x, z)
         payload = {
             "pairing": value.to_linear(),
             "sign": value.sign,
             "log_mag": None if value.sign == 0 else value.log_mag,
-            "offset": zc.offset,
+            "offset": z.offset,
         }
         _emit(payload, args.output, args.format)
         return 0

@@ -97,9 +97,6 @@ def truncate_to_reversible(
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     log_eps = math.log(eps)
-    if isinstance(state.tail, ZeroTail):
-        cert = DensityCertificate(eps, 0.0, 0, ())
-        return SpectralState(state.spectrum, state.signs, state.log_mags), cert
 
     def small_enough(m: int) -> bool:
         return _tail_log_norm_beyond(state, m) < log_eps

@@ -24,6 +24,7 @@ from .spectral import (
     Spectrum,
     TailModel,
     ZeroTail,
+    evolve,
     log_inner_product,
 )
 
@@ -75,17 +76,13 @@ def functional_to_extended(functional: Functional) -> ExtendedState:
     basis states reproduces the coefficients exactly.
     """
     t = representable_time(functional)
-    if t >= 0.0 and not (isinstance(functional.tail, ExpTail) and functional.tail.rate == 0.0):
-        state = SpectralState(
-            functional.spectrum, functional.signs, functional.log_mags, functional.tail
-        )
-        return lift(state)
+    tail = functional.tail
+    if t > 0.0 or not isinstance(tail, ExpTail):
+        return lift(SpectralState(
+            functional.spectrum, functional.signs, functional.log_mags, tail))
     # growing (or boundary) exponential law: represent at a positive offset
     offset = -t + max(1.0, -t)
-    logs = functional.log_mags + functional.spectrum.eigenvalues * offset
-    tail = ExpTail(functional.tail.rate + offset, functional.tail.coeff)
-    rep = SpectralState(functional.spectrum, functional.signs, logs, tail)
-    return ExtendedState(offset, rep, canonical=True)
+    return ExtendedState(offset, evolve(functional, offset))
 
 
 def log_pairing(x: SpectralState, z: ExtendedState) -> LogAmplitude:

@@ -14,7 +14,7 @@ is absorbed into the representative's own backward horizon).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,65 +44,46 @@ class ExtendedState:
     arriving at ``rep``.  The encoding is redundant: ``(offset, rep)`` and
     ``(offset - s, backward(rep, s))`` are the same class for any legal
     backward step ``s``, and all derived quantities (equality, norms, the
-    pairing) are invariant under the choice.  ``canonical`` marks an offset
-    already absorbed as far as the representative's horizon legally allows;
-    it is bookkeeping, not part of the value (excluded from equality).
+    pairing) are invariant under the choice.  The canonical encoding follows
+    from the pair alone (see :func:`canonicalize`).  The representative is an
+    ambient state, so its tail must decay.
     """
 
     offset: float
     rep: SpectralState
-    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         offset = float(self.offset)
         if not (offset >= 0.0 and math.isfinite(offset)):
             raise ValueError("offset must be finite and nonnegative")
+        SpectralState._check_decay(self.rep.tail)
         object.__setattr__(self, "offset", offset)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedState):
-            return NotImplemented
-        return self.offset == other.offset and self.rep == other.rep
-
-    __hash__ = None
 
 
 def lift(state: SpectralState) -> ExtendedState:
     """Embed an ambient state as the class with offset zero."""
-    return ExtendedState(0.0, state, canonical=True)
+    return ExtendedState(0.0, state)
 
 
 def canonicalize(state: ExtendedState) -> ExtendedState:
     """Absorb the offset into the representative where that is fully legal.
 
     Idempotent.  An open-endpoint horizon is a supremum, not a maximum: when
-    the offset exceeds it, no partial step is taken (stopping just short of
+    the offset reaches it, no partial step is taken (stopping just short of
     the endpoint would manufacture a degenerate near-boundary representative,
     and every derived quantity is decomposition-invariant anyway).  The
     unattained entry infimum remains available via :func:`entry_infimum`.
     """
-    if state.canonical:
-        return state
-    if state.offset == 0.0:
-        return replace(state, canonical=True)
-    h = horizon(state.rep)
-    if not h.allows(state.offset):
-        step = h.value if not h.open_at_endpoint else 0.0
-        if step <= 0.0:
-            return replace(state, canonical=True)
-        return ExtendedState(
-            state.offset - step, backward_evolve(state.rep, step), canonical=True)
-    return ExtendedState(0.0, backward_evolve(state.rep, state.offset), canonical=True)
+    if state.offset > 0.0 and horizon(state.rep).allows(state.offset):
+        return ExtendedState(0.0, backward_evolve(state.rep, state.offset))
+    return state
 
 
 def entry_infimum(state: ExtendedState) -> float:
     """Infimum of backward depths at which the class enters the ambient
     space: the offset minus the representative's own backward reach.  For an
     open-endpoint horizon the infimum is not attained."""
-    h = horizon(state.rep)
-    if math.isinf(h.value):
-        return 0.0
-    return max(0.0, state.offset - h.value)
+    return max(0.0, state.offset - horizon(state.rep).value)
 
 
 def group_evolve(state: ExtendedState, s: float) -> ExtendedState:
@@ -114,8 +95,8 @@ def group_evolve(state: ExtendedState, s: float) -> ExtendedState:
     if s < 0.0:
         return canonicalize(ExtendedState(tau - s, state.rep))
     if s >= tau:
-        return ExtendedState(0.0, evolve(state.rep, s - tau), canonical=True)
-    return ExtendedState(tau - s, state.rep, canonical=state.canonical)
+        return ExtendedState(0.0, evolve(state.rep, s - tau))
+    return ExtendedState(tau - s, state.rep)
 
 
 def states_equal(a: ExtendedState, b: ExtendedState, tol: float = DEFAULT_EQUALITY_TOL) -> bool:

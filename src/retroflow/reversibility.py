@@ -24,25 +24,23 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class Horizon:
-    """Backward reach of a trajectory; ``open_at_endpoint`` means the supremum
-    itself is not attained."""
+    """Backward reach of a trajectory.  Every finite horizon is open (the
+    supremum is not attained): at an exponential law's rate the terms stop
+    decaying, and a power law diverges at every positive step."""
 
     value: float
-    open_at_endpoint: bool
 
     def __post_init__(self):
         if self.value < 0.0:
             raise ValueError("horizon cannot be negative")
-        if math.isinf(self.value) and self.open_at_endpoint:
-            raise ValueError("an infinite horizon has no endpoint to be open at")
+
+    @property
+    def open_at_endpoint(self) -> bool:
+        return math.isfinite(self.value)
 
     def allows(self, t: float) -> bool:
         """Whether a backward step of ``t`` stays inside the ambient space."""
-        if t <= 0.0:
-            return True
-        if math.isinf(self.value):
-            return True
-        return t < self.value if self.open_at_endpoint else t <= self.value
+        return t <= 0.0 or t < self.value
 
 
 class ReversibilityClass(enum.Enum):
@@ -70,10 +68,10 @@ def horizon(state: SpectralState) -> Horizon:
     """
     tail = state.tail
     if isinstance(tail, ZeroTail):
-        return Horizon(math.inf, False)
+        return Horizon(math.inf)
     if isinstance(tail, ExpTail):
-        return Horizon(tail.rate, True)
-    return Horizon(0.0, True)
+        return Horizon(tail.rate)
+    return Horizon(0.0)
 
 
 def classify(state: SpectralState) -> Classification:
@@ -105,6 +103,8 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     always legal.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("backward time must be finite")
     if t < 0.0:
         raise ValueError("negative backward times are forward evolution; use evolve")
     if t == 0.0:

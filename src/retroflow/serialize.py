@@ -7,6 +7,7 @@ is offered for desk-scale states only and refuses values outside float range.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -35,12 +36,28 @@ from .spectral import (
 from .density import DensityCertificate
 
 
+def _decodes(what: str):
+    """Report a malformed ``what`` document as a ``ValueError`` naming it: a
+    wrong type, or a missing key or entry, raises one of the errors below
+    while decoding."""
+    def wrap(decode):
+        @functools.wraps(decode)
+        def checked(d):
+            try:
+                return decode(d)
+            except (TypeError, AttributeError, IndexError, KeyError) as err:
+                raise ValueError(f"malformed {what}: {type(err).__name__}: {err}") from err
+        return checked
+    return wrap
+
+
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
     if spectrum.kind == "heat":
         return {"kind": "heat", "modes": spectrum.num_modes}
     return {"kind": "custom", "eigenvalues": list(map(float, spectrum.eigenvalues))}
 
 
+@_decodes("spectrum")
 def spectrum_from_dict(d: dict) -> Spectrum:
     kind = d.get("kind")
     if kind == "heat":
@@ -62,6 +79,7 @@ def tail_to_dict(tail: TailModel, may_grow: bool = False) -> dict:
     return d
 
 
+@_decodes("tail")
 def tail_from_dict(d: dict) -> TailModel:
     variant = d.get("variant")
     if variant == "zero":
@@ -94,21 +112,20 @@ def _coeffs_to_dict(signs, log_mags, encoding: str) -> dict:
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
 
 
-def _coeffs_from_dict(d: dict):
-    encoding = d.get("encoding", "linear")
-    values = d["values"]
+def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
+    spectrum = spectrum_from_dict(d["spectrum"])
+    tail = tail_from_dict(d.get("tail", {"variant": "zero"}))
+    coeffs = d["coeffs"]
+    encoding = coeffs.get("encoding", "linear")
+    values = coeffs["values"]
     if encoding == "linear":
-        arr = np.asarray(values, dtype=float)
-        signs = np.sign(arr).astype(np.int8)
-        with np.errstate(divide="ignore"):
-            logs = np.where(arr == 0.0, LOG_ZERO, np.log(np.abs(arr)))
-        return signs, logs
+        return cls.from_values(spectrum, values, tail)
     if encoding == "log":
         signs = np.array([int(pair[0]) for pair in values], dtype=np.int8)
         logs = np.array(
             [LOG_ZERO if pair[0] == 0 or pair[1] is None else float(pair[1]) for pair in values]
         )
-        return signs, logs
+        return cls(spectrum, signs, logs, tail)
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
 
 
@@ -121,12 +138,7 @@ def state_to_dict(state: SpectralState, encoding: str = "log") -> dict:
     }
 
 
-def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
-    spectrum = spectrum_from_dict(d["spectrum"])
-    signs, logs = _coeffs_from_dict(d["coeffs"])
-    return cls(spectrum, signs, logs, tail_from_dict(d.get("tail", {"variant": "zero"})))
-
-
+@_decodes("state")
 def state_from_dict(d: dict) -> SpectralState:
     return _coefficients_from_dict(d, SpectralState)
 
@@ -135,6 +147,7 @@ def extended_to_dict(state: ExtendedState, encoding: str = "log") -> dict:
     return {"offset": state.offset, "rep": state_to_dict(state.rep, encoding)}
 
 
+@_decodes("extended class")
 def extended_from_dict(d: dict) -> ExtendedState:
     return ExtendedState(float(d["offset"]), state_from_dict(d["rep"]))
 
@@ -143,6 +156,7 @@ def functional_to_dict(functional: Functional, encoding: str = "log") -> dict:
     return state_to_dict(functional, encoding)
 
 
+@_decodes("functional")
 def functional_from_dict(d: dict) -> Functional:
     return _coefficients_from_dict(d, Functional)
 
@@ -176,6 +190,7 @@ def forcing_to_dict(forcing: Forcing) -> dict:
     return {"modes": modes}
 
 
+@_decodes("forcing")
 def forcing_from_dict(d: dict) -> Forcing:
     entries = []
     for item in d.get("modes", []):
@@ -196,6 +211,7 @@ def grid_to_dict(f: GridFunction) -> dict:
     return {"resolution": f.resolution, "values": list(map(float, f.values))}
 
 
+@_decodes("grid function")
 def grid_from_dict(d: dict) -> GridFunction:
     values = np.asarray(d["values"], dtype=float)
     if "resolution" in d and int(d["resolution"]) != values.size:

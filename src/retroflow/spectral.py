@@ -247,12 +247,8 @@ def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
     if isinstance(b, ZeroTail):
         return a
     if isinstance(a, ExpTail) and isinstance(b, ExpTail):
-        if a.rate == b.rate:
-            return ExpTail(a.rate, a.coeff + b.coeff)
         return ExpTail(min(a.rate, b.rate), a.coeff + b.coeff)
     if isinstance(a, PowerTail) and isinstance(b, PowerTail):
-        if a.power == b.power:
-            return PowerTail(a.power, a.coeff + b.coeff)
         return PowerTail(min(a.power, b.power), a.coeff + b.coeff)
     exp_t = a if isinstance(a, ExpTail) else b
     pow_t = b if isinstance(a, ExpTail) else a
@@ -368,8 +364,10 @@ class SpectralState:
 
     @classmethod
     def from_values(cls, spectrum: Spectrum, values, tail: TailModel = ZERO_TAIL) -> "SpectralState":
-        """Build from plain linear coefficient values."""
+        """Build from plain linear coefficient values, which must be finite."""
         values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("coefficient values must be finite")
         signs = np.sign(values).astype(np.int8)
         with np.errstate(divide="ignore"):
             logs = np.where(values == 0.0, LOG_ZERO, np.log(np.abs(values)))

@@ -259,3 +259,54 @@ def test_state_verbs_honour_format_with_out(verb, state_file, tmp_path, capsys):
 def test_verify_rejects_a_flag_the_suite_does_not_take(suite, flag, value, capsys):
     assert main(["verify", "--suite", suite, flag, value]) == 2
     assert flag in capsys.readouterr().err
+
+
+_GOOD = {
+    "spectrum": {"kind": "heat", "modes": 2},
+    "coeffs": {"encoding": "log", "values": [[1, 0.0], [1, 0.5]]},
+    "tail": {"variant": "zero"},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    {**_GOOD, "coeffs": {"encoding": "log", "values": 5}},
+    [1, 2],
+    {**_GOOD, "spectrum": 5},
+    {**_GOOD, "spectrum": {"kind": "heat", "modes": None}},
+    {**_GOOD, "tail": 3},
+    {**_GOOD, "coeffs": {"encoding": "log", "values": [[1], [1, 0.5]]}},
+    {**_GOOD, "coeffs": {"encoding": "linear", "values": [float("nan"), 1.0]}},
+], ids=["values-5", "top-level-list", "spectrum-5", "modes-null", "tail-3",
+        "entry-not-a-pair", "linear-nan"])
+def test_malformed_state_file_exits_2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_forcing_file_exits_2(state_file, tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps({"modes": 7}))
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_pair_reads_each_file_once(tmp_path, capsys, monkeypatch):
+    sp = rf.make_heat_spectrum(3)
+    x = rf.SpectralState.from_values(sp, [1.0, -0.5, 0.25])
+    z = rf.ExtendedState(0.4, rf.SpectralState.from_values(sp, [0.5, 1.0, -2.0], rf.ExpTail(0.1, 1.0)))
+    xp, zp = tmp_path / "x.json", tmp_path / "z.json"
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    serialize.save_json(zp, serialize.extended_to_dict(z))
+    reads = []
+    load_json = serialize.load_json
+    monkeypatch.setattr(serialize, "load_json", lambda path: reads.append(path) or load_json(path))
+    assert main(["pair", "--x", str(xp), "--z", str(zp)]) == 0
+    assert len(reads) == 2
+    value, zc = rf.log_pairing(x, z), rf.canonicalize(z)
+    want = {"pairing": value.to_linear(), "sign": value.sign, "log_mag": value.log_mag,
+            "offset": zc.offset}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"

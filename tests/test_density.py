@@ -157,3 +157,12 @@ def test_growth_bound_enters_schedule():
     np.testing.assert_allclose(cert.epsilon_schedule, expect, rtol=1e-15)
     assert cert.achieved_error_bound <= 0.5
     assert math.exp(log_distance(out, x0)) <= cert.achieved_error_bound
+
+
+def test_truncate_zero_tail_returns_the_state_and_an_empty_certificate():
+    sp = rf.make_heat_spectrum(5)
+    x = rf.SpectralState.from_values(sp, [1.0, -2.0, 0.0, 3.5, 1e-300])
+    out, cert = rf.truncate_to_reversible(x, 1e-3)
+    assert type(out) is rf.SpectralState and out is not x
+    assert out == rf.SpectralState(sp, x.signs, x.log_mags)
+    assert cert == DensityCertificate(1e-3, 0.0, 0, ())

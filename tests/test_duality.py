@@ -149,3 +149,23 @@ def test_functional_signs_validated_before_cast(signs):
     # 300 would wrap to 44 in int8; 5 and -7 were once kept as they were
     with pytest.raises(ValueError, match="signs"):
         rf.Functional(rf.make_heat_spectrum(3), signs, np.zeros(3))
+
+
+def _hand_written_shift(F):
+    """Reference: the modal shift and tail update written out by hand."""
+    t = rf.representable_time(F)
+    offset = -t + max(1.0, -t)
+    logs = F.log_mags + F.spectrum.eigenvalues * offset
+    tail = rf.ExpTail(F.tail.rate + offset, F.tail.coeff)
+    return offset, rf.SpectralState(F.spectrum, F.signs, logs, tail)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 0.0, -2.0])
+def test_growing_law_shift_matches_the_hand_written_one(rate):
+    F = rf.Functional.from_exp_law(rf.make_heat_spectrum(12), rate, 0.7)
+    offset, rep = _hand_written_shift(F)
+    z = rf.functional_to_extended(F)
+    assert z.offset == offset
+    assert type(z.rep) is rf.SpectralState
+    assert z.rep == rep
+    assert z.rep.tail.rate == rep.tail.rate and z.rep.tail.coeff == rep.tail.coeff

@@ -216,3 +216,33 @@ def test_generator_maps_thin_power_tail_exactly():
 def test_generator_keeps_offset():
     z = rf.ExtendedState(0.7, heat_basis(2, 1))
     assert rf.apply_generator(z).offset == 0.7
+
+
+# --- canonical form depends only on the class ---------------------------------------
+
+def test_canonical_form_after_backward_then_shorter_forward_step():
+    # the canonical form must not depend on the path: a forward step shorter
+    # than the offset leaves a class whose offset the horizon can absorb
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1, 2, 3, 4], rf.ExpTail(0.3, 1.0))
+    mid = rf.group_evolve(rf.group_evolve(rf.lift(x), -0.5), 0.4)
+    c = rf.canonicalize(mid)
+    assert c.offset == 0.0
+    assert c == rf.canonicalize(rf.ExtendedState(mid.offset, x))
+
+
+def test_extended_state_is_its_offset_and_rep():
+    x = heat_basis(2, 1)
+    assert rf.ExtendedState(0.5, x) == rf.ExtendedState(0.5, x)
+    assert rf.ExtendedState(0.5, x) != rf.ExtendedState(0.25, x)
+    with pytest.raises(TypeError):
+        hash(rf.ExtendedState(0.5, x))
+
+
+def test_extended_class_rejects_a_growing_law():
+    F = rf.Functional.from_exp_law(rf.make_heat_spectrum(4), -0.1)
+    with pytest.raises(ValueError, match="decay"):
+        rf.lift(F)
+    with pytest.raises(ValueError, match="decay"):
+        rf.ExtendedState(1.0, F)
+    # a decaying functional is an ambient state
+    assert rf.lift(rf.Functional.from_exp_law(rf.make_heat_spectrum(4), 0.1)).offset == 0.0

@@ -183,3 +183,14 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         rf.QuadratureConfig(steps=0)
     assert DEFAULT_QUADRATURE.steps == 64
+
+
+def test_nan_table_sample_is_rejected():
+    # a NaN sample must not turn into an all-zero drive
+    sp = rf.make_heat_spectrum(3)
+    table = rf.TableForcing(np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 1.0]))
+    forcing = rf.Forcing.from_dict({1: table})
+    with pytest.raises(ValueError, match="finite"):
+        rf.forcing_integral(sp, forcing, 1.0, QUAD)
+    with pytest.raises(ValueError, match="finite"):
+        rf.duhamel_evolve(rf.SpectralState.zeros(sp), forcing, 1.0, QUAD)

@@ -174,3 +174,32 @@ def test_backward_uniqueness_on_spectral_model():
         t = float(rng.uniform(0.1, 2.0))
         if rf.relative_gap(x, y) > 1e-6:
             assert rf.evolve(x, t) != rf.evolve(y, t)
+
+
+# --- the horizon is its value --------------------------------------------------
+
+def test_finite_horizons_are_open_and_the_infinite_one_is_not():
+    assert rf.Horizon(0.3).open_at_endpoint
+    assert rf.Horizon(0.0).open_at_endpoint
+    assert not rf.Horizon(math.inf).open_at_endpoint
+
+
+def test_horizon_allows_steps_short_of_its_value():
+    h = rf.Horizon(0.3)
+    assert h.allows(0.0) and h.allows(-1.0)
+    assert h.allows(math.nextafter(0.3, 0.0))
+    assert not h.allows(0.3)
+    assert rf.Horizon(math.inf).allows(1e300)
+    assert not rf.Horizon(0.0).allows(1e-300)
+
+
+def test_horizon_rejects_negative_value():
+    with pytest.raises(ValueError, match="negative"):
+        rf.Horizon(-0.1)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_backward_rejects_non_finite_time(t):
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(2))
+    with pytest.raises(ValueError, match="finite"):
+        rf.backward_evolve(x, t)

@@ -124,3 +124,44 @@ def test_save_and_load_files(tmp_path):
     x = sample_state()
     serialize.save_json(path, serialize.state_to_dict(x))
     assert serialize.state_from_dict(serialize.load_json(path)) == x
+
+
+GOOD_STATE = {
+    "spectrum": {"kind": "heat", "modes": 2},
+    "coeffs": {"encoding": "log", "values": [[1, 0.0], [-1, 0.5]]},
+    "tail": {"variant": "zero"},
+}
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": 5}}, "state"),
+    ([1, 2], "state"),
+    ({**GOOD_STATE, "spectrum": 5}, "spectrum"),
+    ({**GOOD_STATE, "spectrum": {"kind": "heat", "modes": None}}, "spectrum"),
+    ({**GOOD_STATE, "tail": 3}, "tail"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[1], [1, 0.5]]}}, "state"),
+    ({"spectrum": {"kind": "heat", "modes": 2}}, "state"),
+])
+def test_malformed_state_is_a_value_error_naming_the_part(doc, what):
+    with pytest.raises(ValueError, match=f"malformed {what}"):
+        serialize.state_from_dict(doc)
+
+
+def test_malformed_documents_of_every_decoder_are_value_errors():
+    with pytest.raises(ValueError, match="malformed extended class"):
+        serialize.extended_from_dict({"rep": GOOD_STATE})
+    with pytest.raises(ValueError, match="malformed functional"):
+        serialize.functional_from_dict(None)
+    with pytest.raises(ValueError, match="malformed forcing"):
+        serialize.forcing_from_dict({"modes": 7})
+    with pytest.raises(ValueError, match="malformed grid function"):
+        serialize.grid_from_dict({"values": [1.0], "resolution": None})
+    # a malformed part keeps the name of the part
+    with pytest.raises(ValueError, match="malformed tail"):
+        serialize.extended_from_dict({"offset": 0.0, "rep": {**GOOD_STATE, "tail": 3}})
+
+
+def test_linear_nan_coefficient_rejected():
+    doc = {**GOOD_STATE, "coeffs": {"encoding": "linear", "values": [float("nan"), 1.0]}}
+    with pytest.raises(ValueError, match="finite"):
+        serialize.state_from_dict(doc)

@@ -366,3 +366,10 @@ def test_immutability():
         x.signs[0] = 0
     with pytest.raises(ValueError):
         x.log_mags[0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_values_rejects_non_finite_values(bad):
+    # NaN must not become a zero coefficient
+    with pytest.raises(ValueError, match="finite"):
+        rf.SpectralState.from_values(rf.make_heat_spectrum(3), [bad, 1.0, 2.0])
