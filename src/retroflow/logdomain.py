@@ -6,8 +6,13 @@ arithmetic therefore lives in the log domain: a value is a sign in
 ``{-1, 0, +1}`` together with the natural log of its magnitude.
 
 Every sum of sign/log values in the library goes through one array kernel,
-:func:`signed_add` and :func:`signed_logsumexp`; the tail series use the
-log-valued special functions :func:`log_erfc` and :func:`log_hurwitz_zeta`.
+:func:`signed_add` and :func:`signed_logsumexp`.  Every tail series goes
+through one primitive, :func:`log_tail_sum`, the log of
+``sum_{n >= m} n**-p exp(-c n**2)``: :func:`log_hurwitz_zeta` when ``c = 0``,
+else a short numpy head and an Euler–Maclaurin remainder around an upper
+incomplete gamma function.  For ``c > 0`` its value is an
+upper bound on the sum, within 1e-12 relative while the log of the first
+term is above -450, so the norms built from it err upward.
 """
 
 from __future__ import annotations
@@ -148,31 +153,50 @@ def signed_logsumexp(signs, logs) -> tuple[np.ndarray, np.ndarray]:
 # tail functions in the log domain
 # ---------------------------------------------------------------------------
 
-# math.erfc is accurate to the last bits down to its underflow near x = 27;
-# past this point the asymptotic series is accurate to rounding
-_ERFC_SERIES_FROM = 25.0
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_ULP = 2.0**-52
+
+
+def _scaled_upper_gamma(s: float, x: float) -> float:
+    """``exp(x) * x**-s * Γ(s, x)``, for real ``s`` and finite ``x > 0``.
+
+    From ``x = 2`` on, the continued fraction DLMF 8.9.2 by the modified Lentz
+    method.  Below, ``Γ(s, 2) + int_x^2 t**(s-1) e**-t dt`` with ``e**-t``
+    expanded: term ``k`` is ``(-2)**k / k! * 2**s (1 - q**(s+k)) / (s+k)`` with
+    ``q = x / 2``, through ``expm1`` so that ``s + k = 0`` (an odd integer tail
+    power) is its limit ``-log q``, and scaled by ``x**-s`` so nothing overflows.
+    """
+    if x < 2.0:
+        log_q = math.log(0.5 * x)
+        total = math.exp(-s * log_q - 2.0) * _scaled_upper_gamma(s, 2.0)
+        k, coeff, term = 0, 1.0, math.inf
+        while k <= -s or term > _ULP * total:
+            gap = abs(s + k)
+            part = -math.expm1(gap * log_q) / gap if gap else -log_q
+            term = coeff * math.exp(min(-s, k) * log_q) * part
+            total += -term if k % 2 else term
+            k += 1
+            coeff *= 2.0 / k
+        return math.exp(x) * total
+    b = x + 1.0 - s
+    lentz_c, lentz_d, delta, i = math.inf, 1.0 / b, 0.0, 0
+    value = lentz_d
+    while abs(delta - 1.0) > _ULP:
+        i += 1
+        b += 2.0
+        lentz_d = 1.0 / (b - i * (i - s) * lentz_d)
+        lentz_c = b - i * (i - s) / lentz_c
+        delta = lentz_c * lentz_d
+        value *= delta
+    return value
 
 
 def log_erfc(x: float) -> float:
-    """``log(erfc(x))`` without underflow for large ``x``.
-
-    ``math.erfc`` below 25; above, the asymptotic expansion
-    ``erfc(x) = exp(-x**2) / (x sqrt(pi)) * sum_k (-1)**k (2k-1)!! / (2x**2)**k``,
-    summed until a term drops below float64 resolution.  Term ``k`` is
-    ``(2k-1) / (2x**2) <= (2k-1) / 1250`` times the one before, so a few
-    terms suffice, and the error is below the first omitted term.
-    """
+    """``log(erfc(x))`` without underflow: ``erfc(x) = Γ(1/2, x**2) / sqrt(pi)``."""
     x = float(x)
-    if x < _ERFC_SERIES_FROM:
-        return math.log(math.erfc(x))
-    inv = 0.5 / (x * x)
-    series, term, k = 1.0, 1.0, 1
-    while abs(term) > 1e-17:
-        term *= -(2 * k - 1) * inv
-        series += term
-        k += 1
-    return -x * x - math.log(x) - _LOG_SQRT_PI + math.log(series)
+    if not 0.0 < x < math.inf:  # +inf gives -inf, nan gives nan
+        return math.log(math.erfc(x)) if x <= 0.0 else -x
+    return math.log(_scaled_upper_gamma(0.5, x * x)) + math.log(x) - x * x - _LOG_SQRT_PI
 
 
 # B_2j / (2j)! for j = 1..9
@@ -224,3 +248,93 @@ def log_hurwitz_zeta(s: float, a: float) -> float:
         power /= u * u
     scaled_tail = math.exp(-s * math.log1p(n / a)) * expansion
     return -s * math.log(a) + math.log(direct + scaled_tail)
+
+
+# log_tail_sum expands from M = max(m, 4p + 24) when the terms' log-derivative
+# p/M + 2cM is at most _EM_RATE there; the remainder bound then stays below
+# 2e-15 of the sum over p in [0, 60], c in [1e-20, 50] and m in [1, 1e7].
+# Otherwise the head runs until the terms fall below exp(-_HEAD_CUT) of the
+# first, at most about 520 of them.  _TAIL_SUM_MARGIN covers the rounding of
+# the head, the incomplete gamma and the expansion, each below 1e-14 relative.
+_EM_TERMS = 8
+_EM_RATE = 0.35
+_HEAD_CUT = 50.0
+_TAIL_SUM_MARGIN = 1e-13
+# B_2j / (2j) weighs the (2j-1)-th Taylor coefficient in the expansion
+_EM_WEIGHTS = [b * math.factorial(2 * j - 1)
+               for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL[:_EM_TERMS], 1)]
+_LOG_B2K = math.log(abs(_BERNOULLI_OVER_FACTORIAL[_EM_TERMS - 1]) * math.factorial(2 * _EM_TERMS))
+
+
+def _euler_maclaurin(p: float, c: float, M: int) -> tuple[float, float]:
+    """``sum_{n >= M} f(n) / f(M)`` for ``f(x) = x**-p exp(-c x**2)`` by
+    Euler–Maclaurin (DLMF 2.10.1), and a bound on its remainder.
+
+    The remainder is at most ``|B_2k| / (2k)! * int_M^inf |f^(2k)|``.  On a
+    circle of radius ``r`` about ``x``, ``|f| <= (x-r)**-p exp(-c (x-r)**2 + 2cr**2)``,
+    so Cauchy's estimate bounds the integral by
+    ``(2k)! r**-2k exp(2cr**2) (r max_[M-r, M] f + int_M^inf f)``, with ``r``
+    the smaller of ``2k / (p/M + 2cM)`` and ``sqrt(k / 2c)``, and at most
+    ``M/2`` when ``p > 0``, where ``f`` is singular at 0.
+    """
+    k2, z = 2 * _EM_TERMS, c * M * M
+    integral = 0.5 * M * _scaled_upper_gamma(0.5 * (1.0 - p), z)
+    # Taylor coefficients T of f(M + t) / f(M): (M + t) f' = -(p + 2c (M + t)**2) f
+    # gives M (n+1) T[n+1] = -(p + 2c M**2 + n) T[n] - 4cM T[n-1] - 2c T[n-2]
+    corrections, t0, t1, t2 = 0.0, 1.0, 0.0, 0.0
+    a0, a1, a2 = p + 2.0 * z, 4.0 * c * M, 2.0 * c
+    for n in range(k2 - 1):
+        t0, t1, t2 = -((a0 + n) * t0 + a1 * t1 + a2 * t2) / (M * (n + 1)), t0, t1
+        if n % 2 == 0:
+            corrections += _EM_WEIGHTS[n // 2] * t0
+    r = min(k2 / (p / M + 2.0 * c * M), math.sqrt(0.5 * _EM_TERMS) / math.sqrt(c))
+    r = min(r, 0.5 * M) if p else r
+    lo = max(M - r, 0.0)
+    near = math.log(r) + c * (M - lo) * (M + lo) + (p * math.log(M / lo) if p else 0.0)
+    far = math.log(integral)
+    log_bound = (_LOG_B2K - k2 * math.log(r) + 2.0 * c * r * r
+                 + max(near, far) + math.log1p(math.exp(-abs(near - far))))
+    return integral + 0.5 - corrections, math.exp(log_bound)
+
+
+def log_tail_sum(p: float, c: float, m: int) -> float:
+    """``log(sum_{n >= m} f(n))`` with ``f(n) = n**-p * exp(-c * n**2)``, for
+    ``p >= 0``, ``c >= 0`` and an integer ``m >= 1``.
+
+    ``c = 0`` is :func:`log_hurwitz_zeta`, unchanged.  Otherwise a numpy head
+    of explicit terms from ``m``, then the rest from ``M``: by
+    :func:`_euler_maclaurin` around ``int_M^inf f = c**((p-1)/2) Γ((1-p)/2, cM**2) / 2``,
+    or, once the terms have fallen below ``exp(-50)`` of the first, as at most
+    ``f(M) + int_M^inf f``, with the integral at most ``f(M) / (2cM)`` and,
+    for ``p > 1``, ``f(M) M / (p - 1)``.  The result is rounded up:
+    the remainder bound is added, then ``1e-13 + 2**-50 |log f(m)|``
+    for the rounding of the sum and of the log.  It exceeds the exact value by
+    at most ``2e-13 + 2**-49 |log f(m)|`` relative: 1e-12 while
+    ``|log f(m)| <= 450``, a few units in the last place of the log beyond.
+    """
+    p, c = float(p), float(c)
+    if not (0.0 <= p < math.inf and 0.0 <= c < math.inf and m >= 1 and float(m).is_integer()):
+        raise ValueError(f"log_tail_sum needs p, c >= 0 and an integer m >= 1, got {p, c, m}")
+    if c == 0.0:
+        return log_hurwitz_zeta(p, m)
+    # the head reaches where terms fall below exp(-_HEAD_CUT) of the first,
+    # by the Gaussian factor or, if it falls faster there, by the power
+    reach = math.sqrt(m * m + _HEAD_CUT / c)
+    if p * math.log(reach / m) > _HEAD_CUT:
+        reach = m * math.exp(_HEAD_CUT / p)
+    end = max(m, math.ceil(4.0 * p) + 24)
+    expand = end < reach and p / end + 2.0 * c * end <= _EM_RATE
+    if not expand:
+        end = max(m + 1, math.ceil(reach))
+    head, last = 0.0, 0.0  # terms m..end-1, and the log of term end, over term m
+    if end > m:
+        k = np.arange(end - m + 1, dtype=float)
+        logs = -c * k * (k + 2.0 * m) - (p * np.log1p(k / m) if p else 0.0)
+        head, last = float(np.sum(np.exp(logs[:-1]))), float(logs[-1])
+    if expand:
+        rest, bound = _euler_maclaurin(p, c, end)
+    else:  # f(end) + int_end^inf f, the integral bounded by either factor alone
+        rest, bound = 1.0 + min(0.5 / (c * end), end / (p - 1.0) if p > 1.0 else math.inf), 0.0
+    top = -p * math.log(m) - c * m * m
+    value = top + math.log(head + math.exp(last) * (rest + bound))
+    return value + _TAIL_SUM_MARGIN + 2.0**-50 * abs(top)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -51,6 +52,26 @@ def _decodes(what: str):
     return wrap
 
 
+def _integer(value, what: str) -> int:
+    """An integer field; a bool or a float is refused, not coerced."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A real field; a bool or a string is refused, not coerced."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, what: str) -> np.ndarray:
+    return np.array([_real(v, what) for v in values], dtype=float)
+
+
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
     if spectrum.kind == "heat":
         return {"kind": "heat", "modes": spectrum.num_modes}
@@ -61,9 +82,9 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
 def spectrum_from_dict(d: dict) -> Spectrum:
     kind = d.get("kind")
     if kind == "heat":
-        return make_heat_spectrum(int(d["modes"]))
+        return make_heat_spectrum(_integer(d["modes"], "modes"))
     if kind == "custom":
-        return Spectrum(np.asarray(d["eigenvalues"], dtype=float), "custom")
+        return Spectrum(_reals(d["eigenvalues"], "eigenvalue"), "custom")
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
@@ -85,9 +106,9 @@ def tail_from_dict(d: dict) -> TailModel:
     if variant == "zero":
         return ZERO_TAIL
     if variant == "exp_decay":
-        return ExpTail(float(d["rate"]), float(d["coeff"]))
+        return ExpTail(_real(d["rate"], "rate"), _real(d["coeff"], "coeff"))
     if variant == "power_decay":
-        return PowerTail(float(d["power"]), float(d["coeff"]))
+        return PowerTail(_real(d["power"], "power"), _real(d["coeff"], "coeff"))
     raise ValueError(f"unknown tail variant {variant!r}")
 
 
@@ -119,13 +140,12 @@ def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
     encoding = coeffs.get("encoding", "linear")
     values = coeffs["values"]
     if encoding == "linear":
-        return cls.from_values(spectrum, values, tail)
+        return cls.from_values(spectrum, _reals(values, "linear value"), tail)
     if encoding == "log":
-        signs = np.array([int(pair[0]) for pair in values], dtype=np.int8)
-        logs = np.array(
-            [LOG_ZERO if pair[0] == 0 or pair[1] is None else float(pair[1]) for pair in values]
-        )
-        return cls(spectrum, signs, logs, tail)
+        signs = [_integer(pair[0], "sign") for pair in values]
+        logs = [LOG_ZERO if sign == 0 else _real(pair[1], "log magnitude of a nonzero sign")
+                for sign, pair in zip(signs, values)]
+        return cls(spectrum, np.array(signs), np.array(logs), tail)
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
 
 
@@ -149,7 +169,7 @@ def extended_to_dict(state: ExtendedState, encoding: str = "log") -> dict:
 
 @_decodes("extended class")
 def extended_from_dict(d: dict) -> ExtendedState:
-    return ExtendedState(float(d["offset"]), state_from_dict(d["rep"]))
+    return ExtendedState(_real(d["offset"], "offset"), state_from_dict(d["rep"]))
 
 
 def functional_to_dict(functional: Functional, encoding: str = "log") -> dict:
@@ -196,14 +216,15 @@ def forcing_from_dict(d: dict) -> Forcing:
     for item in d.get("modes", []):
         kind = item.get("kind")
         if kind == "const":
-            f = ConstantForcing(float(item["value"]))
+            f = ConstantForcing(_real(item["value"], "value"))
         elif kind == "exp":
-            f = ExponentialForcing(float(item["amplitude"]), float(item["rate"]))
+            amplitude = _real(item["amplitude"], "amplitude")
+            f = ExponentialForcing(amplitude, _real(item["rate"], "rate"))
         elif kind == "table":
-            f = TableForcing(np.asarray(item["times"], float), np.asarray(item["values"], float))
+            f = TableForcing(_reals(item["times"], "time"), _reals(item["values"], "value"))
         else:
             raise ValueError(f"unknown forcing kind {kind!r}")
-        entries.append((int(item["n"]), f))
+        entries.append((_integer(item["n"], "mode n"), f))
     return Forcing(tuple(entries))
 
 
@@ -213,8 +234,8 @@ def grid_to_dict(f: GridFunction) -> dict:
 
 @_decodes("grid function")
 def grid_from_dict(d: dict) -> GridFunction:
-    values = np.asarray(d["values"], dtype=float)
-    if "resolution" in d and int(d["resolution"]) != values.size:
+    values = _reals(d["values"], "value")
+    if "resolution" in d and _integer(d["resolution"], "resolution") != values.size:
         raise ValueError("resolution disagrees with the number of values")
     return GridFunction(values)
 

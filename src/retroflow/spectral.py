@@ -16,19 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NotConvergedError
-from .logdomain import (
-    LOG_ZERO,
-    LogAmplitude,
-    log_erfc,
-    log_hurwitz_zeta,
-    signed_add,
-    signed_logsumexp,
-)
-
-# Relative accuracy target for tail series summation.
-SERIES_RTOL = 1e-12
-_LOG_SERIES_RTOL = math.log(SERIES_RTOL)
+from .logdomain import LOG_ZERO, LogAmplitude, log_tail_sum, signed_add, signed_logsumexp
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -78,6 +66,17 @@ class Spectrum:
             if not np.allclose(ev, expected, rtol=1e-12, atol=0.0):
                 raise ValueError("heat spectrum must follow -(n*pi)**2")
 
+    @classmethod
+    def _heat(cls, num_modes: int) -> "Spectrum":
+        """The heat law on ``num_modes`` modes, without the checks it passes by
+        construction."""
+        ev = _heat_eigenvalues(num_modes)
+        ev.flags.writeable = False
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "eigenvalues", ev)
+        object.__setattr__(spectrum, "kind", "heat")
+        return spectrum
+
     @property
     def num_modes(self) -> int:
         return int(self.eigenvalues.size)
@@ -94,7 +93,7 @@ class Spectrum:
             raise ValueError("cannot shrink a spectrum")
         if self.kind != "heat":
             raise ValueError("custom spectra cannot be extended")
-        return Spectrum(_heat_eigenvalues(num_modes), "heat")
+        return Spectrum._heat(num_modes)
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -108,7 +107,7 @@ def make_heat_spectrum(num_modes: int) -> Spectrum:
     """Dirichlet-Laplacian spectrum ``-(n*pi)**2`` for ``n = 1..num_modes``."""
     if num_modes < 1:
         raise ValueError("num_modes must be at least 1")
-    return Spectrum(_heat_eigenvalues(int(num_modes)), "heat")
+    return Spectrum._heat(int(num_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -165,43 +164,6 @@ def _normalized_tail(tail: TailModel) -> TailModel:
     return tail
 
 
-def _decreasing_log_series(term_log, start: int) -> float:
-    """log of ``sum_{n >= start} exp(term_log(n))`` for strictly decreasing terms.
-
-    Stops once a geometric remainder bound (using the current term ratio)
-    drops below ``SERIES_RTOL`` relative to the partial sum.
-    """
-    total = LOG_ZERO
-    n = start
-    while True:
-        cur = term_log(n)
-        total = float(np.logaddexp(total, cur))
-        nxt = term_log(n + 1)
-        ratio = nxt - cur  # log of the term ratio, < 0
-        if ratio < -700.0:
-            remainder = nxt
-        else:
-            remainder = nxt - math.log1p(-math.exp(ratio))
-        if remainder <= total + _LOG_SERIES_RTOL:
-            return total
-        n += 1
-        if n > start + 2_000_000:
-            raise NotConvergedError("tail series did not converge in 2M terms; rate too small?")
-
-
-def _log_gauss_tail(a: float, start: int) -> float:
-    """log of ``sum_{n >= start} exp(-a * n**2)`` for ``a > 0``.
-
-    Summed termwise to the series tolerance; degenerate rates (``a`` below
-    1e-6, reachable by backward steps very close to an open horizon endpoint)
-    switch to the midpoint integral, whose relative error is of order ``a``.
-    """
-    if a >= 1e-6:
-        return _decreasing_log_series(lambda n: -a * n * n, start)
-    edge = math.sqrt(a) * (start - 0.5)
-    return 0.5 * math.log(math.pi / a) + math.log(0.5) + log_erfc(edge)
-
-
 def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
     """Upper bound for ``sup_{n >= start} power*ln(n) - rate*(n*pi)**2`` via
     the continuous maximizer (one-sided, used only to build envelopes)."""
@@ -213,26 +175,18 @@ def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
 def _tail_cross_log(a: TailModel, b: TailModel, start: int) -> float:
     """log of ``sum_{n >= start} law_a(n) * law_b(n)``; envelopes are nonnegative.
 
-    With ``a == b`` this is the tail's squared norm beyond ``start - 1``.
+    With ``a == b`` this is the tail's squared norm beyond ``start - 1``.  The
+    product law is ``n**-p * exp(-rate * (n*pi)**2)``, one :func:`log_tail_sum`,
+    rounded up unless both laws are power laws.
     """
     if isinstance(a, ZeroTail) or isinstance(b, ZeroTail):
         return LOG_ZERO
-    log_c = math.log(a.coeff) + math.log(b.coeff)
-    if isinstance(a, ExpTail) and isinstance(b, ExpTail):
-        rate = a.rate + b.rate
-        if rate <= 0.0:
-            raise ValueError("cross term of growing tails has no finite value")
-        return log_c + _log_gauss_tail(rate * math.pi**2, start)
-    if isinstance(a, PowerTail) and isinstance(b, PowerTail):
-        return log_c + log_hurwitz_zeta(a.power + b.power, start)
-    exp_t = a if isinstance(a, ExpTail) else b
-    pow_t = b if isinstance(a, ExpTail) else a
-    if exp_t.rate <= 0.0:
+    rates = [t.rate for t in (a, b) if isinstance(t, ExpTail)]
+    rate = sum(rates)
+    if rates and rate <= 0.0:
         raise ValueError("cross term of a growing tail has no finite value")
-    series = _decreasing_log_series(
-        lambda n: -exp_t.rate * (n * math.pi) ** 2 - pow_t.power * math.log(n), start
-    )
-    return log_c + series
+    power = sum(t.power for t in (a, b) if isinstance(t, PowerTail))
+    return math.log(a.coeff) + math.log(b.coeff) + log_tail_sum(power, rate * math.pi**2, start)
 
 
 def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailModel:

@@ -744,6 +744,8 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
     rejects an override it does not take instead of dropping it silently.
     Override names are the ``verify`` flags, so the error names the flag.
     """
+    if "tol" in overrides and not overrides["tol"] > 0.0:
+        raise ValueError(f"--tol must be positive, got {overrides['tol']!r}")
     if name == "all":
         out = []
         for fn in SUITES.values():

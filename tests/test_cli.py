@@ -198,10 +198,11 @@ def test_density_scan_cap_exits_3(tmp_path, capsys):
 def test_cli_import_loads_no_scipy():
     src = str(Path(rf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, retroflow.cli; print('scipy' in sys.modules)"
+    # scipy is not a dependency; mpmath, a test oracle, would cost every verb ~30 ms
+    probe = "import sys, retroflow.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_parse_failure_exits_2():
@@ -276,8 +277,11 @@ _GOOD = {
     {**_GOOD, "tail": 3},
     {**_GOOD, "coeffs": {"encoding": "log", "values": [[1], [1, 0.5]]}},
     {**_GOOD, "coeffs": {"encoding": "linear", "values": [float("nan"), 1.0]}},
+    {**_GOOD, "coeffs": {"encoding": "log", "values": [[0.5, 0.0], [1, 0.5]]}},
+    {**_GOOD, "spectrum": {"kind": "heat", "modes": 2.7}},
+    {**_GOOD, "coeffs": {"encoding": "linear", "values": [True, 1.0]}},
 ], ids=["values-5", "top-level-list", "spectrum-5", "modes-null", "tail-3",
-        "entry-not-a-pair", "linear-nan"])
+        "entry-not-a-pair", "linear-nan", "sign-half", "modes-2.7", "linear-true"])
 def test_malformed_state_file_exits_2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -292,6 +296,36 @@ def test_malformed_forcing_file_exits_2(state_file, tmp_path, capsys):
     assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, part", [
+    ({"modes": [{"n": 1.5, "kind": "const", "value": 1.0}]}, "mode n must be an integer"),
+    ({"modes": [{"n": 1, "kind": "exp", "amplitude": 1.0, "rate": True}]}, "rate must be a number"),
+])
+def test_coerced_forcing_fields_exit_2(doc, part, state_file, tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps(doc))
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed forcing") and part in err
+
+
+@pytest.mark.parametrize("doc, part", [
+    ({**_GOOD, "coeffs": {"encoding": "log", "values": [[0.5, 0.0], [1, 0.5]]}}, "sign"),
+    ({**_GOOD, "spectrum": {"kind": "heat", "modes": 2.7}}, "modes"),
+    ({**_GOOD, "coeffs": {"encoding": "linear", "values": [True, 1.0]}}, "linear value"),
+])
+def test_coerced_state_fields_are_named(doc, part, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--in", str(path)]) == 2
+    assert f"{part} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(tol, capsys):
+    assert main(["verify", "--suite", "shift", "--tol", tol]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
 
 
 def test_pair_reads_each_file_once(tmp_path, capsys, monkeypatch):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import retroflow as rf
+from retroflow.logdomain import log_tail_sum
 from retroflow.spectral import (
-    _log_gauss_tail,
     _log_sup_power_vs_gauss,
     _tail_cross_log,
     combine_tails_add,
@@ -37,24 +37,21 @@ SPECTRUM = rf.make_heat_spectrum(8)
 def test_gauss_tail_matches_direct_summation():
     # direct summation to negligible remainder is the reference; terms are
     # positive so plain float accumulation is accurate to ~1e-13
-    for a, rtol in ((2.0, 1e-12), (0.5, 1e-12), (0.05, 1e-12), (1e-3, 1e-12),
-                    (1e-6, 1e-5), (1e-8, 1e-5)):
+    for a in (2.0, 0.5, 0.05, 1e-3, 1e-6, 1e-8):
         start = 9
         cutoff = int(math.sqrt(80.0 / a)) + 10
         n = np.arange(start, cutoff, dtype=float)
         reference = math.log(float(np.sum(np.exp(-a * n * n))))
-        got = _log_gauss_tail(a, start)
-        assert abs(math.expm1(got - reference)) < rtol
+        got = log_tail_sum(0.0, a, start)
+        assert abs(math.expm1(got - reference)) < 1e-12
 
 
 def test_gauss_tail_integral_branch_agrees_with_series():
-    # evaluate both routes at the same rate, just below the branch threshold
-    from retroflow.spectral import _decreasing_log_series
-
+    # a rate below 1e-6, against the termwise series to a negligible remainder
     a = 0.9e-6
-    integral = _log_gauss_tail(a, 9)
-    summed = _decreasing_log_series(lambda n: -a * n * n, 9)
-    assert abs(math.expm1(integral - summed)) < 1e-5
+    cutoff = int(math.sqrt(80.0 / a)) + 10
+    summed = math.log(math.fsum(math.exp(-a * n * n) for n in range(9, cutoff)))
+    assert 0.0 <= log_tail_sum(0.0, a, 9) - summed < 1e-12
 
 
 def test_cross_series_mixed_families_against_brute_force():

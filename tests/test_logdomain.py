@@ -2,6 +2,7 @@
 array kernel and log-valued tail functions against mpmath."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_log_tail_sum
 from retroflow.logdomain import (
     LOG_ZERO,
     LogAmplitude,
@@ -16,6 +18,8 @@ from retroflow.logdomain import (
     log_erfc,
     log_hurwitz_zeta,
     log_sum,
+    _scaled_upper_gamma,
+    log_tail_sum,
     signed_add,
     signed_logsumexp,
 )
@@ -242,8 +246,105 @@ def test_log_hurwitz_zeta_domain():
 @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1e-8, 0.7, 3.3, 10.0, 24.9, 25.0, 25.1,
                                26.7, 27.3, 30.0, 60.0, 1e3, 1e6])
 def test_log_erfc_against_mpmath(x):
-    # from 25 on, including past the underflow of erfc near 27.2, the
-    # asymptotic series replaces math.erfc
+    # x > 0 goes through Γ(1/2, x**2), finite past the underflow of erfc near 27.2
     with mp.workdps(50):
         want = float(mp.log(mp.erfc(x)))
     assert close_in_log(log_erfc(x), want)
+
+
+def test_log_erfc_limits():
+    assert log_erfc(math.inf) == -math.inf
+    assert math.isnan(log_erfc(math.nan))
+
+
+@pytest.mark.parametrize("s", [0.5, 0.25, 0.0, 1e-12, -1e-9, -0.5, -0.9999999, -1.0, -2.0, -7.3, -29.5])
+def test_upper_gamma_against_mpmath(s):
+    # series below x = 2 (through s + k = 0 at integer s), continued fraction above
+    for x in (1e-300, 1e-20, 1e-9, 0.1, 1.0, 1.999, 2.0, 2.001, 3.0, 100.0, 1e12):
+        with mp.workdps(50):
+            want = float(mp.log(mp.gammainc(s, x, mp.inf)))
+        got = math.log(_scaled_upper_gamma(s, x)) + s * math.log(x) - x
+        assert close_in_log(got, want, rtol=2e-14), (s, x)
+
+
+def tail_sum_excess(p, c, m):
+    """``log_tail_sum`` less the exact log, and the excess its docstring allows."""
+    got = log_tail_sum(p, c, m)
+    with mp.workdps(40):
+        excess = float(mp.mpf(got) - mp_log_tail_sum(p, c, m))
+        log_first = float(-p * mp.log(m) - c * mp.mpf(m) ** 2)
+    return excess, 2e-13 + 2.0**-49 * abs(log_first)
+
+
+# exponential tails at rate a from the first tail mode, and ExpTail(rate, 1) x
+# PowerTail(1, 1) cross terms past 8 modes: a termwise loop summed these low
+TAIL_SUMS_SUMMED_LOW = [(0.0, 1e-3, 2), (0.0, 1e-4, 257), (0.0, 1.1e-6, 2),
+                        (1.0, 1e-9 * math.pi**2, 9), (1.0, 1e-10 * math.pi**2, 9)]
+
+
+@pytest.mark.parametrize("p, c, m", TAIL_SUMS_SUMMED_LOW)
+def test_log_tail_sum_is_an_upper_value(p, c, m):
+    excess, _ = tail_sum_excess(p, c, m)
+    assert 0.0 <= excess < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.floats(0.0, 60.0),
+    log10_c=st.floats(-20.0, math.log10(50.0)),
+    m=st.one_of(st.integers(1, 300), st.integers(1, 10**7)),
+)
+def test_log_tail_sum_against_mpmath(p, log10_c, m):
+    excess, allowed = tail_sum_excess(p, 10.0**log10_c, m)
+    assert 0.0 <= excess <= allowed
+
+
+@pytest.mark.parametrize("p, c, m", [
+    (58.66783898691812, 2.0320084300837563e-09, 281),  # Euler–Maclaurin at M = m
+    (0.5000001, 0.004080921721377989, 33),  # the largest remainder bound on a grid
+    (3.0000001, 1e-3, 3),  # incomplete gamma of order -1 + 5e-8
+    (1.0, 1e-9, 10**7), (0.0, 1e-20, 10**7), (60.0, 1e-20, 1), (0.0, 50.0, 10**7),
+    (0.0, 5e-324, 9), (1.0, 5e-324, 9),  # the smallest positive rate
+])
+def test_log_tail_sum_corners(p, c, m):
+    excess, allowed = tail_sum_excess(p, c, m)
+    assert 0.0 <= excess <= allowed
+
+
+@pytest.mark.parametrize("p", [100.0, 1e3, 1e9])
+def test_log_tail_sum_at_large_powers_sums_a_short_head(p):
+    # n**-p falls below exp(-50) of the first term within a step or two, so
+    # the head stays short however large p is
+    for c, m in ((1e-20, 1), (1e-3, 5), (50.0, 10**7)):
+        start = time.perf_counter()
+        got = log_tail_sum(p, c, m)
+        assert time.perf_counter() - start < 0.05
+        with mp.workdps(40):
+            terms = [mp.power(n, -p) * mp.exp(-c * mp.mpf(n) ** 2) for n in range(m, m + 3)]
+            want = mp.log(mp.fsum(terms))
+            excess = float(mp.mpf(got) - want)
+            log_first = float(mp.log(terms[0]))
+        assert 0.0 <= excess <= 2e-13 + 2.0**-49 * abs(log_first), (c, m)
+
+
+@pytest.mark.parametrize("p", [5.5, 10.0, 60.0])
+def test_log_tail_sum_at_a_vanishing_rate_is_the_zeta_value(p):
+    # sum n**-p exp(-c n**2) = zeta(p, m) - c zeta(p - 2, m) + O(c**2) for p > 5
+    c = 1e-20
+    for m in (1, 9, 10**6):
+        with mp.workdps(60):
+            want = mp.log(mp.zeta(p, m) - c * mp.zeta(p - 2, m))
+            excess = float(mp.mpf(log_tail_sum(p, c, m)) - want)
+        assert 0.0 <= excess < 1e-12 + 2.0**-49 * float(abs(want)), (p, m)
+
+
+def test_log_tail_sum_without_rate_is_the_zeta_path():
+    for p, m in ((1.001, 1), (2.0, 9), (4.5, 257), (60.0, 10**6)):
+        assert log_tail_sum(p, 0.0, m) == log_hurwitz_zeta(p, m)
+
+
+def test_log_tail_sum_domain():
+    for p, c, m in ((-1.0, 1.0, 1), (1.0, -1.0, 1), (1.0, 1.0, 0), (1.0, 1.0, 1.5),
+                    (math.nan, 1.0, 1), (1.0, math.inf, 1), (1.0, 0.0, 1)):
+        with pytest.raises(ValueError):
+            log_tail_sum(p, c, m)

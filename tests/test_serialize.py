@@ -141,6 +141,17 @@ GOOD_STATE = {
     ({**GOOD_STATE, "tail": 3}, "tail"),
     ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[1], [1, 0.5]]}}, "state"),
     ({"spectrum": {"kind": "heat", "modes": 2}}, "state"),
+    # wrong types are refused, not coerced
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[0.5, 0.0], [1, 0.5]]}}, "state"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[True, 0.0], [1, 0.5]]}}, "state"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[1, None], [1, 0.5]]}}, "state"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "log", "values": [[1, True], [1, 0.5]]}}, "state"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "linear", "values": [True, 1.0]}}, "state"),
+    ({**GOOD_STATE, "coeffs": {"encoding": "linear", "values": ["1.5", 1.0]}}, "state"),
+    ({**GOOD_STATE, "spectrum": {"kind": "heat", "modes": 2.7}}, "spectrum"),
+    ({**GOOD_STATE, "spectrum": {"kind": "heat", "modes": True}}, "spectrum"),
+    ({**GOOD_STATE, "tail": {"variant": "exp_decay", "rate": "0.5", "coeff": 1.0}}, "tail"),
+    ({**GOOD_STATE, "tail": {"variant": "power_decay", "power": 2.0, "coeff": True}}, "tail"),
 ])
 def test_malformed_state_is_a_value_error_naming_the_part(doc, what):
     with pytest.raises(ValueError, match=f"malformed {what}"):
@@ -156,6 +167,14 @@ def test_malformed_documents_of_every_decoder_are_value_errors():
         serialize.forcing_from_dict({"modes": 7})
     with pytest.raises(ValueError, match="malformed grid function"):
         serialize.grid_from_dict({"values": [1.0], "resolution": None})
+    with pytest.raises(ValueError, match="malformed forcing.*mode n"):
+        serialize.forcing_from_dict({"modes": [{"n": 1.5, "kind": "const", "value": 1.0}]})
+    with pytest.raises(ValueError, match="malformed forcing.*value"):
+        serialize.forcing_from_dict({"modes": [{"n": 1, "kind": "const", "value": True}]})
+    with pytest.raises(ValueError, match="malformed grid function.*resolution"):
+        serialize.grid_from_dict({"values": [1.0], "resolution": True})
+    with pytest.raises(ValueError, match="malformed extended class.*offset"):
+        serialize.extended_from_dict({"offset": False, "rep": GOOD_STATE})
     # a malformed part keeps the name of the part
     with pytest.raises(ValueError, match="malformed tail"):
         serialize.extended_from_dict({"offset": 0.0, "rep": {**GOOD_STATE, "tail": 3}})

@@ -6,6 +6,7 @@ closed-form zeta values) and are pinned here.
 """
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflow as rf
-from retroflow.spectral import Spectrum, _log_gauss_tail, combine_tails_sub
+from conftest import mp_log_tail_sum
+from retroflow.logdomain import log_tail_sum
+from retroflow.spectral import Spectrum, combine_tails_sub
 
 PI2 = math.pi**2
 
@@ -34,6 +37,18 @@ def test_heat_spectrum_three_modes():
 def test_heat_spectrum_strictly_decreasing():
     sp = rf.make_heat_spectrum(2)
     assert sp.eigenvalues[0] > sp.eigenvalues[1]
+
+
+def test_library_heat_spectra_equal_checked_ones():
+    # make_heat_spectrum and extended skip the constructor's checks; the
+    # public constructor keeps them
+    for n in (1, 7, 1000):
+        law = -((np.arange(1, n + 4, dtype=float) * math.pi) ** 2)
+        built, grown = rf.make_heat_spectrum(n), rf.make_heat_spectrum(n).extended(n + 3)
+        assert built == Spectrum(law[:n], "heat") and grown == Spectrum(law, "heat")
+        assert not built.eigenvalues.flags.writeable and not grown.eigenvalues.flags.writeable
+    with pytest.raises(ValueError, match="heat spectrum"):
+        Spectrum(np.array([-1.0, -2.0]), "heat")
 
 
 def test_zero_modes_rejected():
@@ -94,8 +109,8 @@ def test_tail_norm_consistent_with_norm_for_pure_tail():
 
 
 def test_norm_of_deep_exponential_tail_in_integral_regime():
-    # rate 1e-9 past mode 2e5: the integral branch evaluates erfc(28), which
-    # underflows to zero in float64; the log of the sum must stay finite
+    # rate 1e-9 past mode 2e5: the sum is about exp(-790), below float64, and
+    # its log must stay finite
     x = rf.SpectralState.zeros(rf.make_heat_spectrum(200_000), rf.ExpTail(1e-9, 1.0))
     got = rf.log_norm(x)
     a, start = 2e-9 * PI2, 200_001
@@ -103,8 +118,8 @@ def test_norm_of_deep_exponential_tail_in_integral_regime():
         # sum_{n >= start} exp(-a n^2) = exp(-a start^2) sum_k exp(-a k (2 start + k))
         series = mp.nsum(lambda k: mp.exp(-a * k * (2 * start + k)), [0, mp.inf])
         want = float((-a * start**2 + mp.log(series)) / 2)
-    # the midpoint integral is an upper bound, relatively off by order a * start
-    assert want <= got < want + 1e-5
+    # the log of the sum is an upper value within 1e-12 relative
+    assert want <= got < want + 1e-12
 
 
 def test_norm_of_power_tail_whose_zeta_underflows():
@@ -116,10 +131,10 @@ def test_norm_of_power_tail_whose_zeta_underflows():
 
 
 def test_gauss_tail_small_rate_against_integral():
-    # midpoint-integral regime joins the summed regime continuously
+    # a rate below 1e-6, where the terms fall slowly, against direct summation
     a_small, start = 5e-7, 10
     summed = math.fsum(math.exp(-a_small * n * n) for n in range(start, 200_000))
-    assert _log_gauss_tail(a_small, start) == pytest.approx(math.log(summed), abs=1e-6)
+    assert 0.0 <= log_tail_sum(0.0, a_small, start) - math.log(summed) < 1e-12
 
 
 # --- the forward flow -------------------------------------------------------
@@ -203,6 +218,21 @@ def test_inner_product_tail_cross_term():
     y = rf.SpectralState.zeros(empty, rf.ExpTail(0.4, 1.0))
     brute = math.fsum(math.exp(-0.6 * n * n * PI2) for n in range(1, 30))
     assert rf.inner_product(x, y) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-12, 1e-13, 1e-20])
+def test_inner_product_of_exp_and_power_tails_at_small_rates(rate):
+    # n**-1 exp(-rate (n pi)**2) past 8 modes: finite for every rate > 0, and
+    # summed in a bounded number of terms however slowly it decays
+    sp = rf.make_heat_spectrum(8)
+    x = rf.SpectralState.zeros(sp, rf.ExpTail(rate, 1.0))
+    y = rf.SpectralState.zeros(sp, rf.PowerTail(1.0, 1.0))
+    start = time.perf_counter()
+    got = rf.log_inner_product(x, y)
+    assert time.perf_counter() - start < 0.05
+    with mp.workdps(40):
+        excess = float(mp.mpf(got.log_mag) - mp_log_tail_sum(1.0, rate * PI2, 9))
+    assert got.sign == 1 and 0.0 <= excess < 1e-12
 
 
 def test_inner_product_spectrum_mismatch():
