@@ -2,7 +2,10 @@
 
 The mild solution adds a forcing convolution to the damped initial state.
 Constant and exponential forcings integrate in closed form; sampled tables
-go through composite Simpson quadrature.  Forcing acts on explicit modes
+go through composite Simpson quadrature on nested grids, so each refinement
+evaluates only its new midpoints and every node is evaluated once, and the
+error estimate comes from the same pass as the value.  Nodes where the damping
+kernel underflows to zero are not evaluated.  Forcing acts on explicit modes
 only; tail forcing is out of scope.
 """
 
@@ -47,6 +50,8 @@ class TableForcing:
         values = np.asarray(self.values, dtype=float).copy()
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("table needs matching 1-d times and values, at least two samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("table times and values must be finite")
         if not np.all(np.diff(times) > 0):
             raise ValueError("table times must be strictly increasing")
         times.flags.writeable = False
@@ -120,10 +125,14 @@ class Forcing:
 ZERO_FORCING = Forcing(())
 
 
+MAX_STEPS = 1 << 20  # the finest coarse grid; its refinement evaluates 2 * MAX_STEPS + 1 nodes
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Simpson settings; ``adaptive`` doubles the step count until
-    the Richardson estimate meets ``tol`` (relative)."""
+    the Richardson estimate meets ``tol`` (relative) or the coarse grid
+    reaches ``MAX_STEPS``."""
 
     steps: int = 64
     adaptive: bool = False
@@ -132,6 +141,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.steps < 2 or self.steps % 2:
             raise ValueError("steps must be a positive even integer")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}")
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -139,28 +150,28 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _simpson(fn, a: float, b: float, steps: int) -> float:
-    # strided sums, not a weight-vector dot product: the dot product goes to
-    # BLAS, whose worker thread spins a second core without saving time
-    y = fn(np.linspace(a, b, steps + 1))
-    weighted = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
-    return float((b - a) / steps / 3.0 * weighted)
-
-
 def simpson_integrate(fn, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
     """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
 
-    Non-adaptive: the value at the requested step count, estimated against one
-    refinement.  Adaptive: keep doubling until the estimate meets ``tol``.
+    Nested grids: a refinement evaluates ``fn`` on its new midpoints only.
+    Non-adaptive: the value at the requested step count, estimated against
+    one refinement.  Adaptive: keep doubling until the estimate meets ``tol``.
     """
     steps = quad.steps
-    coarse = _simpson(fn, a, b, steps)
+    y = fn(np.linspace(a, b, steps + 1))
+    # strided sums, not a weight-vector dot product: the dot product goes to
+    # BLAS, whose worker thread spins a second core without saving time
+    ends, odd, even = y[0] + y[-1], np.sum(y[1:-1:2]), np.sum(y[2:-1:2])
+    coarse = float((b - a) / steps / 3.0 * (ends + 4.0 * odd + 2.0 * even))
     while True:
-        fine = _simpson(fn, a, b, 2 * steps)
+        # the new midpoints, bit for bit the odd nodes of np.linspace(a, b, 2 * steps + 1)
+        h = (b - a) / (2 * steps)
+        even, odd = even + odd, np.sum(fn(np.arange(1, 2 * steps, 2) * h + a))
+        fine = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
         estimate = abs(fine - coarse) / 15.0
         if not quad.adaptive:
             return coarse, estimate
-        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= 1 << 20:
+        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= MAX_STEPS:
             return fine, estimate
         coarse, steps = fine, 2 * steps
 
@@ -185,7 +196,11 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         raise ValueError("table forcing must cover the whole interval [0, t]")
 
     def integrand(s):
-        return np.exp(lam * (t - s)) * np.interp(s, forcing.times, forcing.values)
+        # exp(x) is exactly 0.0 for x < -745.14; s ascends, so the nonzero kernel is a suffix
+        arg = lam * (t - s)
+        live = np.searchsorted(arg, -746.0) if lam < 0.0 else 0
+        tail = np.exp(arg[live:]) * np.interp(s[live:], forcing.times, forcing.values)
+        return np.concatenate((np.zeros(live), tail))
 
     return simpson_integrate(integrand, 0.0, t, quad)
 
@@ -195,8 +210,11 @@ def forcing_integral(
     forcing: Forcing,
     t: float,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    estimates: list | None = None,
 ) -> SpectralState:
-    """The accumulated forcing state (the mild-solution convolution term)."""
+    """The accumulated forcing state (the mild-solution convolution term);
+    each forced mode's quadrature error estimate is appended to ``estimates``."""
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -205,22 +223,10 @@ def forcing_integral(
         if mode > spectrum.num_modes:
             continue  # forcing past the truncation is out of scope
         lam = float(spectrum.eigenvalues[mode - 1])
-        values[mode - 1], _ = mode_response(lam, f, t, quad)
+        values[mode - 1], estimate = mode_response(lam, f, t, quad)
+        if estimates is not None:
+            estimates.append(estimate)
     return SpectralState.from_values(spectrum, values)
-
-
-def forcing_error_estimate(
-    spectrum: Spectrum, forcing: Forcing, t: float, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
-    """Worst per-mode quadrature error estimate (zero for closed forms)."""
-    worst = 0.0
-    for mode, f in forcing.entries:
-        if mode > spectrum.num_modes:
-            continue
-        lam = float(spectrum.eigenvalues[mode - 1])
-        _, est = mode_response(lam, f, float(t), quad)
-        worst = max(worst, est)
-    return worst
 
 
 def duhamel_evolve(
@@ -228,18 +234,21 @@ def duhamel_evolve(
     forcing: Forcing,
     t: float,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    estimates: list | None = None,
 ) -> SpectralState:
     """Mild solution of the forced equation: damped initial state plus the
     forcing convolution.  The homogeneous part stays in the log domain; the
     forcing term is desk-scale and enters through sign-aware log addition;
-    the drive is zero on unforced modes, which come out bit for bit."""
+    the drive is zero on unforced modes, which come out bit for bit.
+    ``estimates`` is passed to :func:`forcing_integral`."""
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     hom = evolve(x0, t)
     if not forcing.entries:
         return hom
-    return add(hom, forcing_integral(x0.spectrum, forcing, t, quad))
+    return add(hom, forcing_integral(x0.spectrum, forcing, t, quad, estimates=estimates))
 
 
 def affine_backward(

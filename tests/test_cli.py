@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import retroflow as rf
-from retroflow import serialize
+from retroflow import inhomogeneous, serialize
 from retroflow.cli import main
+from retroflow.inhomogeneous import mode_response
 
 PI2 = math.pi**2
 
@@ -113,6 +115,70 @@ def test_duhamel_verb(tmp_path, capsys):
     assert code == 0
     state = serialize.state_from_dict(serialize.load_json(out))
     assert state.coeff(1).to_linear() == pytest.approx(0.10131594298788986, rel=1e-8)
+
+
+def _forced_files(tmp_path):
+    """A 24-mode state driven by tables on modes 13 and 22, a constant on
+    mode 1 and a table on mode 30, past the truncation."""
+    rng = np.random.default_rng(8)
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(24), rng.normal(size=24))
+    times = np.arange(17) / 16
+    f = rf.Forcing.from_dict({
+        1: rf.ConstantForcing(0.5),
+        13: rf.TableForcing(times, rng.uniform(-1.0, 1.0, 17)),
+        22: rf.TableForcing(times, rng.uniform(-1.0, 1.0, 17)),
+        30: rf.TableForcing(times, rng.uniform(-1.0, 1.0, 17)),
+    })
+    xp, fp = tmp_path / "x.json", tmp_path / "f.json"
+    serialize.save_json(xp, serialize.state_to_dict(x0))
+    serialize.save_json(fp, serialize.forcing_to_dict(f))
+    return x0, f, xp, fp
+
+
+def test_duhamel_verb_runs_each_table_quadrature_once(tmp_path, capsys, monkeypatch):
+    x0, f, xp, fp = _forced_files(tmp_path)
+    quad = rf.QuadratureConfig(steps=8, adaptive=True, tol=1e-10)
+    moved = rf.duhamel_evolve(x0, f, 1.0, quad)
+    # the worst estimate as a separate per-mode pass computes it
+    worst = max([0.0] + [
+        mode_response(float(x0.spectrum.eigenvalues[m - 1]), f.get(m), 1.0, quad)[1]
+        for m in (1, 13, 22)])
+    assert worst > 0.0
+    calls = []
+    nested = inhomogeneous.simpson_integrate
+    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
+                        lambda *args: calls.append(args) or nested(*args))
+    argv = ["duhamel", "--in", str(xp), "--forcing", str(fp), "--t", "1.0",
+            "--steps", "8", "--adaptive", "--quad-tol", "1e-10"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 2
+    assert out == json.dumps(serialize.state_to_dict(moved), indent=2) + "\n"
+    assert err == f"worst quadrature error estimate: {worst:.3e}\n"
+    want = tmp_path / "want.json"
+    serialize.save_json(want, serialize.state_to_dict(moved))
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_bytes() == want.read_bytes()
+    assert capsys.readouterr() == ("", err)
+    assert len(calls) == 4
+
+
+def test_duhamel_refuses_more_steps_than_the_quadrature_allows(tmp_path, capsys):
+    # 2**40 nodes would not fit in memory; the config refuses the count first
+    _, _, xp, fp = _forced_files(tmp_path)
+    assert main(["duhamel", "--in", str(xp), "--forcing", str(fp), "--t", "1.0",
+                 "--steps", str(2**40)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: steps must be at most") and "Traceback" not in err
+
+
+def test_duhamel_refuses_a_non_finite_table_sample(state_file, tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    fp.write_text('{"modes": [{"n": 2, "kind": "table", "times": [0.0, 0.5, 1.0], '
+                  '"values": [1.0, NaN, 1.0]}]}')
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
 def test_density_verb(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import retroflow as rf
 from retroflow.errors import HorizonExceededError
-from retroflow.inhomogeneous import DEFAULT_QUADRATURE, mode_response
+from retroflow import inhomogeneous
+from retroflow.inhomogeneous import DEFAULT_QUADRATURE, mode_response, simpson_integrate
 
 PI2 = math.pi**2
 QUAD = rf.QuadratureConfig(steps=64)
@@ -185,12 +186,147 @@ def test_quadrature_config_validation():
     assert DEFAULT_QUADRATURE.steps == 64
 
 
+def test_quadrature_steps_are_bounded():
+    # refused when the config is built, before any node is allocated
+    assert rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS).steps == 1 << 20
+    for steps in ((1 << 20) + 2, 1 << 40):
+        with pytest.raises(ValueError, match="at most"):
+            rf.QuadratureConfig(steps=steps)
+
+
 def test_nan_table_sample_is_rejected():
     # a NaN sample must not turn into an all-zero drive
-    sp = rf.make_heat_spectrum(3)
-    table = rf.TableForcing(np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 1.0]))
-    forcing = rf.Forcing.from_dict({1: table})
     with pytest.raises(ValueError, match="finite"):
-        rf.forcing_integral(sp, forcing, 1.0, QUAD)
+        rf.TableForcing(np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 1.0]))
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+    ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]),
+    ([0.0, 0.5, 1.0], [1.0, -math.inf, 1.0]),
+    ([0.0, 0.5, math.inf], [1.0, 1.0, 1.0]),
+])
+def test_non_finite_sample_where_the_kernel_underflows_is_rejected(times, values):
+    # on mode 22 at t = 1 the kernel exp(-(22 pi)^2 (1 - s)) is exactly 0 at
+    # s = 0.5, so quadrature never reads that sample: the table must refuse it
+    assert math.exp(-((22 * math.pi) ** 2) * 0.5) == 0.0
     with pytest.raises(ValueError, match="finite"):
-        rf.duhamel_evolve(rf.SpectralState.zeros(sp), forcing, 1.0, QUAD)
+        rf.TableForcing(np.array(times), np.array(values))
+
+
+def reference_simpson(fn, a, b, quad):
+    """Simpson on a fresh grid at every level, as the rule was first written;
+    returns (value, estimate, step count of the value)."""
+    def rule(steps):
+        y = fn(np.linspace(a, b, steps + 1))
+        weighted = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+        return float((b - a) / steps / 3.0 * weighted)
+
+    steps = quad.steps
+    coarse = rule(steps)
+    while True:
+        fine = rule(2 * steps)
+        estimate = abs(fine - coarse) / 15.0
+        if not quad.adaptive:
+            return coarse, estimate, steps
+        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= 1 << 20:
+            return fine, estimate, 2 * steps
+        coarse, steps = fine, 2 * steps
+
+
+def counting(fn, nodes):
+    def counted(s):
+        nodes.append(s.copy())
+        return fn(s)
+    return counted
+
+
+def smooth(s):
+    return np.exp(np.sin(3.0 * s))
+
+
+@pytest.mark.parametrize("steps", [2, 6, 64])
+def test_fixed_step_simpson_evaluates_each_node_once_and_matches_the_reference(steps):
+    quad = rf.QuadratureConfig(steps=steps)
+    nodes = []
+    value, estimate = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad)
+    grid = np.concatenate(nodes)
+    assert grid.size == 2 * steps + 1
+    assert np.array_equal(np.sort(grid), np.linspace(0.1, 1.7, 2 * steps + 1))
+    want, want_estimate, _ = reference_simpson(smooth, 0.1, 1.7, quad)
+    assert value == want  # bit for bit: the coarse value's arithmetic is the reference's
+    assert estimate == pytest.approx(want_estimate, rel=1e-6)
+
+
+@pytest.mark.parametrize("steps, tol", [(2, 1e-8), (8, 1e-10), (64, 1e-13)])
+def test_adaptive_simpson_evaluates_each_node_once_and_matches_the_reference(steps, tol):
+    quad = rf.QuadratureConfig(steps=steps, adaptive=True, tol=tol)
+    nodes = []
+    value, _ = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad)
+    want, _, want_steps = reference_simpson(smooth, 0.1, 1.7, quad)
+    # every refinement after the first grid evaluates only its new midpoints
+    assert [n.size for n in nodes] == [steps + 1] + [steps << k for k in range(len(nodes) - 1)]
+    assert 2 * nodes[-1].size == want_steps > 2 * steps
+    grid = np.sort(np.concatenate(nodes))
+    assert grid.size == want_steps + 1
+    assert np.array_equal(grid, np.linspace(0.1, 1.7, want_steps + 1))
+    assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def test_adaptive_simpson_stops_at_the_step_ceiling():
+    # sqrt converges too slowly for the tolerance: the last refinement is of
+    # the MAX_STEPS grid, as in the reference
+    sizes = []
+    quad = rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS // 4, adaptive=True, tol=1e-300)
+    value, _ = simpson_integrate(lambda s: sizes.append(s.size) or np.sqrt(s), 0.0, 1.0, quad)
+    assert sizes[-1] == inhomogeneous.MAX_STEPS and sum(sizes) == 2 * inhomogeneous.MAX_STEPS + 1
+    want, _, want_steps = reference_simpson(np.sqrt, 0.0, 1.0, quad)
+    assert want_steps == 2 * inhomogeneous.MAX_STEPS
+    assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def captured_integrand(monkeypatch, lam, table, t):
+    """The integrand ``mode_response`` hands to the quadrature."""
+    seen = []
+    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
+                        lambda fn, a, b, quad: seen.append(fn) or (0.0, 0.0))
+    mode_response(lam, table, t, QUAD)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("mode", [22, 64])
+def test_table_integrand_matches_the_full_expression(mode, monkeypatch):
+    # most nodes sit where exp(lam (t - s)) is exactly 0 and are skipped
+    lam, t = -((mode * math.pi) ** 2), 1.0
+    s = np.linspace(0.0, t, 65537)
+    times = np.arange(17) / 16
+    for values in (np.random.default_rng(mode).uniform(-1.0, 1.0, 17), np.linspace(1.0, 2.0, 17)):
+        got = captured_integrand(monkeypatch, lam, rf.TableForcing(times, values), t)(s)
+        want = np.exp(lam * (t - s)) * np.interp(s, times, values)
+        assert np.array_equal(got, want)  # equal values; a skipped node is +0.0, never -0.0
+        if np.all(values > 0.0):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_adaptive_table_quadrature_stops_where_the_reference_stops(monkeypatch):
+    # tables as the deep-certify benchmark draws them: 17 samples on [0, 1],
+    # the last one +-1, on modes 13-15 and 19-22
+    nodes = []
+    nested = inhomogeneous.simpson_integrate
+    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
+                        lambda fn, a, b, quad: nested(counting(fn, nodes), a, b, quad))
+    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+    times = np.arange(17) / 16
+    rng = np.random.default_rng(13)
+    for mode in (13, 14, 15, 19, 20, 21, 22):
+        lam = -((mode * math.pi) ** 2)
+        values = rng.uniform(-1.0, 1.0, 17)
+        values[-1] = rng.choice([-1.0, 1.0])
+        nodes.clear()
+        got, _ = mode_response(lam, rf.TableForcing(times, values), 1.0, quad)
+        want, _, want_steps = reference_simpson(
+            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, times, values), 0.0, 1.0, quad)
+        assert 2 * nodes[-1].size == want_steps
+        assert sum(n.size for n in nodes) == want_steps + 1
+        assert abs(got - want) <= 1e-15 * abs(want)
