@@ -153,6 +153,7 @@ def signed_logsumexp(signs, logs) -> tuple[np.ndarray, np.ndarray]:
 # tail functions in the log domain
 # ---------------------------------------------------------------------------
 
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _ULP = 2.0**-52
 
 
@@ -188,6 +189,14 @@ def _scaled_upper_gamma(s: float, x: float) -> float:
         delta = lentz_c * lentz_d
         value *= delta
     return value
+
+
+def log_erfc(x: float) -> float:
+    """``log(erfc(x))`` without underflow: ``erfc(x) = Γ(1/2, x**2) / sqrt(pi)``."""
+    x = float(x)
+    if not 0.0 < x < math.inf:  # +inf gives -inf, nan gives nan
+        return math.log(math.erfc(x)) if x <= 0.0 else -x
+    return math.log(_scaled_upper_gamma(0.5, x * x)) + math.log(x) - x * x - _LOG_SQRT_PI
 
 
 # B_2j / (2j)! for j = 1..9

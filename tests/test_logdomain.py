@@ -15,6 +15,7 @@ from retroflow.logdomain import (
     LOG_ZERO,
     LogAmplitude,
     log_add,
+    log_erfc,
     log_hurwitz_zeta,
     log_sum,
     _scaled_upper_gamma,
@@ -240,6 +241,20 @@ def test_log_hurwitz_zeta_domain():
     for s, a in ((1.0, 2.0), (0.5, 2.0), (2.0, 0.5), (math.nan, 2.0)):
         with pytest.raises(ValueError):
             log_hurwitz_zeta(s, a)
+
+
+@pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1e-8, 0.7, 3.3, 10.0, 24.9, 25.0, 25.1,
+                               26.7, 27.3, 30.0, 60.0, 1e3, 1e6])
+def test_log_erfc_against_mpmath(x):
+    # x > 0 goes through Γ(1/2, x**2), finite past the underflow of erfc near 27.2
+    with mp.workdps(50):
+        want = float(mp.log(mp.erfc(x)))
+    assert close_in_log(log_erfc(x), want)
+
+
+def test_log_erfc_limits():
+    assert log_erfc(math.inf) == -math.inf
+    assert math.isnan(log_erfc(math.nan))
 
 
 @pytest.mark.parametrize("s", [0.5, 0.25, 0.0, 1e-12, -1e-9, -0.5, -0.9999999, -1.0, -2.0, -7.3, -29.5])
