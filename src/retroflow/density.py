@@ -17,6 +17,7 @@ from .errors import NotConvergedError, OracleFailedError
 from .logdomain import LOG_ZERO
 from .reversibility import backward_evolve
 from .spectral import (
+    MAX_MODES,
     SpectralState,
     ZeroTail,
     _tail_cross_log,
@@ -81,7 +82,7 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
     """Explicit zero-tail copy with the tail law written out up to ``n_prime``."""
     grown = embed(state, n_prime)
-    return SpectralState(grown.spectrum, grown.signs, grown.log_mags)
+    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags)
 
 
 def truncate_to_reversible(
@@ -111,9 +112,9 @@ def truncate_to_reversible(
         while not small_enough(hi):
             lo = hi
             hi *= 2
-            if hi > 50_000_000:
+            if hi > MAX_MODES:
                 raise NotConvergedError(
-                    "truncation scan passed 50M modes without meeting eps"
+                    f"truncation scan passed {MAX_MODES} modes without meeting eps"
                 )
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -78,7 +78,7 @@ def functional_to_extended(functional: Functional) -> ExtendedState:
     t = representable_time(functional)
     tail = functional.tail
     if t > 0.0 or not isinstance(tail, ExpTail):
-        return lift(SpectralState(
+        return lift(SpectralState._result(
             functional.spectrum, functional.signs, functional.log_mags, tail))
     # growing (or boundary) exponential law: represent at a positive offset
     offset = -t + max(1.0, -t)

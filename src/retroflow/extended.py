@@ -179,7 +179,7 @@ def generator_action(state: SpectralState) -> SpectralState:
         # |lambda_n| = (n pi)^2 under a half-rate envelope
         sup = 2.0 * math.log(math.pi) + _log_sup_power_vs_gauss(2.0, tail.rate / 2.0, start)
         tail = ExpTail(tail.rate / 2.0, tail.coeff * math.exp(sup))
-    return SpectralState(state.spectrum, signs, logs, tail)
+    return SpectralState._result(state.spectrum, signs, logs, tail)
 
 
 def apply_generator(state: ExtendedState) -> ExtendedState:

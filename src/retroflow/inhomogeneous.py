@@ -12,6 +12,7 @@ only; tail forcing is out of scope.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -139,6 +140,8 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2 or self.steps % 2:
             raise ValueError("steps must be a positive even integer")
         if self.steps > MAX_STEPS:
@@ -216,8 +219,8 @@ def forcing_integral(
     """The accumulated forcing state (the mild-solution convolution term);
     each forced mode's quadrature error estimate is appended to ``estimates``."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     values = np.zeros(spectrum.num_modes)
     for mode, f in forcing.entries:
         if mode > spectrum.num_modes:
@@ -243,8 +246,8 @@ def duhamel_evolve(
     the drive is zero on unforced modes, which come out bit for bit.
     ``estimates`` is passed to :func:`forcing_integral`."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     hom = evolve(x0, t)
     if not forcing.entries:
         return hom

@@ -138,15 +138,17 @@ def signed_logsumexp(signs, logs) -> tuple[np.ndarray, np.ndarray]:
     is exact zero, as is an empty or all-zero row (sign 0, log ``-inf``).
     """
     logs = np.asarray(logs, dtype=float)
-    top = np.max(logs, axis=-1, initial=LOG_ZERO, keepdims=True)
+    top = logs.max(axis=-1, initial=LOG_ZERO, keepdims=True)
     shift = np.where(top > LOG_ZERO, top, 0.0)
     terms = signs * np.exp(logs - shift)
-    total = np.sum(terms, axis=-1)
+    total = terms.sum(axis=-1)
     size = np.abs(total)
-    live = size > _CANCEL * np.sum(np.abs(terms), axis=-1)
-    with np.errstate(divide="ignore"):
-        log = np.log(size) + shift[..., 0]
-    return np.where(live, np.sign(total), 0).astype(np.int8), np.where(live, log, LOG_ZERO)
+    live = size > _CANCEL * np.abs(terms).sum(axis=-1)
+    # only live rows take a log (no log of zero), the others keep their fill
+    log = np.log(size, out=np.full(live.shape, LOG_ZERO), where=live)
+    np.add(log, shift[..., 0], out=log, where=live)
+    sign = np.sign(total, out=np.zeros(live.shape, np.int8), where=live, casting="unsafe")
+    return sign, log
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     tail = state.tail
     if isinstance(tail, ExpTail):
         tail = ExpTail(tail.rate - t, tail.coeff)
-    return SpectralState(state.spectrum, state.signs, logs, tail)
+    return SpectralState._result(state.spectrum, state.signs, logs, tail)
 
 
 def amplification_log(state: SpectralState, t: float) -> float:

@@ -33,6 +33,11 @@ def exp_or_inf(log_value: float) -> float:
 # spectrum
 # ---------------------------------------------------------------------------
 
+#: The most explicit modes a heat spectrum may have (400 MB of eigenvalues);
+#: the truncation scan gives up past it.
+MAX_MODES = 50_000_000
+
+
 def _heat_eigenvalues(num_modes: int) -> np.ndarray:
     n = np.arange(1, num_modes + 1, dtype=float)
     return -((n * math.pi) ** 2)
@@ -69,7 +74,10 @@ class Spectrum:
     @classmethod
     def _heat(cls, num_modes: int) -> "Spectrum":
         """The heat law on ``num_modes`` modes, without the checks it passes by
-        construction."""
+        construction.  ``num_modes`` past :data:`MAX_MODES` is refused before
+        anything is allocated."""
+        if num_modes > MAX_MODES:
+            raise ValueError(f"{num_modes} modes exceed the budget of {MAX_MODES}")
         ev = _heat_eigenvalues(num_modes)
         ev.flags.writeable = False
         spectrum = object.__new__(cls)
@@ -96,6 +104,8 @@ class Spectrum:
         return Spectrum._heat(num_modes)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Spectrum):
             return NotImplemented
         return self.kind == other.kind and np.array_equal(self.eigenvalues, other.eigenvalues)
@@ -257,12 +267,11 @@ def scale_tail(tail: TailModel, factor: float) -> TailModel:
 # ---------------------------------------------------------------------------
 
 def coefficient_arrays(spectrum: Spectrum, signs, log_mags) -> tuple[np.ndarray, np.ndarray]:
-    """Validated, read-only copies of a coefficient sequence in sign/log form.
+    """Checked copies of a coefficient sequence in sign/log form, from caller data.
 
     Signs are checked on the raw input, before the ``int8`` cast could wrap
-    or truncate them: only integral values in ``{-1, 0, +1}`` pass.  A zero
-    sign and a ``-inf`` log both mean a zero coefficient, and are made to
-    agree; any other log must be finite.
+    or truncate them: only integral values in ``{-1, 0, +1}`` pass.  The
+    copies still need :meth:`SpectralState._settle`.
     """
     raw = np.asarray(signs)
     if raw.dtype.kind not in "biuf" or not np.all((raw >= -1) & (raw <= 1)):
@@ -273,13 +282,6 @@ def coefficient_arrays(spectrum: Spectrum, signs, log_mags) -> tuple[np.ndarray,
     logs = np.array(log_mags, dtype=float)
     if signs.shape != (spectrum.num_modes,) or logs.shape != signs.shape:
         raise ValueError("coefficient arrays must match the spectrum length")
-    zero = (signs == 0) | (logs == LOG_ZERO)
-    signs[zero] = 0
-    logs[zero] = LOG_ZERO
-    if not np.all(np.isfinite(logs) | zero):
-        raise ValueError("nonzero coefficients need finite log magnitudes")
-    signs.flags.writeable = False
-    logs.flags.writeable = False
     return signs, logs
 
 
@@ -299,14 +301,43 @@ class SpectralState:
 
     def __post_init__(self):
         signs, logs = coefficient_arrays(self.spectrum, self.signs, self.log_mags)
+        if not isinstance(self.tail, (ZeroTail, ExpTail, PowerTail)):
+            raise ValueError(f"unknown tail law {type(self.tail).__name__}")
+        self._settle(signs, logs, self.tail)
+        if not isinstance(self.tail, ZeroTail) and self.spectrum.kind != "heat":
+            raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
+
+    @classmethod
+    def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray,
+                tail: TailModel = ZERO_TAIL) -> "SpectralState":
+        """A library result: arrays of the spectrum's length, an ``int8`` sign
+        array and a tail law that the library built from valid states.  They
+        are normalised, not checked again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "spectrum", spectrum)
+        state._settle(signs, logs, tail)
+        return state
+
+    def _settle(self, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
+        """The normalisation every state gets, checked or not.  A zero sign
+        and a ``-inf`` log both mean a zero coefficient, and are made to agree;
+        any other log must be finite, so an overflowed log raises.  A vanished
+        tail coefficient is the zero tail; a state's tail must decay.  The
+        arrays are made read-only; one that needs a change is replaced, never
+        written, since it may belong to another state."""
+        finite = np.isfinite(logs)
+        if not (finite.all() and signs.all()):
+            zero = (signs == 0) | (logs == LOG_ZERO)
+            signs = np.where(zero, np.int8(0), signs)
+            logs = np.where(zero, LOG_ZERO, logs)
+            if not (finite | zero).all():
+                raise ValueError("nonzero coefficients need finite log magnitudes")
+        signs.flags.writeable = False
+        logs.flags.writeable = False
+        tail = _normalized_tail(tail)
+        self._check_decay(tail)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "log_mags", logs)
-        tail = _normalized_tail(self.tail)
-        if not isinstance(tail, (ZeroTail, ExpTail, PowerTail)):
-            raise ValueError(f"unknown tail law {type(tail).__name__}")
-        self._check_decay(tail)
-        if not isinstance(tail, ZeroTail) and self.spectrum.kind != "heat":
-            raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
         object.__setattr__(self, "tail", tail)
 
     @staticmethod
@@ -401,6 +432,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     over-approximations are one-sided and affect only tail norms.
     """
     t = float(t)
+    if math.isnan(t):
+        raise ValueError("time must be a number, got nan")
     if t < 0.0:
         raise ValueError("negative times are backward evolution; use backward_evolve")
     if t == 0.0:
@@ -415,7 +448,7 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
             tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
         else:
             tail = ExpTail(t, tail.coeff * (state.num_modes + 1) ** (-tail.power))
-    return SpectralState(state.spectrum, state.signs, logs, tail)
+    return SpectralState._result(state.spectrum, state.signs, logs, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +458,7 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 def log_norm(state: SpectralState) -> float:
     """Natural log of the ambient (square-sum) norm; ``-inf`` for zero."""
     tail_squares = _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
-    squares = np.append(2.0 * state.log_mags, tail_squares)
+    squares = np.concatenate((2.0 * state.log_mags, [tail_squares]))
     return 0.5 * float(signed_logsumexp(1, squares)[1])
 
 
@@ -447,8 +480,9 @@ def log_inner_product(x: SpectralState, y: SpectralState) -> LogAmplitude:
     """Sign-aware log-domain inner product, including the tail cross term."""
     _require_same_spectrum(x, y)
     # the tail cross term is one more positive entry (envelopes are nonnegative)
-    signs = np.append(x.signs * y.signs, 1)
-    logs = np.append(x.log_mags + y.log_mags, _tail_cross_log(x.tail, y.tail, x.num_modes + 1))
+    cross = _tail_cross_log(x.tail, y.tail, x.num_modes + 1)
+    signs = np.concatenate((x.signs * y.signs, [1]))
+    logs = np.concatenate((x.log_mags + y.log_mags, [cross]))
     sign, log = signed_logsumexp(signs, logs)
     return LogAmplitude(int(sign), float(log))
 
@@ -465,7 +499,8 @@ def add(x: SpectralState, y: SpectralState) -> SpectralState:
     """Modewise sign-aware log addition; tails combine by dominating envelope."""
     _require_same_spectrum(x, y)
     signs, logs = signed_add(x.signs, x.log_mags, y.signs, y.log_mags)
-    return SpectralState(x.spectrum, signs, logs, combine_tails_add(x.spectrum, x.tail, y.tail))
+    tail = combine_tails_add(x.spectrum, x.tail, y.tail)
+    return SpectralState._result(x.spectrum, signs, logs, tail)
 
 
 def scale(state: SpectralState, factor: float) -> SpectralState:
@@ -474,18 +509,19 @@ def scale(state: SpectralState, factor: float) -> SpectralState:
         return SpectralState.zeros(state.spectrum)
     signs = state.signs * (1 if factor > 0 else -1)
     logs = state.log_mags + math.log(abs(factor))
-    return SpectralState(state.spectrum, signs, logs, scale_tail(state.tail, factor))
+    return SpectralState._result(state.spectrum, signs, logs, scale_tail(state.tail, factor))
 
 
 def negate(state: SpectralState) -> SpectralState:
-    return SpectralState(state.spectrum, -state.signs, state.log_mags, state.tail)
+    return SpectralState._result(state.spectrum, -state.signs, state.log_mags, state.tail)
 
 
 def subtract(x: SpectralState, y: SpectralState) -> SpectralState:
     """``x - y``; identical tail laws cancel exactly, near ones leave a residual."""
     _require_same_spectrum(x, y)
     signs, logs = signed_add(x.signs, x.log_mags, -y.signs, y.log_mags)
-    return SpectralState(x.spectrum, signs, logs, combine_tails_sub(x.spectrum, x.tail, y.tail))
+    tail = combine_tails_sub(x.spectrum, x.tail, y.tail)
+    return SpectralState._result(x.spectrum, signs, logs, tail)
 
 
 def embed(state: SpectralState, num_modes: int) -> SpectralState:
@@ -508,7 +544,7 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
         logs[old:] = math.log(tail.coeff) - tail.power * np.log(n)
     if not isinstance(tail, ZeroTail):
         signs[old:] = 1
-    return SpectralState(spectrum, signs, logs, tail)
+    return SpectralState._result(spectrum, signs, logs, tail)
 
 
 def _aligned(x: SpectralState, y: SpectralState):

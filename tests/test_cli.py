@@ -181,6 +181,24 @@ def test_duhamel_refuses_a_non_finite_table_sample(state_file, tmp_path, capsys)
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
+def test_duhamel_refuses_an_infinite_time_before_the_quadrature(state_file, tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    serialize.save_json(fp, serialize.forcing_to_dict(rf.Forcing.from_dict(
+        {1: rf.TableForcing(np.array([0.0, 1.0]), np.array([1.0, 2.0]))})))
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "inf"]) == 2
+    assert capsys.readouterr().err == "error: t must be finite and nonnegative, got inf\n"
+
+
+def test_a_spectrum_past_the_mode_budget_exits_2(tmp_path, capsys):
+    # refused before 800 GB of eigenvalues are allocated
+    path = tmp_path / "big.json"
+    path.write_text('{"spectrum": {"kind": "heat", "modes": 100000000000}, '
+                    '"coeffs": {"encoding": "log", "values": []}}')
+    assert main(["classify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+
 def test_density_verb(tmp_path, capsys):
     x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.PowerTail(1.5, 0.5))
     xp = tmp_path / "x.json"

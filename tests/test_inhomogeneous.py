@@ -186,6 +186,25 @@ def test_quadrature_config_validation():
     assert DEFAULT_QUADRATURE.steps == 64
 
 
+@pytest.mark.parametrize("steps", [64.0, True, "64", np.float64(64.0)])
+def test_quadrature_steps_must_be_an_integer(steps):
+    # 64.0 used to pass here and fail later inside np.linspace
+    with pytest.raises(ValueError, match="integer"):
+        rf.QuadratureConfig(steps=steps)
+    assert rf.QuadratureConfig(steps=np.int64(64)).steps == 64
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+def test_forced_flow_refuses_a_time_that_is_not_finite_and_nonnegative(t):
+    sp = rf.make_heat_spectrum(3)
+    table = rf.TableForcing(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    forcing = rf.Forcing.from_dict({1: table, 2: rf.ConstantForcing(1.0)})
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        rf.forcing_integral(sp, forcing, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        rf.duhamel_evolve(rf.SpectralState.zeros(sp), forcing, t)
+
+
 def test_quadrature_steps_are_bounded():
     # refused when the config is built, before any node is allocated
     assert rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS).steps == 1 << 20

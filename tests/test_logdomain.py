@@ -174,6 +174,63 @@ def test_signed_logsumexp_broadcasts_over_leading_axes():
             assert sign[i, j] == row_sign and log[i, j] == row_log
 
 
+def _reference_signed_logsumexp(signs, logs):
+    """The kernel as first written, with the numpy wrappers and ``np.errstate``."""
+    from retroflow.logdomain import _CANCEL
+
+    logs = np.asarray(logs, dtype=float)
+    top = np.max(logs, axis=-1, initial=LOG_ZERO, keepdims=True)
+    shift = np.where(top > LOG_ZERO, top, 0.0)
+    terms = signs * np.exp(logs - shift)
+    total = np.sum(terms, axis=-1)
+    size = np.abs(total)
+    live = size > _CANCEL * np.sum(np.abs(terms), axis=-1)
+    with np.errstate(divide="ignore"):
+        log = np.log(size) + shift[..., 0]
+    return np.where(live, np.sign(total), 0).astype(np.int8), np.where(live, log, LOG_ZERO)
+
+
+def _kernel_inputs(seed, rows, size, spread):
+    """Random rows with some all-zero rows and some cancelling to exact zero."""
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(-1, 2, size=(rows, size)).astype(np.int8)
+    logs = np.where(signs != 0, rng.normal(scale=spread, size=(rows, size)), LOG_ZERO)
+    if size >= 2:
+        signs[1::3], logs[1::3] = 0, LOG_ZERO
+        half = size // 2
+        signs[2::3, half:2 * half] = -signs[2::3, :half]
+        logs[2::3, half:2 * half] = logs[2::3, :half]
+        if size % 2:
+            signs[2::3, -1], logs[2::3, -1] = 0, LOG_ZERO
+    return signs, logs
+
+
+def _same_bits(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+               for g, w in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 40),
+       st.sampled_from([1.0, 30.0, 800.0]))
+def test_signed_logsumexp_matches_the_reference_bit_for_bit(seed, rows, size, spread):
+    signs, logs = _kernel_inputs(seed, rows, size, spread)
+    for args in ((signs, logs), (signs[0], logs[0]), (list(signs[-1]), list(logs[-1])),
+                 (1, np.where(signs != 0, logs, LOG_ZERO)),
+                 (signs[0], np.stack([logs[0]] * 3)),
+                 (signs.reshape(rows, 1, size), np.stack([logs] * 2, axis=1))):
+        assert _same_bits(signed_logsumexp(*args), _reference_signed_logsumexp(*args))
+
+
+def test_signed_logsumexp_matches_the_reference_on_empty_and_zero_rows():
+    # the last two sums are nonzero but below CANCEL_LOG relative: exact zero
+    for args in (([], []), (np.zeros((3, 0), np.int8), np.zeros((3, 0))),
+                 (np.zeros(5, np.int8), np.full(5, LOG_ZERO)),
+                 ([1, -1], [2.0, 2.0]), ([1, -1, 1], [700.0, 700.0, -800.0]),
+                 ([1, -1, 1], [0.0, 0.0, -700.0]), ([[1, -1, -1]], [[5.0, 5.0, -695.0]])):
+        assert _same_bits(signed_logsumexp(*args), _reference_signed_logsumexp(*args))
+
+
 def test_signed_add_matches_mpmath_and_cancels():
     rng = np.random.default_rng(5)
     sa, sb = rng.integers(-1, 2, size=200), rng.integers(-1, 2, size=200)

@@ -403,3 +403,134 @@ def test_from_values_rejects_non_finite_values(bad):
     # NaN must not become a zero coefficient
     with pytest.raises(ValueError, match="finite"):
         rf.SpectralState.from_values(rf.make_heat_spectrum(3), [bad, 1.0, 2.0])
+
+
+# --- library results ----------------------------------------------------------
+
+_SIGNS = st.sampled_from([-1, 0, 1])
+_LOGS = st.floats(min_value=-40.0, max_value=40.0)
+_COEFFS = st.floats(min_value=0.0, max_value=3.0)
+_TAILS = st.one_of(
+    st.just(rf.ZERO_TAIL),
+    st.builds(rf.ExpTail, st.floats(min_value=1e-3, max_value=2.0), _COEFFS),
+    st.builds(rf.PowerTail, st.floats(min_value=0.6, max_value=4.0), _COEFFS),
+)
+
+
+@st.composite
+def _states(draw, num_modes):
+    signs = draw(st.lists(_SIGNS, min_size=num_modes, max_size=num_modes))
+    logs = draw(st.lists(_LOGS, min_size=num_modes, max_size=num_modes))
+    return rf.SpectralState(rf.make_heat_spectrum(num_modes), signs, logs, draw(_TAILS))
+
+
+def _bitwise_equal(a, b):
+    return (type(a) is type(b) and a.spectrum == b.spectrum and a.tail == b.tail
+            and a.signs.dtype == b.signs.dtype and a.log_mags.dtype == b.log_mags.dtype
+            and a.signs.tobytes() == b.signs.tobytes()
+            and a.log_mags.tobytes() == b.log_mags.tobytes())
+
+
+def _results_match_the_public_constructor(monkeypatch, built):
+    """Route every ``SpectralState._result`` through a check: the same arrays
+    and tail, given to the public constructor, build the same state bit for
+    bit (or both refuse them), and the result's arrays are read-only."""
+    result = rf.SpectralState._result.__func__
+
+    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL):
+        try:
+            public = rf.SpectralState(spectrum, signs, logs, tail)
+        except ValueError:
+            with pytest.raises(ValueError):
+                result(cls, spectrum, signs, logs, tail)
+            raise
+        state = result(cls, spectrum, signs, logs, tail)
+        assert _bitwise_equal(state, public)
+        assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(rf.SpectralState, "_result", classmethod(checked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(lambda n: st.tuples(_states(n), _states(n))),
+       st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=-5.0, max_value=5.0).filter(lambda f: f != 0.0),
+       st.integers(min_value=0, max_value=6))
+def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
+    from retroflow.density import _materialize
+
+    x, y = pair
+    built = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _results_match_the_public_constructor(monkeypatch, built)
+        rf.evolve(x, t)
+        if rf.horizon(x).allows(t):
+            rf.backward_evolve(x, t)
+        rf.add(x, y)
+        rf.subtract(x, y)
+        rf.scale(x, factor)
+        rf.negate(x)
+        rf.embed(x, x.num_modes + extra)
+        _materialize(x, x.num_modes + extra)
+        if not (isinstance(x.tail, rf.PowerTail) and x.tail.power <= 2.5):
+            rf.generator_action(x)
+    # embed by zero extra modes and a zero step return their argument
+    assert len(built) >= 6
+
+
+def test_library_results_underflow_to_zero_coefficients():
+    # rate * lambda_n overflows to -inf from mode 5 on: those written-out
+    # modes are zero coefficients, and nothing is written into the argument
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.ExpTail(1e306, 1.0))
+    with np.errstate(over="ignore"):
+        big = rf.embed(x, 12)
+    assert big.signs.tolist() == [0, 0, 1, 1] + [0] * 8
+    assert np.all(np.isfinite(big.log_mags[2:4])) and np.all(big.log_mags[4:] == -math.inf)
+    y = rf.SpectralState.from_values(rf.make_heat_spectrum(6), [1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
+    with np.errstate(over="ignore"):
+        damped = rf.evolve(y, 1e306)
+    assert damped.signs.tolist() == [1, -1, 1, -1, 0, 0]
+    assert np.all(damped.log_mags[4:] == -math.inf) and y.signs.tolist() == [1, -1, 1, -1, 1, -1]
+    assert not damped.signs.flags.writeable and not damped.log_mags.flags.writeable
+
+
+def test_library_results_refuse_an_overflowed_log():
+    # -lambda_n * t overflows to +inf from mode 5 on
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite log"):
+        rf.backward_evolve(x, 1e306)
+
+
+def test_library_results_are_read_only():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, 0.0, -2.0, 0.5],
+                                     rf.PowerTail(3.0, 1.0))
+    for state in (rf.evolve(x, 0.1), rf.add(x, x), rf.subtract(x, x), rf.scale(x, -2.0),
+                  rf.negate(x), rf.embed(x, 7), rf.generator_action(x)):
+        for array in (state.signs, state.log_mags):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def test_evolve_refuses_a_nan_time():
+    # a zero state would otherwise come back as zeros
+    with pytest.raises(ValueError, match="nan"):
+        rf.evolve(rf.SpectralState.zeros(rf.make_heat_spectrum(3)), math.nan)
+
+
+def test_spectrum_equality_compares_kind_and_values():
+    heat = rf.make_heat_spectrum(5)
+    assert heat == heat and heat == rf.make_heat_spectrum(5)
+    assert heat != Spectrum(heat.eigenvalues, "custom")
+    assert heat != rf.make_heat_spectrum(6)
+
+
+def test_mode_budget_is_refused_before_allocating():
+    from retroflow.spectral import MAX_MODES
+
+    for build in (rf.make_heat_spectrum, rf.make_heat_spectrum(1).extended):
+        with pytest.raises(ValueError, match="budget"):
+            build(MAX_MODES + 1)
+        with pytest.raises(ValueError, match="budget"):
+            build(10**11)
