@@ -82,7 +82,7 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
     """Explicit zero-tail copy with the tail law written out up to ``n_prime``."""
     grown = embed(state, n_prime)
-    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags)
+    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
 
 
 def truncate_to_reversible(
@@ -190,7 +190,7 @@ def iterate_to_reversible(
         eps0 * math.exp(-bound.rate * (k + 1)) * 2.0 ** -(k + 1) / bound.factor
         for k in range(max_iters)
     )
-    current = x0
+    current = image = x0  # image: the current target's forward image at time k
     step_bounds: list[float] = []
     step_gaps: list[float] = []
     for k, eps_k in enumerate(schedule):
@@ -222,7 +222,8 @@ def iterate_to_reversible(
         # Cauchy gap of consecutive forward images, bounded by the growth at
         # time k applied to the step-k oracle error.
         step_bound = bound.at(float(k)) * eps_k
-        forward_gap = log_distance(evolve(candidate, float(k + 1)), evolve(current, float(k)))
+        next_image = evolve(candidate, float(k + 1))
+        forward_gap = log_distance(next_image, image)
         measured = 0.0 if forward_gap == -math.inf else math.exp(forward_gap)
         if measured > step_bound * (1.0 + 1e-9):
             raise OracleFailedError(
@@ -230,9 +231,9 @@ def iterate_to_reversible(
             )
         step_bounds.append(step_bound)
         step_gaps.append(measured)
-        current = candidate
+        current, image = candidate, next_image
 
-    result = evolve(current, float(max_iters))
+    result = image  # evolve(current, max_iters), from the last step
     residual = eps0 * math.exp(-bound.rate) * 2.0 ** -max_iters
     cert = DensityCertificate(
         eps0,

@@ -199,11 +199,16 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         raise ValueError("table forcing must cover the whole interval [0, t]")
 
     def integrand(s):
-        # exp(x) is exactly 0.0 for x < -745.14; s ascends, so the nonzero kernel is a suffix
-        arg = lam * (t - s)
-        live = np.searchsorted(arg, -746.0) if lam < 0.0 else 0
-        tail = np.exp(arg[live:]) * np.interp(s[live:], forcing.times, forcing.values)
-        return np.concatenate((np.zeros(live), tail))
+        # exp(x) is exactly 0.0 for x < -745.14, so the kernel exp(lam (t - s)) is
+        # zero before s = t + 746 / lam; s ascends, so only a suffix is computed
+        live = np.searchsorted(s, t + 746.0 / lam) if lam < 0.0 else 0
+        out = np.zeros(s.size)
+        tail, nodes = out[live:], s[live:]
+        np.subtract(t, nodes, out=tail)
+        tail *= lam
+        np.exp(tail, out=tail)
+        tail *= np.interp(nodes, forcing.times, forcing.values)
+        return out
 
     return simpson_integrate(integrand, 0.0, t, quad)
 

@@ -28,6 +28,7 @@ LOG_ZERO = float("-inf")
 # drops below this relative magnitude (the float64 subnormal floor).
 CANCEL_LOG = math.log(1e-300)
 _CANCEL = math.exp(CANCEL_LOG)
+_FLOOR = -np.finfo(float).max  # the most negative finite log
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,15 @@ class LogAmplitude:
 
 
 def log_add(a: LogAmplitude, b: LogAmplitude) -> LogAmplitude:
-    """Sign-aware addition of two log-domain scalars through :func:`signed_add`."""
-    sign, log = signed_add(a.sign, a.log_mag, b.sign, b.log_mag)
-    return LogAmplitude(int(sign), float(log))
+    """Sign-aware addition of two log-domain scalars, by the rules and with the
+    numpy functions of :func:`signed_add`, without its array overhead."""
+    if a.log_mag < b.log_mag:
+        a, b = b, a
+    ratio = np.exp(b.log_mag - max(a.log_mag, _FLOOR)) * (a.sign * b.sign)
+    rel = np.log1p(ratio) if ratio > -1.0 else LOG_ZERO
+    if not rel >= CANCEL_LOG:
+        return LogAmplitude.zero()
+    return LogAmplitude(a.sign, float(rel + a.log_mag))
 
 
 def log_sum(entries) -> LogAmplitude:
@@ -119,13 +126,17 @@ def signed_add(sign_a, log_a, sign_b, log_b) -> tuple[np.ndarray, np.ndarray]:
     difference falls below ``CANCEL_LOG`` relative to the larger cancel to
     exact zero; an operand added to zero comes back bit for bit.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        big = np.maximum(log_a, log_b)
-        sign = np.where(log_a >= log_b, sign_a, sign_b)
-        ratio = np.exp(np.minimum(log_a, log_b) - big)  # nan when both are zero
-        rel = np.log1p(ratio * (sign_a * sign_b))
-        zero = ~(rel >= CANCEL_LOG)
-    return np.where(zero, 0, sign).astype(np.int8), np.where(zero, LOG_ZERO, big + rel)
+    sign = np.where(log_a >= log_b, sign_a, sign_b)  # the larger's, in the broadcast shape
+    big = np.maximum(log_a, log_b)
+    ratio = np.minimum(log_a, log_b, out=np.empty(sign.shape))
+    ratio -= np.maximum(big, _FLOOR)  # two zeros give exp(-inf) = 0, not exp(nan)
+    np.exp(ratio, out=ratio)
+    ratio *= sign_a * sign_b
+    # exact cancellation (ratio -1) takes no log: it keeps the -inf fill
+    rel = np.log1p(ratio, out=np.full(sign.shape, LOG_ZERO), where=ratio > -1.0)
+    sign *= rel >= CANCEL_LOG
+    rel += big
+    return sign.astype(np.int8, copy=False), rel
 
 
 def signed_logsumexp(signs, logs) -> tuple[np.ndarray, np.ndarray]:

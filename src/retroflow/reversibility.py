@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import HorizonExceededError, NotFullyReversibleError
 from .spectral import (
     ExpTail,
@@ -112,11 +114,17 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     h = horizon(state)
     if not h.allows(t):
         raise HorizonExceededError(t, h)
-    logs = state.log_mags - state.spectrum.eigenvalues * t
     tail = state.tail
     if isinstance(tail, ExpTail):
         tail = ExpTail(tail.rate - t, tail.coeff)
-    return SpectralState._result(state.spectrum, state.signs, logs, tail)
+    # past float range: +inf logs, which normalisation refuses, or nan ones of
+    # zero coefficients, which it zeroes
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = state.log_mags - state.spectrum.eigenvalues * t
+    try:
+        return SpectralState._result(state.spectrum, state.signs, logs, tail)
+    except ValueError as err:
+        raise ValueError(f"the backward image at time {t!r} overflows: {err}") from None
 
 
 def amplification_log(state: SpectralState, t: float) -> float:

@@ -50,16 +50,23 @@ class Spectrum:
     ``kind == "heat"`` marks the Dirichlet Laplacian law ``-(n*pi)**2``, which
     extends past the truncation and so enables tail analytics.  Custom spectra
     carry no law beyond their listed modes and admit only zero tails.
+
+    A heat spectrum built from the law (``make_heat_spectrum``, ``extended``)
+    is its size: its eigenvalues are built once, on their first read, and two
+    such spectra are equal when their sizes are.  Other spectra are equal when
+    their kinds and their eigenvalues, bit for bit, are.
     """
 
     eigenvalues: np.ndarray
     kind: str = "custom"
+    _law = False  # built from the law by ``_heat``, eigenvalues on first read
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
         ev = ev.copy()
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
+        object.__setattr__(self, "num_modes", ev.size)
         if self.kind not in ("heat", "custom"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
         if ev.size and not np.all(ev < 0):
@@ -74,20 +81,25 @@ class Spectrum:
     @classmethod
     def _heat(cls, num_modes: int) -> "Spectrum":
         """The heat law on ``num_modes`` modes, without the checks it passes by
-        construction.  ``num_modes`` past :data:`MAX_MODES` is refused before
-        anything is allocated."""
+        construction and without its eigenvalues until they are read.
+        ``num_modes`` past :data:`MAX_MODES` or not integral is refused."""
         if num_modes > MAX_MODES:
             raise ValueError(f"{num_modes} modes exceed the budget of {MAX_MODES}")
-        ev = _heat_eigenvalues(num_modes)
-        ev.flags.writeable = False
+        count = int(num_modes)
+        if count != num_modes:
+            raise ValueError(f"a mode count must be an integer, got {num_modes!r}")
         spectrum = object.__new__(cls)
-        object.__setattr__(spectrum, "eigenvalues", ev)
-        object.__setattr__(spectrum, "kind", "heat")
+        spectrum.__dict__.update(kind="heat", num_modes=count, _law=True)
         return spectrum
 
-    @property
-    def num_modes(self) -> int:
-        return int(self.eigenvalues.size)
+    def __getattr__(self, name):
+        # normal lookup failed: a law-built spectrum builds its eigenvalues now
+        if name != "eigenvalues" or not self._law:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ev = _heat_eigenvalues(self.num_modes)
+        ev.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", ev)
+        return ev
 
     def eigenvalue_beyond(self, n: int) -> float:
         """Eigenvalue of mode ``n`` (1-based) past the truncation; heat only."""
@@ -108,7 +120,9 @@ class Spectrum:
             return True
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.kind == other.kind and np.array_equal(self.eigenvalues, other.eigenvalues)
+        if self.kind != other.kind or self.num_modes != other.num_modes:
+            return False
+        return (self._law and other._law) or np.array_equal(self.eigenvalues, other.eigenvalues)
 
     __hash__ = None
 
@@ -117,7 +131,7 @@ def make_heat_spectrum(num_modes: int) -> Spectrum:
     """Dirichlet-Laplacian spectrum ``-(n*pi)**2`` for ``n = 1..num_modes``."""
     if num_modes < 1:
         raise ValueError("num_modes must be at least 1")
-    return Spectrum._heat(int(num_modes))
+    return Spectrum._heat(num_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +323,32 @@ class SpectralState:
 
     @classmethod
     def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray,
-                tail: TailModel = ZERO_TAIL) -> "SpectralState":
+                tail: TailModel = ZERO_TAIL, settled: bool = False) -> "SpectralState":
         """A library result: arrays of the spectrum's length, an ``int8`` sign
         array and a tail law that the library built from valid states.  They
-        are normalised, not checked again."""
+        are normalised, not checked again; ``settled`` arrays, taken from a
+        state, are normalised already."""
         state = object.__new__(cls)
         object.__setattr__(state, "spectrum", spectrum)
-        state._settle(signs, logs, tail)
+        state._settle(signs, logs, tail, settled)
         return state
 
-    def _settle(self, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
+    def _settle(self, signs: np.ndarray, logs: np.ndarray, tail: TailModel,
+                settled: bool = False):
         """The normalisation every state gets, checked or not.  A zero sign
         and a ``-inf`` log both mean a zero coefficient, and are made to agree;
         any other log must be finite, so an overflowed log raises.  A vanished
         tail coefficient is the zero tail; a state's tail must decay.  The
         arrays are made read-only; one that needs a change is replaced, never
         written, since it may belong to another state."""
-        finite = np.isfinite(logs)
-        if not (finite.all() and signs.all()):
-            zero = (signs == 0) | (logs == LOG_ZERO)
-            signs = np.where(zero, np.int8(0), signs)
-            logs = np.where(zero, LOG_ZERO, logs)
-            if not (finite | zero).all():
-                raise ValueError("nonzero coefficients need finite log magnitudes")
+        if not settled:
+            finite = np.isfinite(logs)
+            if not (finite.all() and signs.all()):
+                zero = (signs == 0) | (logs == LOG_ZERO)
+                signs = np.where(zero, np.int8(0), signs)
+                logs = np.where(zero, LOG_ZERO, logs)
+                if not (finite | zero).all():
+                    raise ValueError("nonzero coefficients need finite log magnitudes")
         signs.flags.writeable = False
         logs.flags.writeable = False
         tail = _normalized_tail(tail)
@@ -438,7 +455,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
         raise ValueError("negative times are backward evolution; use backward_evolve")
     if t == 0.0:
         return state
-    logs = state.log_mags + state.spectrum.eigenvalues * t
+    with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
+        logs = state.log_mags + state.spectrum.eigenvalues * t
     tail = state.tail
     if isinstance(tail, ExpTail):
         tail = ExpTail(tail.rate + t, tail.coeff)
@@ -527,23 +545,30 @@ def subtract(x: SpectralState, y: SpectralState) -> SpectralState:
 def embed(state: SpectralState, num_modes: int) -> SpectralState:
     """Deepen the truncation: write the tail law out as explicit modes up to
     ``num_modes`` (laws denote nonnegative coefficients, so new modes carry a
-    plus sign) and keep the law beyond, which is per-mode and unchanged."""
+    plus sign) and keep the law beyond, which is per-mode and unchanged.  New
+    modes are made in place in one ``arange``: ``log(n) * -p + log c`` for a
+    power law, ``(n*pi)**2 * -r + log c`` for an exponential one."""
     if num_modes == state.num_modes:
         return state
     spectrum = state.spectrum.extended(num_modes)
-    signs = np.zeros(num_modes, dtype=np.int8)
-    logs = np.full(num_modes, LOG_ZERO)
-    old = state.num_modes
-    signs[:old] = state.signs
-    logs[:old] = state.log_mags
-    tail = state.tail
-    if isinstance(tail, ExpTail):
-        logs[old:] = math.log(tail.coeff) + tail.rate * spectrum.eigenvalues[old:]
-    elif isinstance(tail, PowerTail):
-        n = np.arange(old + 1, num_modes + 1, dtype=float)
-        logs[old:] = math.log(tail.coeff) - tail.power * np.log(n)
-    if not isinstance(tail, ZeroTail):
+    old, tail = state.num_modes, state.tail
+    signs = np.empty(num_modes, dtype=np.int8)
+    logs = np.arange(1, num_modes + 1, dtype=float)
+    signs[:old], logs[:old] = state.signs, state.log_mags
+    new = logs[old:]
+    if isinstance(tail, ZeroTail):
+        signs[old:], new[:] = 0, LOG_ZERO
+    else:
         signs[old:] = 1
+        if isinstance(tail, PowerTail):
+            np.log(new, out=new)
+            new *= -tail.power
+        else:
+            new *= math.pi
+            np.square(new, out=new)
+            with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
+                new *= -tail.rate
+        new += math.log(tail.coeff)
     return SpectralState._result(spectrum, signs, logs, tail)
 
 

@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 from hypothesis import settings
+
+import retroflow as rf
 
 # deterministic property tests: examples derive from the test body, so runs
 # are reproducible across machines and invocations
@@ -29,3 +34,24 @@ def mp_log_tail_sum(p, c, m, dps=40):
                 return mp.log(total)
         integral = c ** ((p - 1) / 2) * mp.gammainc((1 - p) / 2, c * n * n) / 2
         return mp.log(total + mp.sumem(f, [n, mp.inf], integral=integral))
+
+
+def embed_reference(state, num_modes):
+    """``embed`` as first vectorised, then the normalisation of a library
+    result: a ``np.full`` of ``-inf`` overwritten by the law, with the
+    eigenvalue array for an exponential law.  Returns the signs and logs."""
+    signs = np.zeros(num_modes, dtype=np.int8)
+    logs = np.full(num_modes, -math.inf)
+    old, tail = state.num_modes, state.tail
+    signs[:old], logs[:old] = state.signs, state.log_mags
+    with np.errstate(over="ignore"):
+        if isinstance(tail, rf.ExpTail):
+            eigenvalues = -((np.arange(1, num_modes + 1, dtype=float) * math.pi) ** 2)
+            logs[old:] = math.log(tail.coeff) + tail.rate * eigenvalues[old:]
+        elif isinstance(tail, rf.PowerTail):
+            n = np.arange(old + 1, num_modes + 1, dtype=float)
+            logs[old:] = math.log(tail.coeff) - tail.power * np.log(n)
+    if not isinstance(tail, rf.ZeroTail):
+        signs[old:] = 1
+    zero = (signs == 0) | (logs == -math.inf)
+    return np.where(zero, np.int8(0), signs), np.where(zero, -math.inf, logs)

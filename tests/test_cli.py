@@ -289,6 +289,27 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "False False"
 
 
+@pytest.mark.parametrize("verb, code, stderr", [
+    ("backward", 2, "error: the backward image at time 1e+306 overflows: nonzero coefficients "
+                    "need finite log magnitudes\n"),
+    ("evolve", 0, ""),
+])
+def test_a_step_near_float_range_prints_no_numpy_warning(tmp_path, verb, code, stderr):
+    # lambda_n * t leaves float range from mode 5 on; the verbs run in a child
+    # interpreter with numpy's default warning filters
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6))
+    xp, out = tmp_path / "ones.json", tmp_path / "out.json"
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    src = str(Path(rf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "retroflow.cli", verb, "--in", str(xp),
+                          "--t", "1e306", "--out", str(out)], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (code, stderr)
+    if code == 0:
+        damped = serialize.state_from_dict(serialize.load_json(out))
+        assert damped.signs.tolist() == [1, 1, 1, 1, 0, 0]
+
+
 def test_parse_failure_exits_2():
     assert main(["evolve", "--in", "missing.json"]) == 2  # --t absent
 

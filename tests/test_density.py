@@ -1,11 +1,13 @@
 """Truncation to the reversible set and the certified preimage iteration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import retroflow as rf
+from conftest import embed_reference
 from retroflow.density import DensityCertificate
 from retroflow.errors import OracleFailedError
 from retroflow.spectral import log_distance
@@ -87,7 +89,54 @@ def test_certificate_rejects_bound_above_target():
         DensityCertificate(0.1, 0.2, 1, (0.05,))
 
 
+@pytest.mark.parametrize("tail, eps", [(rf.PowerTail(1.5, 1.0), 1e-3), (rf.PowerTail(2.2, 3.0), 1e-7),
+                                       (rf.ExpTail(1e-4, 2.0), 1e-9), (rf.ExpTail(0.01, 1e3), 1e-12)])
+def test_truncation_matches_the_reference_formula_bit_for_bit(tail, eps):
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(5), [1.0, -2.0, 0.0, 3.5, 1e-300], tail)
+    out, cert = rf.truncate_to_reversible(x, eps)
+    signs, logs = embed_reference(x, out.num_modes)
+    assert out.num_modes == x.num_modes + cert.iterations > x.num_modes
+    assert out.tail == rf.ZERO_TAIL and out.spectrum == rf.make_heat_spectrum(out.num_modes)
+    assert out.signs.tobytes() == signs.tobytes() and out.log_mags.tobytes() == logs.tobytes()
+    assert not out.signs.flags.writeable and not out.log_mags.flags.writeable
+
+
+def test_deep_truncation_peaks_below_three_arrays_of_its_modes():
+    # 707107 modes: the written-out law, its signs and the normalisation's mask
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(1.5, 1.0))
+    tracemalloc.start()
+    try:
+        out, _ = rf.truncate_to_reversible(x, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_modes == 707_107 and peak <= 3 * 8 * out.num_modes
+
+
 # --- the iteration ----------------------------------------------------------------
+
+def test_iteration_evolves_each_iterate_once_per_step(monkeypatch):
+    # per step the unit-step image and the forward image at k + 1, which is
+    # the next step's image of its target and, after the last step, the result
+    steps, outputs, times = 6, [], []
+    oracle = rf.truncation_preimage_oracle()
+
+    def recorded(x, eps):
+        outputs.append(oracle(x, eps))
+        return outputs[-1]
+
+    def counted(state, t):
+        times.append(t)
+        return rf.evolve(state, t)
+
+    monkeypatch.setattr(rf.density, "evolve", counted)
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6), rf.PowerTail(1.8, 0.9))
+    out, _ = rf.iterate_to_reversible(x0, 0.05, recorded, max_iters=steps)
+    assert times == [t for k in range(steps) for t in (1.0, k + 1.0)]
+    want = rf.evolve(outputs[-1], float(steps))
+    assert out.signs.tobytes() == want.signs.tobytes()
+    assert out.log_mags.tobytes() == want.log_mags.tobytes()
+
 
 def test_iteration_lands_within_budget():
     rng = np.random.default_rng(21)

@@ -247,6 +247,48 @@ def test_signed_add_matches_mpmath_and_cancels():
             assert abs(log[i] - want_log) < 1e-14 * cancellation * max(1, abs(want_log))
 
 
+def _reference_signed_add(sign_a, log_a, sign_b, log_b):
+    """The elementwise kernel as first written, with ``np.where`` and ``np.errstate``."""
+    from retroflow.logdomain import CANCEL_LOG
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big = np.maximum(log_a, log_b)
+        sign = np.where(log_a >= log_b, sign_a, sign_b)
+        ratio = np.exp(np.minimum(log_a, log_b) - big)  # nan when both are zero
+        rel = np.log1p(ratio * (sign_a * sign_b))
+        zero = ~(rel >= CANCEL_LOG)
+    return np.where(zero, 0, sign).astype(np.int8), np.where(zero, LOG_ZERO, big + rel)
+
+
+def _operands(rng, size, spread):
+    signs = rng.integers(-1, 2, size=size).astype(np.int8)
+    return signs, np.where(signs != 0, rng.normal(scale=spread, size=size), LOG_ZERO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([1.0, 30.0, 800.0]))
+def test_signed_add_matches_the_reference_bit_for_bit(seed, size, spread):
+    # zero operands, both zero, exact cancellation, and a residual of one
+    # ulp of the larger operand, which is far above CANCEL_LOG and is kept
+    rng = np.random.default_rng(seed)
+    (sa, la), (sb, lb) = _operands(rng, size, spread), _operands(rng, size, spread)
+    sb[::4], lb[::4] = -sa[::4], la[::4]
+    sb[1::4], lb[1::4] = -sa[1::4], np.nextafter(la[1::4], -np.inf)
+    sa[2::5], la[2::5] = 0, LOG_ZERO
+    cases = [(sa, la, sb, lb), (sb, lb, sa, la), (sa, list(la), sb, list(lb))]
+    if size:
+        # scalar operands, and scalars broadcast against arrays
+        a, b = (int(sa[0]), float(la[0])), (int(sb[-1]), float(lb[-1]))
+        cases += [(*a, *b), (*a, sb, lb), (sa, la, *b), (1, 2.5, -1, 2.5), (0, LOG_ZERO, 0, LOG_ZERO)]
+    for args in cases:
+        assert _same_bits(signed_add(*args), _reference_signed_add(*args))
+    # the scalar log_add follows the kernel bit for bit, pair by pair
+    for a, b in zip(zip(sa.tolist(), la.tolist()), zip(sb.tolist(), lb.tolist())):
+        got = log_add(LogAmplitude(*a), LogAmplitude(*b))
+        sign, log = signed_add(*a, *b)
+        assert got.sign == sign and np.float64(got.log_mag).tobytes() == log.tobytes()
+
+
 def test_signed_add_of_zero_is_bitwise_identity():
     logs = np.array([-3.25, 0.1, 1e300 ** 0.5, -7e10])
     signs = np.array([1, -1, 1, -1], dtype=np.int8)

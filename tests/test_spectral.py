@@ -7,6 +7,7 @@ closed-form zeta values) and are pinned here.
 
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflow as rf
-from conftest import mp_log_tail_sum
+from conftest import embed_reference, mp_log_tail_sum
+from retroflow import serialize
 from retroflow.logdomain import log_tail_sum
 from retroflow.spectral import Spectrum, combine_tails_sub
 
@@ -238,8 +240,9 @@ def test_inner_product_of_exp_and_power_tails_at_small_rates(rate):
 def test_inner_product_spectrum_mismatch():
     a = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1, 2])
     b = rf.SpectralState.from_values(rf.make_heat_spectrum(3), [1, 2, 3])
-    with pytest.raises(ValueError):
-        rf.inner_product(a, b)
+    for op in (rf.inner_product, rf.add, rf.subtract):
+        with pytest.raises(ValueError, match="different spectra"):
+            op(a, b)
 
 
 # --- linear structure -------------------------------------------------------
@@ -354,6 +357,24 @@ def test_embed_matches_mode_by_mode_loop(tail):
     assert np.all(np.abs(big.log_mags[3:] - logs[3:]) <= 4 * np.spacing(np.abs(logs[3:])))
 
 
+@pytest.mark.parametrize("tail", [rf.ExpTail(0.003, 2.5), rf.ExpTail(7.5, 1e-200),
+                                  rf.ExpTail(1e306, 1.0), rf.ExpTail(1e-4, 3.0),
+                                  rf.PowerTail(1.5, 0.5), rf.PowerTail(0.75, 3e-7),
+                                  rf.PowerTail(2.0, 1e200), rf.ZERO_TAIL])
+@pytest.mark.parametrize("num_modes", [4, 5, 1000, 70_001])
+def test_embed_and_materialize_match_the_reference_formula_bit_for_bit(tail, num_modes):
+    # ExpTail(7.5, ...) underflows to zero coefficients from mode 10, and
+    # ExpTail(1e306, ...) overflows its exponent from mode 5
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -2.0, 0.0, 3.5], tail)
+    signs, logs = embed_reference(x, num_modes)
+    for state in (rf.embed(x, num_modes), rf.density._materialize(x, num_modes)):
+        assert state.spectrum == rf.make_heat_spectrum(num_modes)
+        assert state.signs.dtype == np.int8 and state.signs.tobytes() == signs.tobytes()
+        assert state.log_mags.dtype == np.float64 and state.log_mags.tobytes() == logs.tobytes()
+    assert rf.embed(x, num_modes).tail == x.tail
+    assert rf.density._materialize(x, num_modes).tail == rf.ZERO_TAIL
+
+
 def test_embed_of_zero_tail_pads_zeros():
     x = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, -2.0])
     big = rf.embed(x, 6)
@@ -437,14 +458,14 @@ def _results_match_the_public_constructor(monkeypatch, built):
     bit (or both refuse them), and the result's arrays are read-only."""
     result = rf.SpectralState._result.__func__
 
-    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL):
+    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, settled=False):
         try:
             public = rf.SpectralState(spectrum, signs, logs, tail)
         except ValueError:
             with pytest.raises(ValueError):
-                result(cls, spectrum, signs, logs, tail)
+                result(cls, spectrum, signs, logs, tail, settled)
             raise
-        state = result(cls, spectrum, signs, logs, tail)
+        state = result(cls, spectrum, signs, logs, tail, settled)
         assert _bitwise_equal(state, public)
         assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
         built.append(state)
@@ -484,23 +505,38 @@ def test_library_results_underflow_to_zero_coefficients():
     # rate * lambda_n overflows to -inf from mode 5 on: those written-out
     # modes are zero coefficients, and nothing is written into the argument
     x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.ExpTail(1e306, 1.0))
-    with np.errstate(over="ignore"):
-        big = rf.embed(x, 12)
+    big = rf.embed(x, 12)
     assert big.signs.tolist() == [0, 0, 1, 1] + [0] * 8
     assert np.all(np.isfinite(big.log_mags[2:4])) and np.all(big.log_mags[4:] == -math.inf)
     y = rf.SpectralState.from_values(rf.make_heat_spectrum(6), [1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
-    with np.errstate(over="ignore"):
-        damped = rf.evolve(y, 1e306)
+    damped = rf.evolve(y, 1e306)
     assert damped.signs.tolist() == [1, -1, 1, -1, 0, 0]
     assert np.all(damped.log_mags[4:] == -math.inf) and y.signs.tolist() == [1, -1, 1, -1, 1, -1]
     assert not damped.signs.flags.writeable and not damped.log_mags.flags.writeable
 
 
+def test_steps_that_overflow_only_in_the_sum_stay_silent():
+    # lambda_6 * 4e305 is about -1.4e308, still finite: the second step
+    # overflows modes 5 and 6 only when it is added to the first step's logs
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6))
+    once = rf.evolve(x, 4e305)
+    assert np.all(np.isfinite(once.log_mags))
+    twice = rf.evolve(once, 4e305)
+    assert twice.signs.tolist() == [1, 1, 1, 1, 0, 0] and np.all(twice.log_mags[4:] == -math.inf)
+    with pytest.raises(ValueError, match="backward image at time 4e.305 overflows"):
+        rf.backward_evolve(rf.backward_evolve(x, 4e305), 4e305)
+
+
 def test_library_results_refuse_an_overflowed_log():
     # -lambda_n * t overflows to +inf from mode 5 on
     x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite log"):
+    with pytest.raises(ValueError, match="backward image at time 1e.306 overflows: .*finite log"):
         rf.backward_evolve(x, 1e306)
+    # only the overflowed modes' coefficients matter: zeros there come back zero
+    y = rf.SpectralState.from_values(rf.make_heat_spectrum(6), [1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    back = rf.backward_evolve(y, 1e306)
+    assert back.signs.tolist() == [1, -1, 0, 0, 0, 0] and np.all(back.log_mags[2:] == -math.inf)
+    assert np.array_equal(back.log_mags[:2], -y.spectrum.eigenvalues[:2] * 1e306)
 
 
 def test_library_results_are_read_only():
@@ -524,6 +560,62 @@ def test_spectrum_equality_compares_kind_and_values():
     assert heat == heat and heat == rf.make_heat_spectrum(5)
     assert heat != Spectrum(heat.eigenvalues, "custom")
     assert heat != rf.make_heat_spectrum(6)
+
+
+def _law(num_modes):
+    return -((np.arange(1, num_modes + 1, dtype=float) * math.pi) ** 2)
+
+
+def test_a_heat_spectrum_is_its_size_until_its_eigenvalues_are_read():
+    tracemalloc.start()
+    try:
+        heat = rf.make_heat_spectrum(10**6)
+        assert heat.num_modes == 10**6 and tracemalloc.get_traced_memory()[1] < 4096
+        first = heat.eigenvalues
+    finally:
+        tracemalloc.stop()
+    assert heat.eigenvalues is first and not first.flags.writeable
+    assert first.dtype == np.float64 and first.tobytes() == _law(10**6).tobytes()
+    with pytest.raises(AttributeError):
+        heat.no_such_attribute
+
+
+def test_law_built_heat_spectra_of_one_size_are_equal_without_their_eigenvalues():
+    from retroflow.spectral import MAX_MODES
+
+    tracemalloc.start()
+    try:
+        a, b = rf.make_heat_spectrum(MAX_MODES), rf.make_heat_spectrum(1).extended(MAX_MODES)
+        assert a == b and not a != b
+        assert a != rf.make_heat_spectrum(MAX_MODES - 1)
+        assert tracemalloc.get_traced_memory()[1] < 4096
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_public_heat_spectrum_equals_a_law_built_one_only_bit_for_bit():
+    built = rf.make_heat_spectrum(40)
+    assert Spectrum(_law(40), "heat") == built and built == Spectrum(_law(40), "heat")
+    # within the public check's tolerance, but not the law's bits
+    nudged = _law(40)
+    nudged[17] = np.nextafter(nudged[17], 0.0)
+    assert Spectrum(nudged, "heat") != built and built != Spectrum(nudged, "heat")
+    assert Spectrum(_law(40), "custom") != built and built != Spectrum(_law(40), "custom")
+    assert Spectrum(_law(39), "heat") != built
+
+
+def test_a_mode_count_is_stored_as_an_int(tmp_path):
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(3), [1.0, -2.0, 0.5], rf.PowerTail(1.5, 1.0))
+    big = rf.embed(x, np.int64(10))
+    assert type(big.spectrum.num_modes) is int and big.num_modes == 10
+    serialize.save_json(tmp_path / "big.json", serialize.state_to_dict(big))
+    back = serialize.state_from_dict(serialize.load_json(tmp_path / "big.json"))
+    assert back.spectrum == big.spectrum and back.log_mags.tobytes() == big.log_mags.tobytes()
+    for count in (10.5, math.nan):
+        with pytest.raises(ValueError):
+            rf.make_heat_spectrum(3).extended(count)
+    with pytest.raises(ValueError, match="integer"):
+        rf.make_heat_spectrum(10.5)
 
 
 def test_mode_budget_is_refused_before_allocating():
