@@ -197,7 +197,8 @@ def iterate_to_reversible(
         candidate = oracle(current, eps_k)
         if not isinstance(candidate.tail, ZeroTail):
             candidate, _ = truncate_to_reversible(candidate, eps_k * 1e-6)
-        gap = log_distance(evolve(candidate, 1.0), current)
+        unit_image = evolve(candidate, 1.0)
+        gap = log_distance(unit_image, current)
         # an exact preimage is exact only to roundoff once iterates leave
         # float range; machine-level relative agreement counts as in budget
         deepest = abs(candidate.log_mags[candidate.signs != 0]).max(initial=0.0)
@@ -222,7 +223,7 @@ def iterate_to_reversible(
         # Cauchy gap of consecutive forward images, bounded by the growth at
         # time k applied to the step-k oracle error.
         step_bound = bound.at(float(k)) * eps_k
-        next_image = evolve(candidate, float(k + 1))
+        next_image = unit_image if k == 0 else evolve(candidate, float(k + 1))
         forward_gap = log_distance(next_image, image)
         measured = 0.0 if forward_gap == -math.inf else math.exp(forward_gap)
         if measured > step_bound * (1.0 + 1e-9):

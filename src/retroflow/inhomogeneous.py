@@ -5,12 +5,13 @@ Constant and exponential forcings integrate in closed form; sampled tables
 go through composite Simpson quadrature on nested grids, so each refinement
 evaluates only its new midpoints and every node is evaluated once, and the
 error estimate comes from the same pass as the value.  Nodes where the damping
-kernel underflows to zero are not evaluated.  Forcing acts on explicit modes
-only; tail forcing is out of scope.
+kernel is below exp(-708) are neither generated nor evaluated.  Forcing acts
+on explicit modes only; tail forcing is out of scope.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -153,23 +154,44 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def simpson_integrate(fn, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
+def _live_nodes(indices: range, stop: int, h: float, a: float, start: float) -> np.ndarray:
+    """The nodes ``i * h + a`` in one array, built in place, for ``i`` from the
+    first of ``indices`` whose node is at or past ``start`` up to ``stop``."""
+    if start > a:  # the nodes ascend in i
+        indices = indices[bisect.bisect_left(indices, start, key=lambda i: i * h + a):]
+    nodes = np.arange(indices.start, stop, indices.step, dtype=float)
+    nodes *= h
+    nodes += a
+    return nodes
+
+
+def simpson_integrate(fn, a: float, b: float, quad: QuadratureConfig,
+                      start: float = -math.inf) -> tuple[float, float]:
     """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
 
-    Nested grids: a refinement evaluates ``fn`` on its new midpoints only.
+    Nested grids: a refinement evaluates ``fn`` on its new midpoints only, and
+    nodes below ``start``, where ``fn`` is taken as zero, are never generated.
     Non-adaptive: the value at the requested step count, estimated against
     one refinement.  Adaptive: keep doubling until the estimate meets ``tol``.
     """
+    if start > b:
+        return 0.0, 0.0
     steps = quad.steps
-    y = fn(np.linspace(a, b, steps + 1))
+    h = (b - a) / steps
+    # bit for bit the nodes of np.linspace(a, b, steps + 1), from the first live one
+    nodes = _live_nodes(range(steps), steps + 1, h, a, start)
+    nodes[-1] = b
+    y, lo = fn(nodes), steps + 1 - nodes.size
     # strided sums, not a weight-vector dot product: the dot product goes to
-    # BLAS, whose worker thread spins a second core without saving time
-    ends, odd, even = y[0] + y[-1], np.sum(y[1:-1:2]), np.sum(y[2:-1:2])
-    coarse = float((b - a) / steps / 3.0 * (ends + 4.0 * odd + 2.0 * even))
+    # BLAS, whose worker thread spins a second core without saving time;
+    # y[k] is node lo + k, and node 0 is an end
+    ends = y[-1] if lo else y[0] + y[-1]
+    odd, even = np.sum(y[(lo + 1) % 2:-1:2]), np.sum(y[(lo % 2 if lo else 2):-1:2])
+    coarse = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
     while True:
         # the new midpoints, bit for bit the odd nodes of np.linspace(a, b, 2 * steps + 1)
         h = (b - a) / (2 * steps)
-        even, odd = even + odd, np.sum(fn(np.arange(1, 2 * steps, 2) * h + a))
+        even, odd = even + odd, np.sum(fn(_live_nodes(range(1, 2 * steps, 2), 2 * steps, h, a, start)))
         fine = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
         estimate = abs(fine - coarse) / 15.0
         if not quad.adaptive:
@@ -199,18 +221,16 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         raise ValueError("table forcing must cover the whole interval [0, t]")
 
     def integrand(s):
-        # exp(x) is exactly 0.0 for x < -745.14, so the kernel exp(lam (t - s)) is
-        # zero before s = t + 746 / lam; s ascends, so only a suffix is computed
-        live = np.searchsorted(s, t + 746.0 / lam) if lam < 0.0 else 0
-        out = np.zeros(s.size)
-        tail, nodes = out[live:], s[live:]
-        np.subtract(t, nodes, out=tail)
-        tail *= lam
-        np.exp(tail, out=tail)
-        tail *= np.interp(nodes, forcing.times, forcing.values)
-        return out
+        kernel = np.subtract(t, s)
+        kernel *= lam
+        np.exp(kernel, out=kernel)
+        kernel *= np.interp(s, forcing.times, forcing.values)
+        return kernel
 
-    return simpson_integrate(integrand, 0.0, t, quad)
+    # past start lam (t - s) >= -708, so the kernel is a normal double; before
+    # it the kernel is below exp(-708), zero or subnormal, and is not computed
+    start = t + 708.0 / lam if lam < 0.0 else -math.inf
+    return simpson_integrate(integrand, 0.0, t, quad, start)
 
 
 def forcing_integral(

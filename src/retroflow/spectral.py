@@ -327,7 +327,7 @@ class SpectralState:
         """A library result: arrays of the spectrum's length, an ``int8`` sign
         array and a tail law that the library built from valid states.  They
         are normalised, not checked again; ``settled`` arrays, taken from a
-        state, are normalised already."""
+        state or written out by ``embed``, are normalised already."""
         state = object.__new__(cls)
         object.__setattr__(state, "spectrum", spectrum)
         state._settle(signs, logs, tail, settled)
@@ -569,7 +569,9 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
             with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
                 new *= -tail.rate
         new += math.log(tail.coeff)
-    return SpectralState._result(spectrum, signs, logs, tail)
+        signs[old:][new == LOG_ZERO] = 0
+    # settled: only a growing law's logs overflow to +inf, and it fails the decay check
+    return SpectralState._result(spectrum, signs, logs, tail, settled=True)
 
 
 def _aligned(x: SpectralState, y: SpectralState):

@@ -308,7 +308,7 @@ def captured_integrand(monkeypatch, lam, table, t):
     """The integrand ``mode_response`` hands to the quadrature."""
     seen = []
     monkeypatch.setattr(inhomogeneous, "simpson_integrate",
-                        lambda fn, a, b, quad: seen.append(fn) or (0.0, 0.0))
+                        lambda fn, a, b, quad, start: seen.append(fn) or (0.0, 0.0))
     mode_response(lam, table, t, QUAD)
     monkeypatch.undo()
     return seen[0]
@@ -316,36 +316,113 @@ def captured_integrand(monkeypatch, lam, table, t):
 
 @pytest.mark.parametrize("mode", [22, 64])
 def test_table_integrand_matches_the_full_expression(mode, monkeypatch):
-    # most nodes sit where exp(lam (t - s)) is exactly 0 and are skipped
+    # the integrand computes every node it is handed; the quadrature, not the
+    # integrand, skips the nodes where exp(lam (t - s)) is below exp(-708)
     lam, t = -((mode * math.pi) ** 2), 1.0
     s = np.linspace(0.0, t, 65537)
     times = np.arange(17) / 16
     for values in (np.random.default_rng(mode).uniform(-1.0, 1.0, 17), np.linspace(1.0, 2.0, 17)):
         got = captured_integrand(monkeypatch, lam, rf.TableForcing(times, values), t)(s)
         want = np.exp(lam * (t - s)) * np.interp(s, times, values)
-        assert np.array_equal(got, want)  # equal values; a skipped node is +0.0, never -0.0
+        assert np.array_equal(got, want)  # the same expression: equal values, equal signs of zero
         if np.all(values > 0.0):
             assert got.tobytes() == want.tobytes()
 
 
-def test_adaptive_table_quadrature_stops_where_the_reference_stops(monkeypatch):
-    # tables as the deep-certify benchmark draws them: 17 samples on [0, 1],
-    # the last one +-1, on modes 13-15 and 19-22
-    nodes = []
-    nested = inhomogeneous.simpson_integrate
-    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
-                        lambda fn, a, b, quad: nested(counting(fn, nodes), a, b, quad))
-    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+def bench_style_tables():
+    """Tables as the deep-certify benchmark draws them: 17 samples on [0, 1],
+    the last one +-1, on modes 13-15 and 19-22; yields (lam, table)."""
     times = np.arange(17) / 16
     rng = np.random.default_rng(13)
     for mode in (13, 14, 15, 19, 20, 21, 22):
-        lam = -((mode * math.pi) ** 2)
         values = rng.uniform(-1.0, 1.0, 17)
         values[-1] = rng.choice([-1.0, 1.0])
+        yield -((mode * math.pi) ** 2), rf.TableForcing(times, values)
+
+
+def counted_quadrature(monkeypatch, nodes):
+    """Record every node array the table quadrature hands its integrand."""
+    nested = inhomogeneous.simpson_integrate
+    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
+                        lambda fn, a, b, quad, start: nested(counting(fn, nodes), a, b, quad, start))
+
+
+def test_adaptive_table_quadrature_stops_where_the_reference_stops(monkeypatch):
+    # the integrand sees the reference grid's nodes at or past t + 708 / lam,
+    # each once; the stop level and the value are the reference's
+    nodes = []
+    counted_quadrature(monkeypatch, nodes)
+    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+    for lam, table in bench_style_tables():
         nodes.clear()
-        got, _ = mode_response(lam, rf.TableForcing(times, values), 1.0, quad)
+        got, _ = mode_response(lam, table, 1.0, quad)
         want, _, want_steps = reference_simpson(
-            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, times, values), 0.0, 1.0, quad)
-        assert 2 * nodes[-1].size == want_steps
-        assert sum(n.size for n in nodes) == want_steps + 1
+            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)
+        assert 64 << (len(nodes) - 1) == want_steps
+        grid = np.linspace(0.0, 1.0, want_steps + 1)
+        assert np.array_equal(np.sort(np.concatenate(nodes)), grid[grid >= 1.0 + 708.0 / lam])
         assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_table_quadrature_never_computes_a_subnormal_kernel(monkeypatch):
+    # a cost guard in counts: exp of an argument below -708.4 is subnormal or
+    # zero and takes numpy's slow scalar path; the full grids hold 360,455 nodes
+    nodes = []
+    counted_quadrature(monkeypatch, nodes)
+    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+    total = 0
+    for lam, table in bench_style_tables():
+        nodes.clear()
+        mode_response(lam, table, 1.0, quad)
+        s = np.concatenate(nodes)
+        assert np.all(lam * (1.0 - s) >= -708.0 * (1.0 + 1e-15))
+        assert np.all(np.exp(lam * (1.0 - s)) >= np.finfo(float).tiny)
+        total += s.size
+    assert total <= 90_000
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.0, -PI2, -700.0])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_table_quadrature_without_a_cut_evaluates_the_whole_grid(lam, adaptive, monkeypatch):
+    # lam >= 0 has no cut, and for -708 <= lam < 0 the cut t + 708 / lam is at
+    # or before 0: every node is evaluated, bit for bit as without a start
+    nodes = []
+    counted_quadrature(monkeypatch, nodes)
+    quad = rf.QuadratureConfig(steps=8, adaptive=adaptive, tol=1e-8)
+    table = rf.TableForcing(np.arange(5) / 4, np.array([1.0, -0.5, 0.25, 2.0, -1.0]))
+    got = mode_response(lam, table, 1.0, quad)
+    monkeypatch.undo()
+    want = simpson_integrate(
+        lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)
+    assert got == want
+    fine = 8 << (len(nodes) - 1)
+    assert np.array_equal(np.sort(np.concatenate(nodes)), np.linspace(0.0, 1.0, fine + 1))
+    if not adaptive:
+        assert got[0] == reference_simpson(
+            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)[0]
+
+
+@pytest.mark.parametrize("steps, adaptive", [(2, False), (6, False), (64, False), (8, True)])
+@pytest.mark.parametrize("start", [0.1, 0.35, 0.9, 1.699])
+def test_simpson_evaluates_only_the_nodes_past_start(steps, adaptive, start):
+    # fn is zero below start: the nodes there are skipped, and the value is the
+    # reference's for the integrand that is zero there
+    def cut(s):
+        return np.where(s >= start, smooth(s), 0.0)
+
+    quad = rf.QuadratureConfig(steps=steps, adaptive=adaptive, tol=1e-9)
+    nodes = []
+    value, estimate = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad, start)
+    want, want_estimate, want_steps = reference_simpson(cut, 0.1, 1.7, quad)
+    grid = np.linspace(0.1, 1.7, (want_steps if adaptive else 2 * steps) + 1)
+    assert np.array_equal(np.sort(np.concatenate(nodes)), grid[grid >= start])
+    assert abs(value - want) <= 1e-15 * abs(want)
+    assert estimate == pytest.approx(want_estimate, rel=1e-6, abs=1e-15)
+    if start <= 0.1:
+        assert (value, estimate) == simpson_integrate(smooth, 0.1, 1.7, quad)
+
+
+def test_simpson_with_start_past_the_interval_evaluates_nothing():
+    nodes = []
+    assert simpson_integrate(counting(smooth, nodes), 0.1, 1.7, QUAD, 1.8) == (0.0, 0.0)
+    assert nodes == []

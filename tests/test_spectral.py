@@ -404,6 +404,14 @@ def test_only_a_functional_tail_may_grow():
     assert rf.Functional.zeros(sp, rf.ExpTail(-0.2, 1.0)).tail == rf.ExpTail(-0.2, 1.0)
 
 
+@pytest.mark.parametrize("rate", [-0.2, -1e306])
+def test_embedding_a_growing_law_is_refused(rate):
+    # -1e306 overflows the written-out logs to +inf from mode 5 on
+    grown = rf.Functional.zeros(rf.make_heat_spectrum(3), rf.ExpTail(rate, 1.0))
+    with pytest.raises(ValueError, match="decay"):
+        rf.embed(grown, 12)
+
+
 def test_integral_float_and_bool_signs_accepted():
     sp = rf.make_heat_spectrum(3)
     x = rf.SpectralState(sp, [1.0, -1.0, 0.0], np.zeros(3))
