@@ -21,7 +21,7 @@ from .density import iterate_to_reversible, truncation_preimage_oracle
 from .duality import log_pairing
 from .errors import DomainError
 from .extended import ExtendedState, canonicalize, group_evolve, lift
-from .inhomogeneous import QuadratureConfig, duhamel_evolve
+from .inhomogeneous import MAX_STEPS, QuadratureConfig, duhamel_evolve
 from .reversibility import amplification_log, backward_evolve, classify, horizon
 from .shift import constant_grid, distance_to_range, exclusion_onset
 from .spectral import SpectralState, evolve, exp_or_inf, log_norm
@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_trajectory(args) -> int:
-    if args.steps < 2:
-        raise ValueError("steps must be at least 2")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
     times = np.linspace(args.t_min, args.t_max, args.steps)
     if args.extended:
         start = _load_extended(args.input)
@@ -262,6 +262,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "shift-demo":
+        if args.resolution > MAX_STEPS:
+            raise ValueError(f"resolution must be at most {MAX_STEPS}")
         ones = constant_grid(1.0, args.resolution)
         grid = [k / args.resolution for k in (1, 2, 5, 10, args.resolution // 4,
                                               args.resolution // 2) if 0 < k < args.resolution]

@@ -8,11 +8,12 @@ arithmetic therefore lives in the log domain: a value is a sign in
 Every sum of sign/log values in the library goes through one array kernel,
 :func:`signed_add` and :func:`signed_logsumexp`.  Every tail series goes
 through one primitive, :func:`log_tail_sum`, the log of
-``sum_{n >= m} n**-p exp(-c n**2)``: :func:`log_hurwitz_zeta` when ``c = 0``,
-else a short numpy head and an Euler–Maclaurin remainder around an upper
-incomplete gamma function.  For ``c > 0`` its value is an
+``sum_{n >= m} n**-p exp(-c n**2)``: a short numpy head and an
+Euler–Maclaurin remainder around an upper incomplete gamma function, or
+around ``M / (p - 1)`` when ``c = 0``.  Its value, ``c = 0`` included, is an
 upper bound on the sum, within 1e-12 relative while the log of the first
-term is above -450, so the norms built from it err upward.
+term is above -450, so the norms, pairings and certificates built from it
+err upward.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def log_erfc(x: float) -> float:
     return math.log(_scaled_upper_gamma(0.5, x * x)) + math.log(x) - x * x - _LOG_SQRT_PI
 
 
-# B_2j / (2j)! for j = 1..9
+# B_2j / (2j)! for j = 1..8
 _BERNOULLI_OVER_FACTORIAL = (
     1.0 / 12.0,
     -1.0 / 720.0,
@@ -222,60 +223,23 @@ _BERNOULLI_OVER_FACTORIAL = (
     -691.0 / 1307674368000.0,
     1.0 / 74724249600.0,
     -3617.0 / 10670622842880000.0,
-    43867.0 / 5109094217170944000.0,
 )
-# terms below exp(-50) of the leading one are invisible in float64
-_NEGLIGIBLE_LOG = -50.0
-
-
-def log_hurwitz_zeta(s: float, a: float) -> float:
-    """``log(zeta(s, a))``, the log of ``sum_{k >= 0} (a + k)**(-s)``, for
-    ``s > 1`` and ``a >= 1``.
-
-    A short direct sum up to ``u = a + n``, then Euler–Maclaurin at ``u``
-    (Johansson, arXiv:1309.2877).  With ``u >= 1.5 s + 10`` the Bernoulli
-    terms shrink by about ``((s + 2j) / (2 pi u))**2`` each, so nine of them
-    reach float64 resolution.  Everything is scaled by ``a**-s`` first, so
-    the result never underflows.  When the direct terms fall below
-    ``exp(-50)`` of the first one before ``u`` is reached, their sum is the
-    value to rounding and the expansion is skipped.
-    """
-    s, a = float(s), float(a)
-    if not (s > 1.0 and a >= 1.0 and math.isfinite(s) and math.isfinite(a)):
-        raise ValueError(f"log_hurwitz_zeta needs s > 1 and a >= 1, got s={s!r}, a={a!r}")
-    n = max(0, math.ceil(1.5 * s + 10.0 - a))
-    visible = math.ceil(a * math.expm1(-_NEGLIGIBLE_LOG / s))
-    direct = 0.0
-    if min(n, visible):
-        k = np.arange(min(n, visible), dtype=float)
-        direct = float(np.sum(np.exp(-s * np.log1p(k / a))))
-        if visible <= n:
-            return -s * math.log(a) + math.log(direct)
-    u = a + n
-    # zeta(s, u) * u**s = u/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} u**(1-2j)
-    expansion = u / (s - 1.0) + 0.5
-    rising, power = s, 1.0 / u
-    for j, coeff in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
-        expansion += coeff * rising * power
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= u * u
-    scaled_tail = math.exp(-s * math.log1p(n / a)) * expansion
-    return -s * math.log(a) + math.log(direct + scaled_tail)
 
 
 # log_tail_sum expands from M = max(m, 4p + 24) when the terms' log-derivative
 # p/M + 2cM is at most _EM_RATE there; the remainder bound then stays below
-# 2e-15 of the sum over p in [0, 60], c in [1e-20, 50] and m in [1, 1e7].
+# 2e-15 of the sum over p in [0, 60], c in [1e-20, 50] and m in [1, 1e7], and
+# below 3e-18 of it for c = 0 over p in (1, 400] and m in [1, 5e7].
 # Otherwise the head runs until the terms fall below exp(-_HEAD_CUT) of the
-# first, at most about 520 of them.  _TAIL_SUM_MARGIN covers the rounding of
-# the head, the incomplete gamma and the expansion, each below 1e-14 relative.
+# first, at most about 520 of them (about 200 when c = 0).  _TAIL_SUM_MARGIN
+# covers the rounding of the head, the incomplete gamma and the expansion,
+# each below 1e-14 relative.
 _EM_TERMS = 8
 _EM_RATE = 0.35
 _HEAD_CUT = 50.0
 _TAIL_SUM_MARGIN = 1e-13
 # B_2j / (2j) weighs the (2j-1)-th Taylor coefficient in the expansion
-_EM_WEIGHTS = [b * math.factorial(2 * j - 1)
-               for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL[:_EM_TERMS], 1)]
+_EM_WEIGHTS = [b * math.factorial(2 * j - 1) for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, 1)]
 _LOG_B2K = math.log(abs(_BERNOULLI_OVER_FACTORIAL[_EM_TERMS - 1]) * math.factorial(2 * _EM_TERMS))
 
 
@@ -287,11 +251,12 @@ def _euler_maclaurin(p: float, c: float, M: int) -> tuple[float, float]:
     circle of radius ``r`` about ``x``, ``|f| <= (x-r)**-p exp(-c (x-r)**2 + 2cr**2)``,
     so Cauchy's estimate bounds the integral by
     ``(2k)! r**-2k exp(2cr**2) (r max_[M-r, M] f + int_M^inf f)``, with ``r``
-    the smaller of ``2k / (p/M + 2cM)`` and ``sqrt(k / 2c)``, and at most
-    ``M/2`` when ``p > 0``, where ``f`` is singular at 0.
+    the smaller of ``2k / (p/M + 2cM)`` and, for ``c > 0``, ``sqrt(k / 2c)``,
+    and at most ``M/2`` when ``p > 0``, where ``f`` is singular at 0.  The
+    integral over ``f(M)`` is ``M / (p - 1)`` when ``c = 0``.
     """
     k2, z = 2 * _EM_TERMS, c * M * M
-    integral = 0.5 * M * _scaled_upper_gamma(0.5 * (1.0 - p), z)
+    integral = 0.5 * M * _scaled_upper_gamma(0.5 * (1.0 - p), z) if c else M / (p - 1.0)
     # Taylor coefficients T of f(M + t) / f(M): (M + t) f' = -(p + 2c (M + t)**2) f
     # gives M (n+1) T[n+1] = -(p + 2c M**2 + n) T[n] - 4cM T[n-1] - 2c T[n-2]
     corrections, t0, t1, t2 = 0.0, 1.0, 0.0, 0.0
@@ -300,7 +265,7 @@ def _euler_maclaurin(p: float, c: float, M: int) -> tuple[float, float]:
         t0, t1, t2 = -((a0 + n) * t0 + a1 * t1 + a2 * t2) / (M * (n + 1)), t0, t1
         if n % 2 == 0:
             corrections += _EM_WEIGHTS[n // 2] * t0
-    r = min(k2 / (p / M + 2.0 * c * M), math.sqrt(0.5 * _EM_TERMS) / math.sqrt(c))
+    r = min(k2 / (p / M + 2.0 * c * M), math.sqrt(0.5 * _EM_TERMS) / math.sqrt(c) if c else math.inf)
     r = min(r, 0.5 * M) if p else r
     lo = max(M - r, 0.0)
     near = math.log(r) + c * (M - lo) * (M + lo) + (p * math.log(M / lo) if p else 0.0)
@@ -312,27 +277,28 @@ def _euler_maclaurin(p: float, c: float, M: int) -> tuple[float, float]:
 
 def log_tail_sum(p: float, c: float, m: int) -> float:
     """``log(sum_{n >= m} f(n))`` with ``f(n) = n**-p * exp(-c * n**2)``, for
-    ``p >= 0``, ``c >= 0`` and an integer ``m >= 1``.
+    ``p >= 0``, ``c >= 0``, ``p > 1`` when ``c = 0`` (the Hurwitz zeta
+    value), and an integer ``m >= 1``.
 
-    ``c = 0`` is :func:`log_hurwitz_zeta`, unchanged.  Otherwise a numpy head
-    of explicit terms from ``m``, then the rest from ``M``: by
+    A numpy head of explicit terms from ``m``, then the rest from ``M``: by
     :func:`_euler_maclaurin` around ``int_M^inf f = c**((p-1)/2) Γ((1-p)/2, cM**2) / 2``,
-    or, once the terms have fallen below ``exp(-50)`` of the first, as at most
-    ``f(M) + int_M^inf f``, with the integral at most ``f(M) / (2cM)`` and,
-    for ``p > 1``, ``f(M) M / (p - 1)``.  The result is rounded up:
+    which is ``M**(1-p) / (p - 1)`` when ``c = 0``, or, once the terms have
+    fallen below ``exp(-50)`` of the first, as at most ``f(M) + int_M^inf f``,
+    with the integral at most ``f(M) / (2cM)`` for ``c > 0`` and, for
+    ``p > 1``, ``f(M) M / (p - 1)``.  The result is rounded up:
     the remainder bound is added, then ``1e-13 + 2**-50 |log f(m)|``
     for the rounding of the sum and of the log.  It exceeds the exact value by
     at most ``2e-13 + 2**-49 |log f(m)|`` relative: 1e-12 while
     ``|log f(m)| <= 450``, a few units in the last place of the log beyond.
     """
     p, c = float(p), float(c)
-    if not (0.0 <= p < math.inf and 0.0 <= c < math.inf and m >= 1 and float(m).is_integer()):
-        raise ValueError(f"log_tail_sum needs p, c >= 0 and an integer m >= 1, got {p, c, m}")
-    if c == 0.0:
-        return log_hurwitz_zeta(p, m)
+    if not (0.0 <= p < math.inf and 0.0 <= c < math.inf and (c or p > 1.0)
+            and m >= 1 and float(m).is_integer()):
+        raise ValueError("log_tail_sum needs p, c >= 0, p > 1 if c = 0, and an integer m >= 1,"
+                         f" got {p, c, m}")
     # the head reaches where terms fall below exp(-_HEAD_CUT) of the first,
     # by the Gaussian factor or, if it falls faster there, by the power
-    reach = math.sqrt(m * m + _HEAD_CUT / c)
+    reach = math.sqrt(m * m + _HEAD_CUT / c) if c else math.inf
     if p * math.log(reach / m) > _HEAD_CUT:
         reach = m * math.exp(_HEAD_CUT / p)
     end = max(m, math.ceil(4.0 * p) + 24)
@@ -347,7 +313,8 @@ def log_tail_sum(p: float, c: float, m: int) -> float:
     if expand:
         rest, bound = _euler_maclaurin(p, c, end)
     else:  # f(end) + int_end^inf f, the integral bounded by either factor alone
-        rest, bound = 1.0 + min(0.5 / (c * end), end / (p - 1.0) if p > 1.0 else math.inf), 0.0
+        gauss = 0.5 / (c * end) if c else math.inf
+        rest, bound = 1.0 + min(gauss, end / (p - 1.0) if p > 1.0 else math.inf), 0.0
     top = -p * math.log(m) - c * m * m
     value = top + math.log(head + math.exp(last) * (rest + bound))
     return value + _TAIL_SUM_MARGIN + 2.0**-50 * abs(top)

@@ -172,8 +172,8 @@ class PowerTail:
     def __post_init__(self):
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "coeff", float(self.coeff))
-        if not self.power > 0.5:
-            raise ValueError("power must exceed 1/2 for a square-summable tail")
+        if not 0.5 < self.power < math.inf:
+            raise ValueError("power must be finite and exceed 1/2 for a square-summable tail")
         if not (self.coeff >= 0.0 and math.isfinite(self.coeff)):
             raise ValueError("coeff must be finite and nonnegative")
 
@@ -201,7 +201,7 @@ def _tail_cross_log(a: TailModel, b: TailModel, start: int) -> float:
 
     With ``a == b`` this is the tail's squared norm beyond ``start - 1``.  The
     product law is ``n**-p * exp(-rate * (n*pi)**2)``, one :func:`log_tail_sum`,
-    rounded up unless both laws are power laws.
+    rounded up.
     """
     if isinstance(a, ZeroTail) or isinstance(b, ZeroTail):
         return LOG_ZERO

@@ -199,6 +199,28 @@ def test_a_spectrum_past_the_mode_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["shift-demo", "--resolution", "10000000000"],
+                                  ["trajectory", "--t-min", "0", "--t-max", "1",
+                                   "--steps", "1000000000"]], ids=["shift-demo", "trajectory"])
+def test_a_size_past_the_step_budget_exits_2(argv, state_file, tmp_path, capsys):
+    # refused before the grid or the time list is allocated
+    if argv[0] == "trajectory":
+        argv = argv + ["--in", str(state_file), "--out", str(tmp_path / "traj.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(inhomogeneous.MAX_STEPS) in err
+
+
+def test_an_infinite_tail_power_exits_2(tmp_path, capsys):
+    # once accepted, and evolved into a zero tail
+    path = tmp_path / "inf.json"
+    path.write_text('{"spectrum": {"kind": "heat", "modes": 2}, '
+                    '"coeffs": {"encoding": "log", "values": []}, '
+                    '"tail": {"variant": "power_decay", "power": Infinity, "coeff": 1.0}}')
+    assert main(["evolve", "--in", str(path), "--t", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: power must be finite")
+
+
 def test_density_verb(tmp_path, capsys):
     x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.PowerTail(1.5, 0.5))
     xp = tmp_path / "x.json"

@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import retroflow as rf
-from conftest import embed_reference
+from reference import embed_reference, mp_log_tail_sum
 from retroflow.density import DensityCertificate
 from retroflow.errors import OracleFailedError
 from retroflow.spectral import log_distance
@@ -99,6 +100,18 @@ def test_truncation_matches_the_reference_formula_bit_for_bit(tail, eps):
     assert out.tail == rf.ZERO_TAIL and out.spectrum == rf.make_heat_spectrum(out.num_modes)
     assert out.signs.tobytes() == signs.tobytes() and out.log_mags.tobytes() == logs.tobytes()
     assert not out.signs.flags.writeable and not out.log_mags.flags.writeable
+
+
+def test_truncation_certificate_dominates_the_exact_dropped_norm():
+    # an eps just above the dropped norm: a bound rounded to nearest fell
+    # below sqrt(zeta(2p, 2067)) in its last bits
+    p = 4.050496426344268
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(p, 1.0))
+    out, cert = rf.truncate_to_reversible(x, 6.373165798548093e-13)
+    assert out.num_modes == 2066
+    with mp.workdps(60):
+        dropped = mp.exp(mp_log_tail_sum(2 * p, 0.0, 2067) / 2)
+        assert dropped <= cert.achieved_error_bound <= dropped * (1 + 1e-12)
 
 
 def test_deep_truncation_peaks_below_three_arrays_of_its_modes():

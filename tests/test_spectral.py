@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflow as rf
-from conftest import embed_reference, mp_log_tail_sum
+from reference import embed_reference, mp_log_tail_sum
 from retroflow import serialize
 from retroflow.logdomain import log_tail_sum
 from retroflow.spectral import Spectrum, combine_tails_sub
@@ -130,6 +130,19 @@ def test_norm_of_power_tail_whose_zeta_underflows():
     with mp.workdps(400):
         want = float(mp.log(mp.zeta(60, 1_000_001)) / 2)
     assert rf.log_norm(x) == pytest.approx(want, rel=1e-14)
+
+
+def test_norm_of_power_tail_is_an_upper_value():
+    # the tail's squared norm is coeff**2 zeta(2p, N + 1), rounded up
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        power, coeff = rng.uniform(0.6, 6.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        modes = int(10.0 ** rng.uniform(0.0, 6.0))
+        x = rf.SpectralState.zeros(rf.make_heat_spectrum(modes), rf.PowerTail(power, coeff))
+        with mp.workdps(40):
+            want = mp.log(coeff) + mp_log_tail_sum(2 * power, 0.0, modes + 1) / 2
+            excess = float(mp.mpf(rf.log_norm(x)) - want)
+        assert 0.0 <= excess < 1e-12, (power, coeff, modes)
 
 
 def test_gauss_tail_small_rate_against_integral():
@@ -432,6 +445,12 @@ def test_from_values_rejects_non_finite_values(bad):
     # NaN must not become a zero coefficient
     with pytest.raises(ValueError, match="finite"):
         rf.SpectralState.from_values(rf.make_heat_spectrum(3), [bad, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.5])
+def test_power_tail_rejects_a_power_that_is_not_finite_above_one_half(power):
+    with pytest.raises(ValueError, match="power must be finite and exceed 1/2"):
+        rf.PowerTail(power, 1.0)
 
 
 # --- library results ----------------------------------------------------------
