@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import serialize, verification
+from . import serialize
 from .density import iterate_to_reversible, truncation_preimage_oracle
 from .duality import log_pairing
 from .errors import DomainError
@@ -280,6 +280,8 @@ def _dispatch(args) -> int:
         return _run_trajectory(args)
 
     if args.verb == "verify":
+        from . import verification  # here, not at the top: no other verb uses it
+
         overrides = {}
         for key in ("modes", "samples", "tol", "seed"):
             value = getattr(args, key)

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotConvergedError, OracleFailedError
-from .logdomain import LOG_ZERO
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
     SpectralState,
-    ZeroTail,
     _tail_cross_log,
     embed,
     evolve,
@@ -124,8 +122,7 @@ def truncate_to_reversible(
                 lo = mid
         n_prime = hi
     dropped = _tail_log_norm_beyond(state, n_prime)
-    achieved = 0.0 if dropped == LOG_ZERO else math.exp(dropped)
-    cert = DensityCertificate(eps, achieved, n_prime - state.num_modes, ())
+    cert = DensityCertificate(eps, math.exp(dropped), n_prime - state.num_modes, ())
     return _materialize(state, n_prime), cert
 
 
@@ -195,7 +192,7 @@ def iterate_to_reversible(
     step_gaps: list[float] = []
     for k, eps_k in enumerate(schedule):
         candidate = oracle(current, eps_k)
-        if not isinstance(candidate.tail, ZeroTail):
+        if candidate.tail.coeff:
             candidate, _ = truncate_to_reversible(candidate, eps_k * 1e-6)
         unit_image = evolve(candidate, 1.0)
         gap = log_distance(unit_image, current)
@@ -225,7 +222,7 @@ def iterate_to_reversible(
         step_bound = bound.at(float(k)) * eps_k
         next_image = unit_image if k == 0 else evolve(candidate, float(k + 1))
         forward_gap = log_distance(next_image, image)
-        measured = 0.0 if forward_gap == -math.inf else math.exp(forward_gap)
+        measured = math.exp(forward_gap)
         if measured > step_bound * (1.0 + 1e-9):
             raise OracleFailedError(
                 k, f"forward-image gap {measured:.6g} exceeds its telescoping bound {step_bound:.6g}"

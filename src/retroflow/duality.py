@@ -18,15 +18,7 @@ from .errors import NotFullyReversibleError
 from .extended import ExtendedState, canonicalize, lift
 from .logdomain import LogAmplitude
 from .reversibility import ReversibilityClass, backward_evolve, classify
-from .spectral import (
-    ExpTail,
-    SpectralState,
-    Spectrum,
-    TailModel,
-    ZeroTail,
-    evolve,
-    log_inner_product,
-)
+from .spectral import ExpTail, SpectralState, Spectrum, TailModel, evolve, log_inner_product
 
 
 class Functional(SpectralState):
@@ -50,18 +42,13 @@ class Functional(SpectralState):
 
 
 def representable_time(functional: Functional) -> float:
-    """Supremal shift making the shifted coefficients square-summable,
-    computed symbolically from the tail law (explicit modes never matter).
+    """Supremal shift making the shifted coefficients square-summable: the
+    tail law's ``rate`` (explicit modes never matter).
 
     Zero tail: unbounded.  Exponential law of rate ``g``: the supremum is
     ``g`` (not attained).  Power law: zero, attained (already square-summable).
     """
-    tail = functional.tail
-    if isinstance(tail, ZeroTail):
-        return math.inf
-    if isinstance(tail, ExpTail):
-        return tail.rate
-    return 0.0
+    return functional.tail.rate
 
 
 def functional_to_extended(functional: Functional) -> ExtendedState:
@@ -77,7 +64,7 @@ def functional_to_extended(functional: Functional) -> ExtendedState:
     """
     t = representable_time(functional)
     tail = functional.tail
-    if t > 0.0 or not isinstance(tail, ExpTail):
+    if t > 0.0 or tail.power:
         return lift(SpectralState._result(
             functional.spectrum, functional.signs, functional.log_mags, tail))
     # growing (or boundary) exponential law: represent at a positive offset

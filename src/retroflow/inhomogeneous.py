@@ -206,17 +206,15 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
     ``[0, t]``; returns (value, error estimate).  Closed forms are exact."""
     if t == 0.0:
         return 0.0, 0.0
-    if isinstance(forcing, ConstantForcing):
-        # integral of value * exp(lam (t-s)) = value * expm1(lam t) / lam
-        return forcing.value * math.expm1(lam * t) / lam, 0.0
-    if isinstance(forcing, ExponentialForcing):
-        mu = forcing.rate
-        if abs(mu - lam) <= 1e-12 * max(1.0, abs(lam)):
-            return forcing.amplitude * t * math.exp(lam * t), 0.0
-        return (
-            forcing.amplitude * (math.exp(mu * t) - math.exp(lam * t)) / (mu - lam),
-            0.0,
-        )
+    if not isinstance(forcing, TableForcing):
+        # a (e^{mu t} - e^{lam t}) / (mu - lam) as the larger exponential times a
+        # difference that expm1 keeps exact near mu = lam; a constant has mu = 0
+        a, mu = ((forcing.value, 0.0) if isinstance(forcing, ConstantForcing)
+                 else (forcing.amplitude, forcing.rate))
+        gap = abs(mu - lam)
+        if gap == 0.0:
+            return a * t * math.exp(lam * t), 0.0
+        return a * exp_or_inf(max(mu, lam) * t) * -math.expm1(-gap * t) / gap, 0.0
     if t > forcing.times[-1] + 1e-12 * max(1.0, abs(t)) or forcing.times[0] > 0.0:
         raise ValueError("table forcing must cover the whole interval [0, t]")
 

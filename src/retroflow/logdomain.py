@@ -69,13 +69,7 @@ class LogAmplitude:
 
     def to_linear(self) -> float:
         """Decode to a float; overflows to ``+-inf`` and may underflow to 0."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            mag = math.exp(self.log_mag)
-        except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+        return self.sign * exp_or_inf(self.log_mag)
 
     def times(self, other: "LogAmplitude") -> "LogAmplitude":
         sign = self.sign * other.sign
@@ -97,16 +91,18 @@ class LogAmplitude:
         return LogAmplitude(-self.sign, self.log_mag)
 
 
+def exp_or_inf(log_value: float) -> float:
+    """Decode a log value to a float, overflowing honestly to ``inf``."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def log_add(a: LogAmplitude, b: LogAmplitude) -> LogAmplitude:
-    """Sign-aware addition of two log-domain scalars, by the rules and with the
-    numpy functions of :func:`signed_add`, without its array overhead."""
-    if a.log_mag < b.log_mag:
-        a, b = b, a
-    ratio = np.exp(b.log_mag - max(a.log_mag, _FLOOR)) * (a.sign * b.sign)
-    rel = np.log1p(ratio) if ratio > -1.0 else LOG_ZERO
-    if not rel >= CANCEL_LOG:
-        return LogAmplitude.zero()
-    return LogAmplitude(a.sign, float(rel + a.log_mag))
+    """Sign-aware addition of two log-domain scalars by :func:`signed_add`."""
+    sign, log = signed_add(a.sign, a.log_mag, b.sign, b.log_mag)
+    return LogAmplitude(int(sign), float(log))
 
 
 def log_sum(entries) -> LogAmplitude:

@@ -12,16 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HorizonExceededError, NotFullyReversibleError
-from .spectral import (
-    ExpTail,
-    SpectralState,
-    ZeroTail,
-    exp_or_inf,
-    log_norm,
-)
+from .spectral import SpectralState, _flow, exp_or_inf, log_norm
 
 
 @dataclass(frozen=True)
@@ -61,19 +53,14 @@ class Classification:
 
 
 def horizon(state: SpectralState) -> Horizon:
-    """Symbolic horizon from the tail envelope.
+    """Symbolic horizon from the tail envelope: the law's ``rate``.
 
     Finitely many explicit modes never restrict backward reach; only the tail
     law does.  An exponential envelope of rate ``g`` diverges termwise at
-    backward time ``g`` (open endpoint); a power envelope diverges for every
-    positive backward time.
+    backward time ``g`` (open endpoint); a power envelope (rate 0) diverges
+    for every positive backward time; the zero law's rate is ``inf``.
     """
-    tail = state.tail
-    if isinstance(tail, ZeroTail):
-        return Horizon(math.inf)
-    if isinstance(tail, ExpTail):
-        return Horizon(tail.rate)
-    return Horizon(0.0)
+    return Horizon(state.tail.rate)
 
 
 def classify(state: SpectralState) -> Classification:
@@ -114,15 +101,8 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     h = horizon(state)
     if not h.allows(t):
         raise HorizonExceededError(t, h)
-    tail = state.tail
-    if isinstance(tail, ExpTail):
-        tail = ExpTail(tail.rate - t, tail.coeff)
-    # past float range: +inf logs, which normalisation refuses, or nan ones of
-    # zero coefficients, which it zeroes
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = state.log_mags - state.spectrum.eigenvalues * t
     try:
-        return SpectralState._result(state.spectrum, state.signs, logs, tail)
+        return _flow(state, -t)
     except ValueError as err:
         raise ValueError(f"the backward image at time {t!r} overflows: {err}") from None
 

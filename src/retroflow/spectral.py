@@ -11,22 +11,13 @@ coefficients, and linear combinations may widen an envelope one-sidedly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .logdomain import LOG_ZERO, LogAmplitude, log_tail_sum, signed_add, signed_logsumexp
-
-
-def exp_or_inf(log_value: float) -> float:
-    """Decode a log value to a float, overflowing honestly to ``inf``."""
-    if log_value == LOG_ZERO:
-        return 0.0
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
+from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_tail_sum, signed_add,
+                        signed_logsumexp)
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +131,28 @@ def make_heat_spectrum(num_modes: int) -> Spectrum:
 
 @dataclass(frozen=True)
 class ZeroTail:
-    """No coefficients beyond the truncation."""
+    """No coefficients beyond the truncation.
+
+    Every tail law reads as ``coeff * n**-power * exp(rate * lambda_n)``
+    through the same three read-only attributes, so a law's reach, decay and
+    cross terms never depend on its class; the zero law is ``(0, 0, inf)``.
+    """
+
+    coeff = power = 0.0
+    rate = math.inf
 
 
 @dataclass(frozen=True)
 class ExpTail:
-    """``|a_n| = coeff * exp(rate * lambda_n)`` for modes past the truncation.
+    """``|a_n| = coeff * exp(rate * lambda_n)`` for modes past the truncation:
+    the law ``coeff * n**-power * exp(rate * lambda_n)`` with ``power = 0``.
 
     ``rate > 0`` decays (square-summable); functionals may carry ``rate <= 0``.
     """
 
     rate: float
     coeff: float
+    power = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "rate", float(self.rate))
@@ -164,10 +165,12 @@ class ExpTail:
 
 @dataclass(frozen=True)
 class PowerTail:
-    """``|a_n| = coeff * n**(-power)`` past the truncation; needs ``power > 1/2``."""
+    """``|a_n| = coeff * n**(-power)`` past the truncation; needs ``power > 1/2``:
+    the law ``coeff * n**-power * exp(rate * lambda_n)`` with ``rate = 0``."""
 
     power: float
     coeff: float
+    rate = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "power", float(self.power))
@@ -183,9 +186,7 @@ ZERO_TAIL = ZeroTail()
 
 
 def _normalized_tail(tail: TailModel) -> TailModel:
-    if isinstance(tail, (ExpTail, PowerTail)) and tail.coeff == 0.0:
-        return ZERO_TAIL
-    return tail
+    return tail if tail.coeff else ZERO_TAIL
 
 
 def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
@@ -203,14 +204,14 @@ def _tail_cross_log(a: TailModel, b: TailModel, start: int) -> float:
     product law is ``n**-p * exp(-rate * (n*pi)**2)``, one :func:`log_tail_sum`,
     rounded up.
     """
-    if isinstance(a, ZeroTail) or isinstance(b, ZeroTail):
+    if not (a.coeff and b.coeff):
         return LOG_ZERO
-    rates = [t.rate for t in (a, b) if isinstance(t, ExpTail)]
-    rate = sum(rates)
-    if rates and rate <= 0.0:
+    rate = a.rate + b.rate
+    # a product with no Gaussian decay converges only as two power laws
+    if rate <= 0.0 and not (a.power and b.power):
         raise ValueError("cross term of a growing tail has no finite value")
-    power = sum(t.power for t in (a, b) if isinstance(t, PowerTail))
-    return math.log(a.coeff) + math.log(b.coeff) + log_tail_sum(power, rate * math.pi**2, start)
+    return (math.log(a.coeff) + math.log(b.coeff)
+            + log_tail_sum(a.power + b.power, rate * math.pi**2, start))
 
 
 def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailModel:
@@ -220,9 +221,9 @@ def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
     dominating law in the weaker family.
     """
     a, b = _normalized_tail(a), _normalized_tail(b)
-    if isinstance(a, ZeroTail):
+    if not a.coeff:
         return b
-    if isinstance(b, ZeroTail):
+    if not b.coeff:
         return a
     if isinstance(a, ExpTail) and isinstance(b, ExpTail):
         return ExpTail(min(a.rate, b.rate), a.coeff + b.coeff)
@@ -269,11 +270,9 @@ def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
 
 def scale_tail(tail: TailModel, factor: float) -> TailModel:
     factor = abs(float(factor))
-    if isinstance(tail, ZeroTail) or factor == 0.0:
+    if not (tail.coeff and factor):
         return ZERO_TAIL
-    if isinstance(tail, ExpTail):
-        return ExpTail(tail.rate, tail.coeff * factor)
-    return PowerTail(tail.power, tail.coeff * factor)
+    return replace(tail, coeff=tail.coeff * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ class SpectralState:
         if not isinstance(self.tail, (ZeroTail, ExpTail, PowerTail)):
             raise ValueError(f"unknown tail law {type(self.tail).__name__}")
         self._settle(signs, logs, self.tail)
-        if not isinstance(self.tail, ZeroTail) and self.spectrum.kind != "heat":
+        if self.tail.coeff and self.spectrum.kind != "heat":
             raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
 
     @classmethod
@@ -359,7 +358,7 @@ class SpectralState:
 
     @staticmethod
     def _check_decay(tail: TailModel):
-        if isinstance(tail, ExpTail) and tail.rate <= 0.0:
+        if tail.rate <= 0.0 and not tail.power:
             raise ValueError("a state's exponential tail must decay (rate > 0)")
 
     # construction -----------------------------------------------------------
@@ -408,7 +407,7 @@ class SpectralState:
             return self.signs * np.exp(self.log_mags)
 
     def is_zero(self) -> bool:
-        return not np.any(self.signs) and isinstance(self.tail, ZeroTail)
+        return not np.any(self.signs) and not self.tail.coeff
 
     def __eq__(self, other):
         if not isinstance(other, SpectralState):
@@ -455,7 +454,15 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
         raise ValueError("negative times are backward evolution; use backward_evolve")
     if t == 0.0:
         return state
-    with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
+    return _flow(state, t)
+
+
+def _flow(state: SpectralState, t: float) -> SpectralState:
+    """Mode ``n`` times ``exp(lambda_n * t)``, for a checked nonzero ``t``
+    of either sign: forward, or backward inside the horizon."""
+    # past float range: -inf logs, zero coefficients; backward, +inf logs,
+    # which normalisation refuses, or nan ones of zero coefficients, which it zeroes
+    with np.errstate(over="ignore", invalid="ignore"):
         logs = state.log_mags + state.spectrum.eigenvalues * t
     tail = state.tail
     if isinstance(tail, ExpTail):
@@ -556,11 +563,11 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
     logs = np.arange(1, num_modes + 1, dtype=float)
     signs[:old], logs[:old] = state.signs, state.log_mags
     new = logs[old:]
-    if isinstance(tail, ZeroTail):
+    if not tail.coeff:
         signs[old:], new[:] = 0, LOG_ZERO
     else:
         signs[old:] = 1
-        if isinstance(tail, PowerTail):
+        if tail.power:
             np.log(new, out=new)
             new *= -tail.power
         else:

@@ -181,6 +181,15 @@ def test_duhamel_refuses_a_non_finite_table_sample(state_file, tmp_path, capsys)
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
+def test_duhamel_refuses_a_forced_value_past_float_range(state_file, tmp_path, capsys):
+    # e^{800} overflows; it was an OverflowError traceback with exit 1
+    fp = tmp_path / "f.json"
+    serialize.save_json(fp, serialize.forcing_to_dict(rf.Forcing.from_dict(
+        {1: rf.ExponentialForcing(1.0, 800.0)})))
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: coefficient values must be finite\n"
+
+
 def test_duhamel_refuses_an_infinite_time_before_the_quadrature(state_file, tmp_path, capsys):
     fp = tmp_path / "f.json"
     serialize.save_json(fp, serialize.forcing_to_dict(rf.Forcing.from_dict(
@@ -305,10 +314,12 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(rf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     # scipy is not a dependency; mpmath, a test oracle, would cost every verb ~30 ms
-    probe = "import sys, retroflow.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
+    # and only the verify verb needs the verification suites
+    probe = ("import sys, retroflow.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules,"
+             " 'retroflow.verification' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
 @pytest.mark.parametrize("verb, code, stderr", [

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -426,3 +427,45 @@ def test_simpson_with_start_past_the_interval_evaluates_nothing():
     nodes = []
     assert simpson_integrate(counting(smooth, nodes), 0.1, 1.7, QUAD, 1.8) == (0.0, 0.0)
     assert nodes == []
+
+
+def mp_exponential_response(a, mu, lam, t):
+    """``a (e^{mu t} - e^{lam t}) / (mu - lam)`` at 60 digits, ``a t e^{lam t}`` at ``mu = lam``."""
+    with mp.workdps(60):
+        a, mu, lam, t = (mp.mpf(v) for v in (a, mu, lam, t))
+        if mu == lam:
+            return a * t * mp.exp(lam * t)
+        return a * (mp.exp(mu * t) - mp.exp(lam * t)) / (mu - lam)
+
+
+@pytest.mark.parametrize("rel_gap", [0.0, 1e-15, -2e-11, 2e-11, 1e-12, -1e-9, 1e-6, -1e-3])
+def test_exponential_forcing_near_resonance_against_mpmath(rel_gap):
+    # the difference of exponentials cancelled just outside the old 1e-12 band:
+    # mu = lam (1 - 2e-11) on mode 1 at t = 1 was off by 2.4e-7 relative
+    for mode, t in [(1, 1.0), (3, 0.01), (17, 0.2), (64, 2.0)]:
+        lam = -(mode * math.pi) ** 2
+        mu = lam * (1.0 + rel_gap)
+        got, err = mode_response(lam, rf.ExponentialForcing(1.5, mu), t, QUAD)
+        exact = mp_exponential_response(1.5, mu, lam, t)
+        assert err == 0.0
+        if exact < 1e-290:  # below float range
+            assert got < 1e-290
+        else:
+            assert abs(got - exact) <= 1e-13 * exact
+
+
+def test_exponential_forcing_far_from_resonance_neither_overflows_nor_gives_nan():
+    lam = -(64 * math.pi) ** 2
+    for t in (0.01, 0.5, 2.0):
+        got, _ = mode_response(lam, rf.ExponentialForcing(1.0, 1.0), t, QUAD)
+        exact = mp_exponential_response(1.0, 1.0, lam, t)
+        assert math.isfinite(got) and abs(got - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("value", [1.0, -0.37, 2.5e3])
+def test_constant_forcing_response_is_the_plain_closed_form_bit_for_bit(value):
+    for mode in (1, 2, 9, 64, 300):
+        lam = -(mode * math.pi) ** 2
+        for t in (1e-6, 0.03, 0.5, 1.0, 2.0):
+            got, err = mode_response(lam, rf.ConstantForcing(value), t, QUAD)
+            assert (got, err) == (value * math.expm1(lam * t) / lam, 0.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -121,3 +122,39 @@ def test_reversible_set_collapses():
     assert not np.any(rf.shift_evolve(g, 1.0).values)
     f = rf.constant_grid(1.0, 8)
     assert rf.distance_to_range(f, 7 / 8) == pytest.approx(f.norm() * math.sqrt(7 / 8))
+
+
+def exclusion_onset_by_scan(f, radius):
+    """The O(R**2) scan: every grid time's distance from its own sum."""
+    resolution = f.resolution
+    for k in range(1, resolution):
+        d = rf.distance_to_range(f, k / resolution)
+        if d > radius:
+            before = rf.distance_to_range(f, (k - 1) / resolution) if k > 1 else 0.0
+            return rf.ExclusionReport(True, radius, k / resolution, d, before)
+    return rf.ExclusionReport(False, radius)
+
+
+def test_exclusion_onset_equals_the_scan_on_random_grids():
+    # radii at a grid time's own distance, and a rounding step either side of
+    # it, put the onset where the sequential and pairwise sums round apart
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        resolution = int(rng.integers(1, 513))
+        values = rng.normal(size=resolution) * 10.0 ** rng.uniform(-3, 3, size=resolution)
+        if rng.random() < 0.3:
+            values[rng.random(resolution) < 0.5] = 0.0
+        f = rf.GridFunction(values)
+        k = int(rng.integers(1, resolution + 1))
+        base = rf.distance_to_range(f, k / resolution) if k < resolution else f.norm()
+        for radius in (base, base * (1 + 2e-16), base * (1 - 2e-16), base * 1.1, base * 0.9):
+            radius = radius if radius > 0.0 else 0.5
+            report = rf.exclusion_onset(f, radius)
+            assert repr(report) == repr(exclusion_onset_by_scan(f, radius))
+
+
+def test_exclusion_onset_without_witness_is_linear_in_the_resolution():
+    start = time.perf_counter()
+    report = rf.exclusion_onset(rf.constant_grid(1.0, 2**20), 2.0)
+    assert time.perf_counter() - start < 2.0
+    assert not report.found
