@@ -80,7 +80,9 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
     """Explicit zero-tail copy with the tail law written out up to ``n_prime``."""
     grown = embed(state, n_prime)
-    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
+    result = SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
+    object.__setattr__(result, "_origin", grown._origin)  # the state's, at its own depth
+    return result
 
 
 def truncate_to_reversible(
@@ -174,7 +176,10 @@ def iterate_to_reversible(
     ``OracleFailedError`` with the partial certificate attached; agreement at
     machine-level relative precision always counts as within budget, since
     deep iterates carry log magnitudes far beyond float range where absolute
-    roundoff is unavoidable.
+    roundoff is unavoidable.  A flow rounds once from its lineage base (see
+    ``SpectralState``), so where the oracle output is a backward flow of its
+    target, as the truncation oracle's is from step 1 on, both gaps are
+    exactly 0 and cost no arithmetic.
     """
     if not eps0 > 0.0:
         raise ValueError("eps0 must be positive")
@@ -196,27 +201,27 @@ def iterate_to_reversible(
             candidate, _ = truncate_to_reversible(candidate, eps_k * 1e-6)
         unit_image = evolve(candidate, 1.0)
         gap = log_distance(unit_image, current)
-        # an exact preimage is exact only to roundoff once iterates leave
-        # float range; machine-level relative agreement counts as in budget
-        deepest = abs(candidate.log_mags[candidate.signs != 0]).max(initial=0.0)
-        allowance = max(_ROUNDOFF_FLOOR, _ROUNDOFF_ULPS * deepest)
-        exact_to_roundoff = gap < log_norm(current) + math.log(allowance)
-        if gap >= math.log(eps_k) and not exact_to_roundoff:
-            partial = DensityCertificate(
-                eps0,
-                math.fsum(step_bounds),
-                k,
-                schedule[:k],
-                tuple(step_bounds),
-                tuple(step_gaps),
-                residual_bound=0.0,
-                regime=regime,
-            )
-            raise OracleFailedError(
-                k,
-                f"unit-step image misses the target by exp({gap:.6g}) >= {eps_k:.6g}",
-                partial,
-            )
+        # an output of a new lineage is exact only to roundoff once iterates
+        # leave float range; machine-level relative agreement counts as in budget
+        if gap >= math.log(eps_k):
+            deepest = abs(candidate.log_mags[candidate.signs != 0]).max(initial=0.0)
+            allowance = max(_ROUNDOFF_FLOOR, _ROUNDOFF_ULPS * deepest)
+            if gap >= log_norm(current) + math.log(allowance):
+                partial = DensityCertificate(
+                    eps0,
+                    math.fsum(step_bounds),
+                    k,
+                    schedule[:k],
+                    tuple(step_bounds),
+                    tuple(step_gaps),
+                    residual_bound=0.0,
+                    regime=regime,
+                )
+                raise OracleFailedError(
+                    k,
+                    f"unit-step image misses the target by exp({gap:.6g}) >= {eps_k:.6g}",
+                    partial,
+                )
         # Cauchy gap of consecutive forward images, bounded by the growth at
         # time k applied to the step-k oracle error.
         step_bound = bound.at(float(k)) * eps_k

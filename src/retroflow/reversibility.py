@@ -89,7 +89,8 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
 
     Legal only within the horizon; the error carries the horizon so callers
     can see where the trajectory stops.  ``t = 0`` is the identity and is
-    always legal.
+    always legal.  Like ``evolve``, it rounds once from the state's lineage
+    base, so ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs exactly.
     """
     t = float(t)
     if not math.isfinite(t):

@@ -305,6 +305,12 @@ class SpectralState:
     Immutable; all operations on states are pure functions.  The tail is a
     :class:`ZeroTail`, :class:`ExpTail` or :class:`PowerTail`; a state's
     exponential tail must decay (see :meth:`_check_decay`).
+
+    A flowed state keeps its lineage ``_origin = (base, time)``: its logs are
+    ``base + lambda_n * time``, rounded once from the logs its chain of flows
+    began at.  Other states, and flows that moved a zero, are their own base
+    at time 0.  ``==``, ``repr``, the wire format and ``replace`` ignore the
+    lineage, so states equal by value may flow to results a few ulps apart.
     """
 
     spectrum: Spectrum
@@ -339,15 +345,18 @@ class SpectralState:
         any other log must be finite, so an overflowed log raises.  A vanished
         tail coefficient is the zero tail; a state's tail must decay.  The
         arrays are made read-only; one that needs a change is replaced, never
-        written, since it may belong to another state."""
+        written, since it may belong to another state; one needing none is kept."""
         if not settled:
             finite = np.isfinite(logs)
             if not (finite.all() and signs.all()):
-                zero = (signs == 0) | (logs == LOG_ZERO)
-                signs = np.where(zero, np.int8(0), signs)
-                logs = np.where(zero, LOG_ZERO, logs)
+                zero_sign, zero_log = signs == 0, logs == LOG_ZERO
+                zero = zero_sign | zero_log
                 if not (finite | zero).all():
                     raise ValueError("nonzero coefficients need finite log magnitudes")
+                if (zero ^ zero_sign).any():
+                    signs = np.where(zero, np.int8(0), signs)
+                if (zero ^ zero_log).any():
+                    logs = np.where(zero, LOG_ZERO, logs)
         signs.flags.writeable = False
         logs.flags.writeable = False
         tail = _normalized_tail(tail)
@@ -355,6 +364,7 @@ class SpectralState:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "log_mags", logs)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_origin", (logs, 0.0))
 
     @staticmethod
     def _check_decay(tail: TailModel):
@@ -441,6 +451,9 @@ _POWER_FAMILY_STEP = 1e-6
 def evolve(state: SpectralState, t: float) -> SpectralState:
     """Forward flow: mode ``n`` is damped by ``exp(lambda_n * t)``, ``t >= 0``.
 
+    Logs round once from the lineage base (see :class:`SpectralState`), so
+    ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs bit for bit.
+
     Tail envelopes transform in closed form, except that a power tail's exact
     image is no longer a power law: it maps to a dominating exponential
     envelope (rate ``t``, constant taken at the first tail mode), or, for
@@ -458,12 +471,14 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 
 
 def _flow(state: SpectralState, t: float) -> SpectralState:
-    """Mode ``n`` times ``exp(lambda_n * t)``, for a checked nonzero ``t``
-    of either sign: forward, or backward inside the horizon."""
+    """Mode ``n`` times ``exp(lambda_n * t)`` from the lineage base, for a
+    checked nonzero ``t``: forward, or backward inside the horizon."""
+    base, time = state._origin
+    time += t
     # past float range: -inf logs, zero coefficients; backward, +inf logs,
     # which normalisation refuses, or nan ones of zero coefficients, which it zeroes
     with np.errstate(over="ignore", invalid="ignore"):
-        logs = state.log_mags + state.spectrum.eigenvalues * t
+        logs = base + state.spectrum.eigenvalues * time
     tail = state.tail
     if isinstance(tail, ExpTail):
         tail = ExpTail(tail.rate + t, tail.coeff)
@@ -473,7 +488,10 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
             tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
         else:
             tail = ExpTail(t, tail.coeff * (state.num_modes + 1) ** (-tail.power))
-    return SpectralState._result(state.spectrum, state.signs, logs, tail)
+    result = SpectralState._result(state.spectrum, state.signs, logs, tail)
+    if result.signs is state.signs:
+        object.__setattr__(result, "_origin", (base, time))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +610,13 @@ def _aligned(x: SpectralState, y: SpectralState):
 
 def log_distance(x: SpectralState, y: SpectralState) -> float:
     """log of the ambient distance; heat-law states of different truncation
-    depths are aligned first (the depth is representation, not substance)."""
+    depths are aligned first (the depth is representation, not substance).
+    States of one lineage at one time, with one sign array and equal tails,
+    are equal bit for bit: their distance is ``-inf``, with no arithmetic."""
     x, y = _aligned(x, y)
+    (x_base, x_time), (y_base, y_time) = x._origin, y._origin
+    if x_base is y_base and x_time == y_time and x.signs is y.signs and x.tail == y.tail:
+        return LOG_ZERO
     return log_norm(subtract(x, y))
 
 

@@ -242,6 +242,17 @@ def test_density_verb(tmp_path, capsys):
     assert rf.classify(result).label is rf.ReversibilityClass.FULL
 
 
+def test_density_certifies_deep_iterations(tmp_path, capsys):
+    # 41 steps back: the iterates' logs reach 41 * 4 pi^2, whose roundoff
+    # used to exceed the last step's budget
+    xp = tmp_path / "x.json"
+    serialize.save_json(xp, serialize.state_to_dict(
+        rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 2.0])))
+    assert main(["density", "--in", str(xp), "--eps", "0.01", "--max-iters", "41"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["iterations"] == 41 and set(cert["step_gaps"][1:]) == {0.0}
+
+
 def test_shift_demo(capsys):
     assert main(["shift-demo", "--resolution", "100", "--radius", "0.4"]) == 0
     payload = json.loads(capsys.readouterr().out)

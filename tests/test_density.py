@@ -152,6 +152,45 @@ def test_iteration_evolves_each_iterate_once_per_step(monkeypatch):
     assert out.log_mags.tobytes() == want.log_mags.tobytes()
 
 
+def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
+    # from step 1 on the oracle output is a backward flow of its target, so
+    # both gaps meet states of one lineage at one time: no difference is built
+    steps, subtracted = [], []
+    oracle = rf.truncation_preimage_oracle()
+    subtract = rf.spectral.subtract
+
+    def stepped(x, eps):
+        steps.append(eps)
+        return oracle(x, eps)
+
+    def counted(x, y):
+        subtracted.append(len(steps) - 1)
+        return subtract(x, y)
+
+    monkeypatch.setattr(rf.spectral, "subtract", counted)
+    x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(2.5, 1.0))
+    _, cert = rf.iterate_to_reversible(x0, 1e-3, stepped, max_iters=12)
+    assert len(steps) == 12 and subtracted == [0, 0]
+    assert cert.step_gaps[0] > 0.0 and set(cert.step_gaps[1:]) == {0.0}
+
+
+def test_iteration_meets_exact_preimages_exactly_at_depth():
+    # the unit-step check at step 40 used to see 4.6e-13 of roundoff against
+    # a budget of 4.5e-15
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 2.0])
+    out, cert = rf.iterate_to_reversible(x0, 0.01, rf.truncation_preimage_oracle(), max_iters=41)
+    assert cert.iterations == 41 and set(cert.step_gaps[1:]) == {0.0}
+    assert math.exp(log_distance(out, x0)) <= cert.achieved_error_bound <= 0.01
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_deep_truncation_steps_back_and_forth_exactly(k):
+    z = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(1.0, 1.0))
+    y, _ = rf.truncate_to_reversible(z, 0.01)
+    assert 9_000 < y.num_modes < 11_000
+    assert rf.relative_gap(rf.evolve(rf.backward_evolve(y, k), k), y) == 0.0
+
+
 def test_iteration_lands_within_budget():
     rng = np.random.default_rng(21)
     sp = rf.make_heat_spectrum(8)

@@ -5,6 +5,7 @@ named next to them (brute-force series summation, dense matrix exponential,
 closed-form zeta values) and are pinned here.
 """
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -516,6 +517,10 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
         rf.evolve(x, t)
         if rf.horizon(x).allows(t):
             rf.backward_evolve(x, t)
+        flowed = rf.evolve(x, 0.5)  # its flows round once from x's logs
+        rf.evolve(flowed, t)
+        if rf.horizon(flowed).allows(t):
+            rf.backward_evolve(flowed, t)
         rf.add(x, y)
         rf.subtract(x, y)
         rf.scale(x, factor)
@@ -653,3 +658,70 @@ def test_mode_budget_is_refused_before_allocating():
             build(MAX_MODES + 1)
         with pytest.raises(ValueError, match="budget"):
             build(10**11)
+
+
+# --- lineage: a flowed state rounds once from its base ---------------------------
+
+def _chain(x, steps):
+    for t in steps:
+        x = rf.evolve(x, t) if t > 0 else rf.backward_evolve(x, -t)
+    return x
+
+
+def test_a_chain_of_flows_is_one_rounding_from_its_base():
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=64) * np.exp(rng.uniform(-30.0, 30.0, 64))
+    values[rng.random(64) < 0.2] = 0.0
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(64), values, rf.ExpTail(2.0, 1.0))
+    steps = [0.3, -0.1, 0.7, -1.25, 0.05, -0.5, 1.0 / 3.0]
+    total = 0.0
+    for t in steps:
+        total += t
+    y = _chain(x, steps)
+    want = x.log_mags + x.spectrum.eigenvalues * total
+    want[x.signs == 0] = -math.inf
+    assert y.log_mags.tobytes() == want.tobytes()
+    # no mode moved to or from zero: the chain keeps the argument's sign array
+    assert y.signs is x.signs
+    # the tail still flows step by step
+    assert y.tail == _chain(rf.SpectralState.zeros(x.spectrum, x.tail), steps).tail
+
+
+def test_a_flow_that_moves_no_zero_keeps_the_arrays_it_was_given():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(8), [1.0, 0.0, -2.0, 0.0, 3.0, 0, 0, 1])
+    for y in (rf.evolve(x, 0.25), rf.backward_evolve(x, 0.25)):
+        assert y.signs is x.signs
+        assert y.signs.tolist() == x.signs.tolist()
+        assert np.all(y.log_mags[x.signs == 0] == -math.inf)
+    plain = rf.negate(rf.negate(x))
+    assert plain.signs.tobytes() == x.signs.tobytes() and plain.log_mags is x.log_mags
+
+
+def test_a_backward_step_undone_is_exact():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(32), [1.0 / n for n in range(1, 33)])
+    for t in (1.0, 0.37, 4.0):
+        back = rf.evolve(rf.backward_evolve(x, t), t)
+        assert back.log_mags.tobytes() == x.log_mags.tobytes()
+        assert rf.spectral.log_distance(back, x) == -math.inf and rf.relative_gap(back, x) == 0.0
+
+
+def test_an_underflowed_coefficient_stays_zero():
+    # modes 5 and 6 underflow: the damped state is its own base, so the
+    # backward step cannot bring their coefficients back
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(6), [1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
+    back = rf.backward_evolve(rf.evolve(x, 1e306), 1e306)
+    assert back.signs.tolist() == [1, -1, 1, -1, 0, 0]
+    assert np.all(back.log_mags[4:] == -math.inf) and np.all(np.isfinite(back.log_mags[:4]))
+
+
+def test_states_equal_by_value_compare_equal_whatever_their_lineage():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(16), np.linspace(-2.0, 3.0, 16))
+    flowed = rf.backward_evolve(x, 0.3)
+    fresh = rf.SpectralState(flowed.spectrum, flowed.signs, flowed.log_mags)
+    assert flowed == fresh and fresh == flowed and repr(flowed) == repr(fresh)
+    assert dataclasses.replace(flowed) == flowed
+    assert serialize.state_to_dict(flowed) == serialize.state_to_dict(fresh)
+    # one rounding from x's logs against one from the copy's: equal to roundoff
+    again, other = rf.evolve(flowed, 0.3), rf.evolve(fresh, 0.3)
+    assert again == x
+    assert rf.relative_gap(other, again) < 1e-13
