@@ -26,8 +26,8 @@ closed = (1 - math.exp(-PI2)) / PI2
 print("mode-1 response after one unit:", moved.coeff(1).to_linear())
 print("scalar-ODE closed form:        ", closed)
 
-# the same drive as a sampled table exercises Simpson; halving the step
-# cuts the error sixteenfold
+# the same drive as a sampled table exercises Simpson, whose level sums are
+# closed forms per table segment; halving the step cuts the error sixteenfold
 table = rf.TableForcing(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 print("\nSimpson convergence against the closed form:")
 prev = None

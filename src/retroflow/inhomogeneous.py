@@ -2,16 +2,17 @@
 
 The mild solution adds a forcing convolution to the damped initial state.
 Constant and exponential forcings integrate in closed form; sampled tables
-go through composite Simpson quadrature on nested grids, so each refinement
-evaluates only its new midpoints and every node is evaluated once, and the
-error estimate comes from the same pass as the value.  Nodes where the damping
-kernel is below exp(-708) are neither generated nor evaluated.  Forcing acts
-on explicit modes only; tail forcing is out of scope.
+go through composite Simpson quadrature on nested grids, with the error
+estimate from the same pass as the value.  The integrand is the damping
+kernel times a piecewise-linear interpolant, so a level's nodes on one table
+segment sum in closed form (a geometric sum and its first moment): a level
+costs O(table segments), not O(nodes).  Forcing acts on explicit modes only;
+tail forcing is out of scope.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,6 +61,12 @@ class TableForcing:
         values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        # segment k runs from times[k] to the next knot with np.interp's slope;
+        # the last runs on to infinity, where np.interp clamps to the last sample
+        slopes = np.zeros_like(values)
+        slopes[:-1] = np.diff(values) / np.diff(times)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_bounds", np.concatenate(([-math.inf], times[1:], [math.inf])))
 
     def __eq__(self, other):
         if not isinstance(other, TableForcing):
@@ -127,7 +134,7 @@ class Forcing:
 ZERO_FORCING = Forcing(())
 
 
-MAX_STEPS = 1 << 20  # the finest coarse grid; its refinement evaluates 2 * MAX_STEPS + 1 nodes
+MAX_STEPS = 1 << 20  # the finest coarse grid; its refinement has 2 * MAX_STEPS + 1 nodes
 
 
 @dataclass(frozen=True)
@@ -154,56 +161,155 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _live_nodes(indices: range, stop: int, h: float, a: float, start: float) -> np.ndarray:
-    """The nodes ``i * h + a`` in one array, built in place, for ``i`` from the
-    first of ``indices`` whose node is at or past ``start`` up to ``stop``."""
-    if start > a:  # the nodes ascend in i
-        indices = indices[bisect.bisect_left(indices, start, key=lambda i: i * h + a):]
-    nodes = np.arange(indices.start, stop, indices.step, dtype=float)
-    nodes *= h
-    nodes += a
-    return nodes
-
-
-def simpson_integrate(fn, a: float, b: float, quad: QuadratureConfig,
-                      start: float = -math.inf) -> tuple[float, float]:
+def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
     """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
 
-    Nested grids: a refinement evaluates ``fn`` on its new midpoints only, and
-    nodes below ``start``, where ``fn`` is taken as zero, are never generated.
+    ``node_sums(progressions)`` gets a float array whose rows are ``steps``,
+    ``first``, ``count`` and ``stride``, one column per arithmetic progression
+    of grid nodes ``a + i (b - a) / steps``, ``i = first + stride j`` for
+    ``j < count``, and returns the integrand summed over each.  The grids are
+    nested, so the rule needs only the two ends, the first grid's even nodes
+    and each level's new midpoints, and asks for all of them in one call.
     Non-adaptive: the value at the requested step count, estimated against
-    one refinement.  Adaptive: keep doubling until the estimate meets ``tol``.
+    one refinement.  Adaptive: keep doubling until the estimate meets ``tol``
+    or the coarse grid reaches ``MAX_STEPS``.
     """
-    if start > b:
-        return 0.0, 0.0
     steps = quad.steps
-    h = (b - a) / steps
-    # bit for bit the nodes of np.linspace(a, b, steps + 1), from the first live one
-    nodes = _live_nodes(range(steps), steps + 1, h, a, start)
-    nodes[-1] = b
-    y, lo = fn(nodes), steps + 1 - nodes.size
-    # strided sums, not a weight-vector dot product: the dot product goes to
-    # BLAS, whose worker thread spins a second core without saving time;
-    # y[k] is node lo + k, and node 0 is an end
-    ends = y[-1] if lo else y[0] + y[-1]
-    odd, even = np.sum(y[(lo + 1) % 2:-1:2]), np.sum(y[(lo % 2 if lo else 2):-1:2])
-    coarse = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
-    while True:
-        # the new midpoints, bit for bit the odd nodes of np.linspace(a, b, 2 * steps + 1)
+    # an adaptive run's coarse grids are steps << j up to the first >= MAX_STEPS
+    deepest = (-(-MAX_STEPS // steps) - 1).bit_length() + 1 if quad.adaptive else 1
+    grids = [steps << j for j in range(deepest + 1)]
+    sums = node_sums(np.array([[steps, steps, *grids],
+                               [0, 2] + [1] * len(grids),
+                               [2, steps // 2 - 1, *(n // 2 for n in grids)],
+                               [steps, 2] + [2] * len(grids)], dtype=float)).tolist()
+    ends, even, odd = sums[0], sums[1], sums[2:]
+    coarse = (b - a) / steps / 3.0 * (ends + 4.0 * odd[0] + 2.0 * even)
+    for level in range(1, deepest + 1):
         h = (b - a) / (2 * steps)
-        even, odd = even + odd, np.sum(fn(_live_nodes(range(1, 2 * steps, 2), 2 * steps, h, a, start)))
-        fine = float(h / 3.0 * (ends + 4.0 * odd + 2.0 * even))
+        even += odd[level - 1]
+        fine = h / 3.0 * (ends + 4.0 * odd[level] + 2.0 * even)
         estimate = abs(fine - coarse) / 15.0
         if not quad.adaptive:
             return coarse, estimate
         if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= MAX_STEPS:
-            return fine, estimate
+            break
         coarse, steps = fine, 2 * steps
+    return fine, estimate
+
+
+# Taylor coefficients of phi'(x), phi(x) = expm1(x) / x, through x^17: on
+# [-1, 0] the terms fall and alternate, and the first one left out is below
+# 2^-55 of the sum, which is at least 1 - 2/e there
+_SLOPE_TAYLOR = np.array([(j + 1) / math.factorial(j + 2) for j in range(18)])
+# knot positions located per pass, and (progression, segment) pairs summed
+# per batch: larger tables go in chunks
+_CELLS, _PAIRS = 1 << 15, 1 << 12
+
+
+def _table_sums(lam: float, t: float, table: TableForcing, progressions: np.ndarray) -> np.ndarray:
+    """``exp(lam (t - s)) f(s)``, ``f`` the table's interpolant, summed over
+    each progression of nodes ``s = i t / steps`` (see :func:`simpson_integrate`).
+
+    A progression's nodes on one table segment, a (progression, segment)
+    pair, are summed in closed form by :func:`_pair_sums`; only pairs that
+    hold a node are summed, so past locating the knots the work is
+    O(min(segments, nodes)).
+    """
+    steps, first, count, stride = progressions
+    scale, shift = (steps / stride)[:, None], (first / stride)[:, None]
+    totals = np.zeros(steps.size)
+    # a segment whose top knot sees the kernel below e^-750 holds only nodes
+    # where exp gives exactly 0, so leaving it out changes no bit
+    live = max(int(np.searchsorted(table.times, t + 750.0 / lam)) - 1, 0) if lam < 0.0 else 0
+    width = max(1, _CELLS // steps.size)
+    for k0 in range(live, table.times.size, width):
+        # the knots in units of t, clipped where they lie past every node
+        # anyway so that a tiny t cannot overflow them; then each segment's
+        # progression indices [c_k, c_{k+1})
+        knots = np.minimum(np.maximum(table._bounds[k0:k0 + width + 1], -t), 2.0 * t) / t
+        c = knots * scale
+        c -= shift
+        np.ceil(c, out=c)
+        np.maximum(c, 0.0, out=c)
+        np.minimum(c, count[:, None], out=c)
+        m = c[:, 1:] - c[:, :-1]
+        rows, segs = np.nonzero(m)
+        for p in range(0, rows.size, _PAIRS):
+            row, seg = rows[p:p + _PAIRS], segs[p:p + _PAIRS]
+            anchor = c[row, seg + 1] - 1.0 if lam <= 0.0 else c[row, seg]
+            pairs = _pair_sums(lam, t, table, progressions[:, row], m[row, seg], anchor, k0 + seg)
+            totals += np.bincount(row, weights=pairs, minlength=steps.size)
+    return totals
+
+
+def _pair_sums(lam, t, table, progressions, m, anchor, seg):
+    """Per pair, the ``m`` nodes of a progression on table segment ``seg``
+    summed in closed form; ``anchor`` is the progression index of the node of
+    largest kernel, the top one for lam <= 0 and the bottom one for lam > 0.
+
+    On the segment ``f`` is linear and the kernel geometric, so walking from
+    the anchor the sum is ``E (f_a G0 -+ slope d G1)``: ``E`` and ``f_a`` are the
+    kernel and ``f`` at the anchor, ``d`` the node spacing, and ``G0``, ``G1``
+    the sums of ``e^{rk}`` and ``k e^{rk}`` over ``k < m``, ``r = -|lam| d``
+    (Hochbruck & Ostermann, "Exponential integrators", Acta Numerica 19,
+    2010, for the phi-functions).  ``G0 = expm1(m r) / expm1(r)``.  ``G1`` is
+    ``(m^2 phi'(m r) - G0 phi'(r)) r / expm1(r)``, ``phi(x) = expm1(x) / x``,
+    where ``m r >= -1``, and ``(e^r G0 - m e^{m r}) / -expm1(r)`` below; each
+    difference cancels at most 4.1-fold where it is used, and both give 0 at
+    ``m = 1``.
+    """
+    n, first, _, stride = progressions
+    h = t / n
+    spacing = stride * h
+    # |r| below 2^-900 (lam = 0, say) is taken as 2^-900, where the formulas
+    # give G0 = m and G1 = m (m - 1) / 2 exactly, as they are to double precision
+    r = np.minimum(-abs(lam) * spacing, -2.0 ** -900)
+    node = anchor * stride
+    node += first
+    kernel = n - node
+    kernel *= lam * h
+    np.exp(kernel, out=kernel)
+    node *= h
+    f = np.interp(node, table.times, table.values)
+    z = np.concatenate((m * r, r))  # m r, then r
+    em1 = np.expm1(z)
+    # phi' at max(z, -1) from its Taylor series; the powers double blockwise
+    powers = np.empty((_SLOPE_TAYLOR.size, z.size))
+    powers[0] = 1.0
+    np.maximum(z, -1.0, out=powers[1])
+    square = powers[1] * powers[1]
+    np.multiply(powers[:2], square, out=powers[2:4])
+    square *= square
+    np.multiply(powers[:4], square, out=powers[4:8])
+    square *= square
+    np.multiply(powers[:8], square, out=powers[8:16])
+    square *= square
+    np.multiply(powers[:2], square, out=powers[16:])
+    phi_slope = np.einsum("j,jn->n", _SLOPE_TAYLOR, powers)
+    em1, em1_r = em1[:m.size], em1[m.size:]
+    g0 = em1 / em1_r
+    g1 = m * m * phi_slope[:m.size]
+    g1 -= g0 * phi_slope[m.size:]
+    g1 *= r / em1_r
+    # the first form holds where m r >= -1, and gives 0 at m = 1 (its two
+    # phi' are one number); the second takes the other pairs
+    series = z[:m.size] >= np.minimum(r, -1.0)
+    if not series.all():
+        exp = np.exp(z)  # not expm1 + 1, which loses e^r's last digits for r << 0
+        g1 = np.where(series, g1, (exp[m.size:] * g0 - m * exp[:m.size]) / -em1_r)
+    g1 *= table._slopes[seg]
+    g1 *= -spacing if lam <= 0.0 else spacing
+    g0 *= f
+    g0 += g1
+    g0 *= kernel
+    return g0
 
 
 def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureConfig) -> tuple[float, float]:
     """The convolution of one mode's forcing with its damping kernel over
-    ``[0, t]``; returns (value, error estimate).  Closed forms are exact."""
+    ``[0, t]``; returns (value, error estimate).  Closed forms are exact; a
+    table goes through Simpson, whose level sums are closed forms per table
+    segment, so a level costs O(segments) whatever its node count."""
     if t == 0.0:
         return 0.0, 0.0
     if not isinstance(forcing, TableForcing):
@@ -217,18 +323,7 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         return a * exp_or_inf(max(mu, lam) * t) * -math.expm1(-gap * t) / gap, 0.0
     if t > forcing.times[-1] + 1e-12 * max(1.0, abs(t)) or forcing.times[0] > 0.0:
         raise ValueError("table forcing must cover the whole interval [0, t]")
-
-    def integrand(s):
-        kernel = np.subtract(t, s)
-        kernel *= lam
-        np.exp(kernel, out=kernel)
-        kernel *= np.interp(s, forcing.times, forcing.values)
-        return kernel
-
-    # past start lam (t - s) >= -708, so the kernel is a normal double; before
-    # it the kernel is below exp(-708), zero or subnormal, and is not computed
-    start = t + 708.0 / lam if lam < 0.0 else -math.inf
-    return simpson_integrate(integrand, 0.0, t, quad, start)
+    return simpson_integrate(functools.partial(_table_sums, lam, t, forcing), 0.0, t, quad)
 
 
 def forcing_integral(

@@ -21,6 +21,10 @@ from .errors import GeneratorDomainError, HorizonExceededError
 from .logdomain import LOG_ZERO
 
 DEFAULT_SEED = 20260810
+# --samples above this is refused: at the cap the slowest suite per sample,
+# density, runs about 23 s on one x86-64 core (seminorms 15 s), fifty times
+# its default 200 samples
+MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -746,6 +750,8 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
     """
     if "tol" in overrides and not overrides["tol"] > 0.0:
         raise ValueError(f"--tol must be positive, got {overrides['tol']!r}")
+    if "samples" in overrides and not 1 <= overrides["samples"] <= MAX_SAMPLES:
+        raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}, got {overrides['samples']!r}")
     if name == "all":
         out = []
         for fn in SUITES.values():

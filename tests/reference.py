@@ -57,3 +57,31 @@ def embed_reference(state, num_modes):
         signs[old:] = 1
     zero = (signs == 0) | (logs == -math.inf)
     return np.where(zero, np.int8(0), signs), np.where(zero, -math.inf, logs)
+
+
+def mp_simpson_table(lam, times, values, t, steps, dps=30):
+    """The composite Simpson sum for ``exp(lam (t - s)) f(s)`` over ``[0, t]``
+    on the exact nodes ``i t / steps``, in mpmath: ``f`` interpolates the
+    table linearly and clamps outside it, as ``np.interp`` does.  The sum is
+    taken term by term, with no closed form, so it shares nothing with the
+    library's segment sums but the rule."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        xs = [mp.mpf(float(v)) for v in times]
+        ys = [mp.mpf(float(v)) for v in values]
+        lam, t = mp.mpf(float(lam)), mp.mpf(float(t))
+        total, k = mp.mpf(0), 0
+        for i in range(steps + 1):
+            s = t * i / steps
+            while k + 2 < len(xs) and s >= xs[k + 1]:
+                k += 1
+            if s <= xs[0]:
+                f = ys[0]
+            elif s >= xs[-1]:
+                f = ys[-1]
+            else:
+                f = ys[k] + (ys[k + 1] - ys[k]) * (s - xs[k]) / (xs[k + 1] - xs[k])
+            weight = 1 if i in (0, steps) else (4 if i % 2 else 2)
+            total += weight * mp.exp(lam * (t - s)) * f
+        return total * t / steps / 3

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import retroflow as rf
-from retroflow import inhomogeneous, serialize
+from retroflow import inhomogeneous, serialize, verification
 from retroflow.cli import main
 from retroflow.inhomogeneous import mode_response
 
@@ -161,6 +161,15 @@ def test_duhamel_verb_runs_each_table_quadrature_once(tmp_path, capsys, monkeypa
     assert (tmp_path / "out.json").read_bytes() == want.read_bytes()
     assert capsys.readouterr() == ("", err)
     assert len(calls) == 4
+
+
+def test_duhamel_runs_at_the_step_ceiling(tmp_path, capsys):
+    # the closed-form level sums cost O(table segments): the 2^20-step grid
+    # and its adaptive refinement are as cheap as a coarse one
+    _, _, xp, fp = _forced_files(tmp_path)
+    assert main(["duhamel", "--in", str(xp), "--forcing", str(fp), "--t", "1.0",
+                 "--steps", "1048576", "--adaptive"]) == 0
+    assert capsys.readouterr().err.startswith("worst quadrature error estimate:")
 
 
 def test_duhamel_refuses_more_steps_than_the_quadrature_allows(tmp_path, capsys):
@@ -475,6 +484,17 @@ def test_coerced_state_fields_are_named(doc, part, tmp_path, capsys):
 def test_verify_rejects_a_tolerance_that_is_not_positive(tol, capsys):
     assert main(["verify", "--suite", "shift", "--tol", tol]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["spectral", "all"])
+@pytest.mark.parametrize("samples", ["-3", "0", str(verification.MAX_SAMPLES + 1), str(10**12)])
+def test_verify_refuses_a_sample_count_out_of_range_before_any_suite_runs(suite, samples, capsys):
+    # -3 ran no samples and printed "5/5 checks passed"; 10^12 had no limit
+    assert main(["verify", "--suite", suite, "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --samples must be between 1 and {verification.MAX_SAMPLES}, "
+                   f"got {int(samples)}\n")
 
 
 def test_pair_reads_each_file_once(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,21 @@
 """Forced (affine) evolution: closed forms, quadrature, and inversion."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import retroflow as rf
 from retroflow.errors import HorizonExceededError
 from retroflow import inhomogeneous
 from retroflow.inhomogeneous import DEFAULT_QUADRATURE, mode_response, simpson_integrate
+
+from reference import mp_simpson_table
 
 PI2 = math.pi**2
 QUAD = rf.QuadratureConfig(steps=64)
@@ -254,25 +260,42 @@ def reference_simpson(fn, a, b, quad):
         coarse, steps = fine, 2 * steps
 
 
-def counting(fn, nodes):
-    def counted(s):
-        nodes.append(s.copy())
-        return fn(s)
-    return counted
+def node_sums(fn, a, b, asked):
+    """A ``node_sums`` for :func:`simpson_integrate` that evaluates ``fn`` node
+    by node, at the places ``np.linspace`` puts them; it records each
+    progression as (steps, node indices) in ``asked``."""
+    def sums(progressions):
+        out = []
+        for steps, first, count, stride in progressions.T.astype(int).tolist():
+            i = first + stride * np.arange(count)
+            asked.append((steps, i))
+            s = a + i * ((b - a) / steps)
+            s[i == steps] = b
+            out.append(np.sum(fn(s)))
+        return np.array(out)
+    return sums
+
+
+def on_grid(asked, steps):
+    """The progressions' nodes as indices on the grid of ``steps`` intervals, sorted."""
+    return np.sort(np.concatenate([i * (steps // n) for n, i in asked]))
 
 
 def smooth(s):
     return np.exp(np.sin(3.0 * s))
 
 
+def table_integrand(lam, table, t):
+    return lambda s: np.exp(lam * (t - s)) * np.interp(s, table.times, table.values)
+
+
 @pytest.mark.parametrize("steps", [2, 6, 64])
 def test_fixed_step_simpson_evaluates_each_node_once_and_matches_the_reference(steps):
     quad = rf.QuadratureConfig(steps=steps)
-    nodes = []
-    value, estimate = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad)
-    grid = np.concatenate(nodes)
-    assert grid.size == 2 * steps + 1
-    assert np.array_equal(np.sort(grid), np.linspace(0.1, 1.7, 2 * steps + 1))
+    asked = []
+    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked), 0.1, 1.7, quad)
+    # the progressions cover the refined grid, each node once
+    assert np.array_equal(on_grid(asked, 2 * steps), np.arange(2 * steps + 1))
     want, want_estimate, _ = reference_simpson(smooth, 0.1, 1.7, quad)
     assert value == want  # bit for bit: the coarse value's arithmetic is the reference's
     assert estimate == pytest.approx(want_estimate, rel=1e-6)
@@ -281,53 +304,106 @@ def test_fixed_step_simpson_evaluates_each_node_once_and_matches_the_reference(s
 @pytest.mark.parametrize("steps, tol", [(2, 1e-8), (8, 1e-10), (64, 1e-13)])
 def test_adaptive_simpson_evaluates_each_node_once_and_matches_the_reference(steps, tol):
     quad = rf.QuadratureConfig(steps=steps, adaptive=True, tol=tol)
-    nodes = []
-    value, _ = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad)
-    want, _, want_steps = reference_simpson(smooth, 0.1, 1.7, quad)
-    # every refinement after the first grid evaluates only its new midpoints
-    assert [n.size for n in nodes] == [steps + 1] + [steps << k for k in range(len(nodes) - 1)]
-    assert 2 * nodes[-1].size == want_steps > 2 * steps
-    grid = np.sort(np.concatenate(nodes))
-    assert grid.size == want_steps + 1
-    assert np.array_equal(grid, np.linspace(0.1, 1.7, want_steps + 1))
+    asked = []
+    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked), 0.1, 1.7, quad)
+    want, want_estimate, want_steps = reference_simpson(smooth, 0.1, 1.7, quad)
+    # one call covers every grid the run may reach, each node once: the
+    # first grid, then each refinement's new midpoints
+    finest = max(n for n, _ in asked)
+    assert finest >= inhomogeneous.MAX_STEPS and want_steps > 2 * steps
+    assert np.array_equal(on_grid(asked, finest), np.arange(finest + 1))
     assert abs(value - want) <= 1e-15 * abs(want)
+    # adjacent levels' estimates differ severalfold: this pins the stop level
+    assert estimate == pytest.approx(want_estimate, rel=1e-6)
 
 
 def test_adaptive_simpson_stops_at_the_step_ceiling():
     # sqrt converges too slowly for the tolerance: the last refinement is of
     # the MAX_STEPS grid, as in the reference
-    sizes = []
+    asked = []
     quad = rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS // 4, adaptive=True, tol=1e-300)
-    value, _ = simpson_integrate(lambda s: sizes.append(s.size) or np.sqrt(s), 0.0, 1.0, quad)
-    assert sizes[-1] == inhomogeneous.MAX_STEPS and sum(sizes) == 2 * inhomogeneous.MAX_STEPS + 1
+    value, _ = simpson_integrate(node_sums(np.sqrt, 0.0, 1.0, asked), 0.0, 1.0, quad)
+    finest = 2 * inhomogeneous.MAX_STEPS
+    assert max(n for n, _ in asked) == finest
+    assert np.array_equal(on_grid(asked, finest), np.arange(finest + 1))
     want, _, want_steps = reference_simpson(np.sqrt, 0.0, 1.0, quad)
-    assert want_steps == 2 * inhomogeneous.MAX_STEPS
+    assert want_steps == finest
     assert abs(value - want) <= 1e-15 * abs(want)
 
 
-def captured_integrand(monkeypatch, lam, table, t):
-    """The integrand ``mode_response`` hands to the quadrature."""
+def table_node_sums(lam, table, t):
+    """The ``node_sums`` that ``mode_response`` hands the quadrature."""
     seen = []
-    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
-                        lambda fn, a, b, quad, start: seen.append(fn) or (0.0, 0.0))
-    mode_response(lam, table, t, QUAD)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inhomogeneous, "simpson_integrate",
+                      lambda sums, a, b, quad: seen.append(sums) or (0.0, 0.0))
+        mode_response(lam, table, t, QUAD)
     return seen[0]
 
 
+def rounding_bound(weights, lam, table, t, s):
+    """``64 * 2^-52 * sum |w K| (|f| (1 + |a|) + |v_k| + |slope_k (s - t_k)|)``
+    over nodes ``s`` with Simpson weights ``w`` (prefactor included), kernels
+    ``K = e^a`` and ``f`` on segment ``k``: the bound the closed-form sums
+    keep against exact ones on exact nodes.
+
+    A (progression, segment) pair sums to ``E (f_a G0 -+ slope d G1)``.  The
+    anchor's exponent ``lam h (steps - i)`` and the ``r k`` inside ``G0`` and
+    ``G1`` take two roundings each, which moves a node's kernel by at most
+    ``eps (1 + 4 |a|)``, ``eps = 2^-53``; for lam > 0 anchor and walk have
+    opposite signs, so ``|a|`` is taken as ``2 lam t`` there.  ``G0`` takes
+    three roundings; ``G1`` is a difference of two products that cancels at
+    most 4.1-fold, about 25 ``eps``.  ``f_a = v_k + slope_k (s - t_k)`` takes
+    three roundings of its two terms, as in ``np.interp``, and walking from it
+    moves no node by more than those terms.  Along a segment ``f`` is linear,
+    so ``|f_a| G0 + |slope d| G1`` is at most 4 times ``sum e^{rk} |f_k|``.
+    The sums over pairs and levels and the prefactor add a few ``eps`` of the
+    total.  That is under 40 ``eps`` per node; 64 ulps leave room.
+    """
+    k = np.clip(np.searchsorted(table.times, s, side="right") - 1, 0, table.times.size - 2)
+    slopes = np.diff(table.values) / np.diff(table.times)
+    along = np.where(s < table.times[-1], slopes[k] * (s - table.times[k]), 0.0)
+    spread = np.abs(np.where(s < table.times[-1], table.values[k], table.values[-1])) + np.abs(along)
+    f = np.interp(s, table.times, table.values)
+    a = lam * (t - s) if lam <= 0.0 else 2.0 * lam * t
+    kernels = np.abs(weights) * np.exp(lam * (t - s))
+    return 64 * 2.0 ** -52 * np.sum(kernels * (np.abs(f) * (1.0 + np.abs(a)) + spread))
+
+
+def simpson_bound(lam, table, t, steps):
+    """How far ``mode_response``'s Simpson value on ``steps`` intervals may
+    sit from the exact-node sum: :func:`rounding_bound`, plus, where
+    ``t / steps`` is not a double, the node rounding: the nodes
+    ``i fl(t / steps)`` sit up to ``ulp(t)`` off the exact ones, which moves
+    the kernel by ``|lam| ulp(t)`` and the interpolant by its slope times that."""
+    s = np.linspace(0.0, t, steps + 1)
+    weights = np.where(np.arange(steps + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    weights *= t / steps / 3.0
+    bound = rounding_bound(weights, lam, table, t, s)
+    if Fraction(t) / steps != Fraction(t / steps):
+        kernels = weights * np.exp(lam * (t - s))
+        f = np.interp(s, table.times, table.values)
+        slopes = np.abs(np.diff(table.values) / np.diff(table.times)).max()
+        bound += np.sum(kernels * (abs(lam) * np.abs(f) + slopes)) * np.spacing(t)
+    return bound + 1e-300  # and what underflows
+
+
 @pytest.mark.parametrize("mode", [22, 64])
-def test_table_integrand_matches_the_full_expression(mode, monkeypatch):
-    # the integrand computes every node it is handed; the quadrature, not the
-    # integrand, skips the nodes where exp(lam (t - s)) is below exp(-708)
-    lam, t = -((mode * math.pi) ** 2), 1.0
-    s = np.linspace(0.0, t, 65537)
+def test_table_integrand_matches_the_full_expression(mode):
+    # the sums the table hands the quadrature are those of the full expression
+    # exp(lam (t - s)) interp(s) on its nodes, to rounding: the whole grid,
+    # one level's midpoints and a progression of stride 3
+    lam, t, steps = -((mode * math.pi) ** 2), 1.0, 65536
     times = np.arange(17) / 16
     for values in (np.random.default_rng(mode).uniform(-1.0, 1.0, 17), np.linspace(1.0, 2.0, 17)):
-        got = captured_integrand(monkeypatch, lam, rf.TableForcing(times, values), t)(s)
-        want = np.exp(lam * (t - s)) * np.interp(s, times, values)
-        assert np.array_equal(got, want)  # the same expression: equal values, equal signs of zero
-        if np.all(values > 0.0):
-            assert got.tobytes() == want.tobytes()
+        table = rf.TableForcing(times, values)
+        progressions = [(0, steps + 1, 1), (1, steps // 2, 2), (2, steps // 3, 3)]
+        got = table_node_sums(lam, table, t)(np.array([[steps] * 3, *zip(*progressions)], dtype=float))
+        for value, (first, count, stride) in zip(got, progressions):
+            s = (first + stride * np.arange(count)) / steps
+            terms = table_integrand(lam, table, t)(s)
+            assert abs(value - np.sum(terms)) <= rounding_bound(np.ones_like(s), lam, table, t, s)
 
 
 def bench_style_tables():
@@ -341,92 +417,170 @@ def bench_style_tables():
         yield -((mode * math.pi) ** 2), rf.TableForcing(times, values)
 
 
-def counted_quadrature(monkeypatch, nodes):
-    """Record every node array the table quadrature hands its integrand."""
-    nested = inhomogeneous.simpson_integrate
-    monkeypatch.setattr(inhomogeneous, "simpson_integrate",
-                        lambda fn, a, b, quad, start: nested(counting(fn, nodes), a, b, quad, start))
-
-
-def test_adaptive_table_quadrature_stops_where_the_reference_stops(monkeypatch):
-    # the integrand sees the reference grid's nodes at or past t + 708 / lam,
-    # each once; the stop level and the value are the reference's
-    nodes = []
-    counted_quadrature(monkeypatch, nodes)
+def test_adaptive_table_quadrature_stops_where_the_reference_stops():
+    # adjacent levels differ by about tol, so agreeing to 1e-15 with the node
+    # by node reference, and on the estimate, pins the stop level too
     quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
     for lam, table in bench_style_tables():
-        nodes.clear()
-        got, _ = mode_response(lam, table, 1.0, quad)
-        want, _, want_steps = reference_simpson(
-            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)
-        assert 64 << (len(nodes) - 1) == want_steps
-        grid = np.linspace(0.0, 1.0, want_steps + 1)
-        assert np.array_equal(np.sort(np.concatenate(nodes)), grid[grid >= 1.0 + 708.0 / lam])
+        got, estimate = mode_response(lam, table, 1.0, quad)
+        want, want_estimate, _ = reference_simpson(table_integrand(lam, table, 1.0), 0.0, 1.0, quad)
         assert abs(got - want) <= 1e-15 * abs(want)
-
-
-def test_table_quadrature_never_computes_a_subnormal_kernel(monkeypatch):
-    # a cost guard in counts: exp of an argument below -708.4 is subnormal or
-    # zero and takes numpy's slow scalar path; the full grids hold 360,455 nodes
-    nodes = []
-    counted_quadrature(monkeypatch, nodes)
-    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
-    total = 0
-    for lam, table in bench_style_tables():
-        nodes.clear()
-        mode_response(lam, table, 1.0, quad)
-        s = np.concatenate(nodes)
-        assert np.all(lam * (1.0 - s) >= -708.0 * (1.0 + 1e-15))
-        assert np.all(np.exp(lam * (1.0 - s)) >= np.finfo(float).tiny)
-        total += s.size
-    assert total <= 90_000
+        assert estimate == pytest.approx(want_estimate, rel=1e-6)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.0, -PI2, -700.0])
 @pytest.mark.parametrize("adaptive", [False, True])
-def test_table_quadrature_without_a_cut_evaluates_the_whole_grid(lam, adaptive, monkeypatch):
-    # lam >= 0 has no cut, and for -708 <= lam < 0 the cut t + 708 / lam is at
-    # or before 0: every node is evaluated, bit for bit as without a start
-    nodes = []
-    counted_quadrature(monkeypatch, nodes)
+def test_table_quadrature_without_a_cut_evaluates_the_whole_grid(lam, adaptive):
+    # every node counts, also where the kernel is tiny (-700) or growing (2):
+    # the value is the full-grid reference's
     quad = rf.QuadratureConfig(steps=8, adaptive=adaptive, tol=1e-8)
     table = rf.TableForcing(np.arange(5) / 4, np.array([1.0, -0.5, 0.25, 2.0, -1.0]))
-    got = mode_response(lam, table, 1.0, quad)
-    monkeypatch.undo()
-    want = simpson_integrate(
-        lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)
-    assert got == want
-    fine = 8 << (len(nodes) - 1)
-    assert np.array_equal(np.sort(np.concatenate(nodes)), np.linspace(0.0, 1.0, fine + 1))
-    if not adaptive:
-        assert got[0] == reference_simpson(
-            lambda s: np.exp(lam * (1.0 - s)) * np.interp(s, table.times, table.values), 0.0, 1.0, quad)[0]
+    got, estimate = mode_response(lam, table, 1.0, quad)
+    want, want_estimate, want_steps = reference_simpson(table_integrand(lam, table, 1.0), 0.0, 1.0, quad)
+    # the samples change sign, so the value is small against its terms: both
+    # sit within the rounding bound of the exact-node sum
+    assert abs(got - want) <= 2.0 * simpson_bound(lam, table, 1.0, want_steps)
+    assert estimate == pytest.approx(want_estimate, rel=1e-6)
+
+
+def zero_until(start, t):
+    """A table that is zero up to ``start`` and samples ``smooth - smooth(start)`` past it."""
+    times = np.concatenate(([0.0], np.linspace(start, t, 9)))
+    return rf.TableForcing(times, np.concatenate(([0.0, 0.0], smooth(times[2:]) - smooth(start))))
 
 
 @pytest.mark.parametrize("steps, adaptive", [(2, False), (6, False), (64, False), (8, True)])
 @pytest.mark.parametrize("start", [0.1, 0.35, 0.9, 1.699])
 def test_simpson_evaluates_only_the_nodes_past_start(steps, adaptive, start):
-    # fn is zero below start: the nodes there are skipped, and the value is the
-    # reference's for the integrand that is zero there
-    def cut(s):
-        return np.where(s >= start, smooth(s), 0.0)
-
+    # a forcing that is zero below start: the nodes there add exactly nothing,
+    # and the value is the reference's
+    lam, t = -PI2, 1.7
+    table = zero_until(start, t)
     quad = rf.QuadratureConfig(steps=steps, adaptive=adaptive, tol=1e-9)
-    nodes = []
-    value, estimate = simpson_integrate(counting(smooth, nodes), 0.1, 1.7, quad, start)
-    want, want_estimate, want_steps = reference_simpson(cut, 0.1, 1.7, quad)
-    grid = np.linspace(0.1, 1.7, (want_steps if adaptive else 2 * steps) + 1)
-    assert np.array_equal(np.sort(np.concatenate(nodes)), grid[grid >= start])
-    assert abs(value - want) <= 1e-15 * abs(want)
+    value, estimate = mode_response(lam, table, t, quad)
+    want, want_estimate, want_steps = reference_simpson(table_integrand(lam, table, t), 0.0, t, quad)
+    assert abs(value - want) <= 2.0 * simpson_bound(lam, table, t, want_steps)
     assert estimate == pytest.approx(want_estimate, rel=1e-6, abs=1e-15)
-    if start <= 0.1:
-        assert (value, estimate) == simpson_integrate(smooth, 0.1, 1.7, quad)
+    below = int(np.ceil(start / t * want_steps)) - 1  # the last node below start
+    if below >= 0:
+        sums = table_node_sums(lam, table, t)
+        assert sums(np.array([[want_steps], [0.0], [below + 1], [1.0]])).tolist() == [0.0]
 
 
 def test_simpson_with_start_past_the_interval_evaluates_nothing():
-    nodes = []
-    assert simpson_integrate(counting(smooth, nodes), 0.1, 1.7, QUAD, 1.8) == (0.0, 0.0)
-    assert nodes == []
+    # a forcing that is zero on the whole interval gives exactly nothing
+    table = rf.TableForcing(np.array([0.0, 1.8, 2.0]), np.array([0.0, 0.0, 3.0]))
+    for lam in (-PI2, 0.0, 2.0):
+        assert mode_response(lam, table, 1.7, QUAD) == (0.0, 0.0)
+
+
+def test_table_node_sums_at_lam_zero_are_exact():
+    # with r = 0 the closed forms are G0 = m and G1 = m (m - 1) / 2: integer
+    # samples on dyadic knots sum exactly, whatever the progression
+    table = rf.TableForcing(np.array([0.0, 0.25, 0.5, 1.0]), np.array([3.0, -5.0, 7.0, 1.0]))
+    sums = table_node_sums(0.0, table, 1.0)
+    for steps, first, count, stride in [(64, 0, 65, 1), (64, 1, 32, 2), (1024, 2, 511, 2), (256, 3, 20, 7)]:
+        s = [Fraction(first + stride * j, steps) for j in range(count)]
+        want = sum(exact_interp(x, table) for x in s)
+        got = sums(np.array([[steps], [first], [count], [stride]], dtype=float))[0]
+        assert Fraction(got) == want
+
+
+def exact_interp(x, table):
+    times, values = [Fraction(v) for v in table.times], [Fraction(v) for v in table.values]
+    k = max(j for j in range(len(times) - 1) if times[j] <= x) if x < times[-1] else len(times) - 2
+    return values[k] + (values[k + 1] - values[k]) * (x - times[k]) / (times[k + 1] - times[k])
+
+
+def test_growing_kernel_is_summed_from_its_bottom_node_without_overflow():
+    # lam > 0 anchors each segment at its bottom node, so the largest kernel
+    # taken is the node path's, e^{lam t} at s = 0: 1e304 here, not past it
+    table = rf.TableForcing(np.arange(5) / 4, np.array([1.0, -0.5, 0.25, 2.0, -1.0]))
+    for quad in (QUAD, rf.QuadratureConfig(steps=8, adaptive=True, tol=1e-10)):
+        got, _ = mode_response(700.0, table, 1.0, quad)
+        want, _, _ = reference_simpson(table_integrand(700.0, table, 1.0), 0.0, 1.0, quad)
+        assert math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_table_quadrature_stops_at_the_step_ceiling():
+    # a tolerance no level meets: the value is the reference's at the
+    # refinement of the MAX_STEPS grid
+    lam, table = next(bench_style_tables())
+    quad = rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS // 4, adaptive=True, tol=1e-300)
+    got, estimate = mode_response(lam, table, 1.0, quad)
+    want, want_estimate, want_steps = reference_simpson(table_integrand(lam, table, 1.0), 0.0, 1.0, quad)
+    assert want_steps == 2 * inhomogeneous.MAX_STEPS
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+CEILING = rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS // 4, adaptive=True, tol=1e-300)
+
+
+def test_table_quadrature_at_the_step_ceiling_allocates_under_a_megabyte():
+    # a cost guard in memory: the node path's last refinement alone built
+    # 2^20 nodes, 8 MB; the closed form holds arrays over segments
+    lam, table = next(bench_style_tables())
+    assert traced_peak(lambda: mode_response(lam, table, 1.0, CEILING)) < 1 << 20
+
+
+def test_large_table_quadrature_allocates_less_than_the_node_path():
+    # 10^5 samples: the (progression, segment) arrays go in chunks; the node
+    # path peaked at 14.9 MB on this call
+    times = np.linspace(0.0, 1.0, 10**5)
+    table = rf.TableForcing(times, np.sin(7.0 * times))
+    assert traced_peak(lambda: mode_response(-PI2 * 169, table, 1.0, CEILING)) < 8 << 20
+
+
+LAMS = [0.0, 1e-12, -1e-12, -1e-6, -1e-3, -PI2, -700.0, -(22 * math.pi) ** 2, 2.0]
+
+
+def adaptive_steps(lam, table, t, quad):
+    """The step count of an adaptive run's value, replayed from non-adaptive
+    runs: the refinement of the first level whose estimate meets ``tol``."""
+    steps = quad.steps
+    while True:
+        _, estimate = mode_response(lam, table, t, rf.QuadratureConfig(steps=steps))
+        fine, _ = mode_response(lam, table, t, rf.QuadratureConfig(steps=2 * steps))
+        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= inhomogeneous.MAX_STEPS:
+            return 2 * steps
+        steps *= 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.sampled_from(LAMS),
+       inner=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
+       before=st.floats(0.0, 0.5),
+       values=st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7),
+       end=st.sampled_from([1.0, 0.7, 0.3]),
+       past=st.integers(0, 10),
+       level=st.integers(1, 12), triple=st.booleans(),
+       adaptive=st.booleans(), tol=st.sampled_from([1e-3, 1e-5]))
+def test_mode_response_is_exact_node_simpson_to_rounding(
+        lam, inner, before, values, end, past, level, triple, adaptive, tol):
+    # knots off the grid, the first before 0, values of both signs; t up to
+    # the 1e-12 past the last knot that the table still covers
+    times = np.array(sorted({-before, *inner, 1.0}))
+    table = rf.TableForcing(times, np.array(values[:times.size]))
+    t = 1.0 + past * 1e-13 if end == 1.0 else end
+    steps = min((3 if triple else 1) << level, 1 << 12)
+    if adaptive:
+        quad = rf.QuadratureConfig(steps=min(steps, 256), adaptive=True, tol=tol)
+        steps = adaptive_steps(lam, table, t, quad)
+        assume(steps <= 1 << 13)
+    else:
+        quad = rf.QuadratureConfig(steps=steps)
+    got, _ = mode_response(lam, table, t, quad)
+    want = mp_simpson_table(lam, table.times, table.values, t, steps)
+    assert abs(got - float(want)) <= simpson_bound(lam, table, t, steps)
 
 
 def mp_exponential_response(a, mu, lam, t):
