@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotConvergedError, OracleFailedError
+from .logdomain import _scaled_upper_gamma
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
@@ -85,45 +86,96 @@ def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
     return result
 
 
+def _leading_term(tail, x: float) -> tuple[float, float]:
+    """The log tail norm beyond ``m = x - 1/2`` from the law's leading term,
+    half the log of ``coeff^2 int_x^inf u^-P e^{-c u^2} du``, ``P = 2 power``,
+    ``c = 2 pi^2 rate``, and its slope in ``log x``, ``-1/(2 rho)``: ``rho`` is
+    the integral over ``x f(x)``, ``1 / (P - 1)`` when ``c = 0`` and an
+    incomplete gamma ratio otherwise."""
+    big, c = 2.0 * tail.power, 2.0 * math.pi**2 * tail.rate
+    z = c * x * x
+    if not c:
+        rho = 1.0 / (big - 1.0)
+    elif big or z >= 2.0:
+        rho = 0.5 * _scaled_upper_gamma(0.5 * (1.0 - big), z)
+    else:  # the same for P = 0, where the series of the gamma ratio is slow
+        rho = 0.5 * math.sqrt(math.pi / z) * math.exp(z) * math.erfc(math.sqrt(z))
+    log_integral = (1.0 - big) * math.log(x) - z + math.log(rho)
+    return math.log(tail.coeff) + 0.5 * log_integral, -0.5 / rho
+
+
+def _seed_depth(tail, log_eps: float) -> float:
+    """Where the law's leading term (:func:`_leading_term`) puts the least
+    depth, by safeguarded Newton in ``log x``; 0 for a law it does not model.
+    Only a first guess."""
+    if not (tail.coeff and 0.0 <= tail.rate < math.inf and (tail.rate or tail.power > 0.5)):
+        return 0.0
+    lo, hi = 0.0, math.log(2.0 * MAX_MODES)  # u = log x, with the root inside
+    u = lo
+    for _ in range(40):
+        value, slope = _leading_term(tail, math.exp(u))
+        if value < log_eps:
+            hi = u
+        else:
+            lo = u
+        step = (log_eps - value) / slope
+        if abs(step) < 1e-9:
+            break
+        u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+    return math.exp(u) - 0.5
+
+
+def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
+    """The least depth ``m >= state.num_modes`` whose tail norm beyond ``m``
+    is below ``exp(log_eps)``, with that norm's log; ``NotConvergedError``
+    past ``MAX_MODES``.
+
+    The norm beyond ``m`` falls as ``m`` grows, so the answer is bracketed by
+    a depth too shallow and one deep enough.  Each probe is one tail sum; the
+    first is the law's leading-term inverse (:func:`_seed_depth`), each next
+    one a Newton step in ``log m`` from the last probe's norm along the
+    leading term's slope, rounded up to a whole mode and kept inside the
+    bracket.  A smooth law takes two or three probes.  Three probes in a row
+    on one side double the depth, or halve the bracket, instead, so the
+    search ends whatever the law.
+    """
+    shallow, deep = state.num_modes - 1, None  # the answer lies in (shallow, deep]
+    m = min(max(math.ceil(_seed_depth(state.tail, log_eps)), state.num_modes), MAX_MODES)
+    run, side = 0, None  # probes in a row on one side, and that side
+    while True:
+        value = _tail_log_norm_beyond(state, m)
+        small = value < log_eps
+        run, side = (run + 1 if small == side else 1), small
+        if small:
+            deep, dropped = m, value
+        else:
+            shallow = m
+        if deep == shallow + 1:
+            return deep, dropped
+        if shallow >= MAX_MODES:
+            raise NotConvergedError(f"truncation scan passed {MAX_MODES} modes without meeting eps")
+        slope = _leading_term(state.tail, m + 0.5)[1]
+        reach = (log_eps - value) / slope if slope < 0.0 else 1.0
+        guess = math.ceil((m + 0.5) * math.exp(min(reach, 40.0)) - 0.5)
+        if deep is None:
+            m = min(max(guess, shallow + 1, 2 * shallow if run > 2 else 0), MAX_MODES)
+        else:
+            m = (shallow + deep) // 2 if run > 2 else min(max(guess, shallow + 1), deep - 1)
+
+
 def truncate_to_reversible(
     state: SpectralState, eps: float
 ) -> tuple[SpectralState, DensityCertificate]:
-    """Smallest-tail truncation within ``eps``: scan for the first depth whose
-    remaining tail norm drops below ``eps``, write the envelope out as explicit
-    modes up to there, and drop the rest.
+    """Smallest-tail truncation within ``eps``: find the first depth whose
+    remaining tail norm drops below ``eps`` (:func:`_least_depth`), write the
+    envelope out as explicit modes up to there, and drop the rest.
 
     The result has a zero tail (hence full backward reach) and differs from
     the input by exactly the dropped tail.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    log_eps = math.log(eps)
-
-    def small_enough(m: int) -> bool:
-        return _tail_log_norm_beyond(state, m) < log_eps
-
-    # bracket the minimal depth by doubling, then binary-search it; the tail
-    # norm beyond m is strictly decreasing in m
-    lo = state.num_modes  # known insufficient unless already small enough
-    if small_enough(lo):
-        n_prime = lo
-    else:
-        hi = max(lo + 1, 2 * lo)
-        while not small_enough(hi):
-            lo = hi
-            hi *= 2
-            if hi > MAX_MODES:
-                raise NotConvergedError(
-                    f"truncation scan passed {MAX_MODES} modes without meeting eps"
-                )
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if small_enough(mid):
-                hi = mid
-            else:
-                lo = mid
-        n_prime = hi
-    dropped = _tail_log_norm_beyond(state, n_prime)
+    n_prime, dropped = _least_depth(state, math.log(eps))
     cert = DensityCertificate(eps, math.exp(dropped), n_prime - state.num_modes, ())
     return _materialize(state, n_prime), cert
 

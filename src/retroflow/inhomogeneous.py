@@ -6,13 +6,16 @@ go through composite Simpson quadrature on nested grids, with the error
 estimate from the same pass as the value.  The integrand is the damping
 kernel times a piecewise-linear interpolant, so a level's nodes on one table
 segment sum in closed form (a geometric sum and its first moment): a level
-costs O(table segments), not O(nodes).  Forcing acts on explicit modes only;
-tail forcing is out of scope.
+costs O(table segments), not O(nodes).  All table modes of a forcing share
+one pass: one array kernel sums every mode's levels, the rule and the stop
+test run over modes and levels at once, and each mode keeps its own stop
+level.  Forcing acts on explicit modes only; tail forcing is out of scope.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -49,13 +52,17 @@ class TableForcing:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).copy()
-        values = np.asarray(self.values, dtype=float).copy()
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("table needs matching 1-d times and values, at least two samples")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        gaps = np.diff(times)
+        rising = (gaps > 0.0).all()
+        # times that rise strictly between finite ends are finite throughout
+        if not (np.isfinite(values).all() and (math.isfinite(times[0]) and math.isfinite(times[-1])
+                                               if rising else np.isfinite(times).all())):
             raise ValueError("table times and values must be finite")
-        if not np.all(np.diff(times) > 0):
+        if not rising:
             raise ValueError("table times must be strictly increasing")
         times.flags.writeable = False
         values.flags.writeable = False
@@ -64,7 +71,7 @@ class TableForcing:
         # segment k runs from times[k] to the next knot with np.interp's slope;
         # the last runs on to infinity, where np.interp clamps to the last sample
         slopes = np.zeros_like(values)
-        slopes[:-1] = np.diff(values) / np.diff(times)
+        np.divide(np.diff(values), gaps, out=slopes[:-1])
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_bounds", np.concatenate(([-math.inf], times[1:], [math.inf])))
 
@@ -161,91 +168,231 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
-    """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
+@functools.lru_cache(maxsize=64)
+def _ladder(steps: int, adaptive: bool) -> np.ndarray:
+    """The progressions :func:`simpson_integrate` asks for: the ends, the
+    first grid's even nodes, then each grid's midpoints."""
+    # an adaptive run's coarse grids are steps << j up to the first >= MAX_STEPS
+    deepest = (-(-MAX_STEPS // steps) - 1).bit_length() + 1 if adaptive else 1
+    grids = [steps << j for j in range(deepest + 1)]
+    progressions = np.array([[steps, steps, *grids],
+                             [0, 2] + [1] * len(grids),
+                             [2, steps // 2 - 1, *(n // 2 for n in grids)],
+                             [steps, 2] + [2] * len(grids)], dtype=float)
+    progressions.flags.writeable = False
+    return progressions
+
+
+def _levels(sums: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson's rule at every level whose sums are in, one row per integrand,
+    and the Richardson estimate of each level against the next."""
+    # level j's even nodes are the first grid's plus the midpoints of levels
+    # below j, added in that order
+    even = sums[:, 1:-1].cumsum(axis=1)
+    rule = weights[:even.shape[1]] * (sums[:, :1] + 4.0 * sums[:, 2:] + 2.0 * even)
+    return rule, np.abs(rule[:, 1:] - rule[:, :-1]) / 15.0
+
+
+def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig):
+    """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``,
+    for one integrand or a batch of them.
 
     ``node_sums(progressions)`` gets a float array whose rows are ``steps``,
     ``first``, ``count`` and ``stride``, one column per arithmetic progression
     of grid nodes ``a + i (b - a) / steps``, ``i = first + stride j`` for
-    ``j < count``, and returns the integrand summed over each.  The grids are
-    nested, so the rule needs only the two ends, the first grid's even nodes
-    and each level's new midpoints, and asks for all of them in one call.
+    ``j < count``, and returns the integrand summed over each: shape (P,) for
+    one integrand, (M, P) for a batch of M.  The grids are nested, so the rule
+    needs only the two ends, the first grid's even nodes and each level's new
+    midpoints, and asks for all of them at once.  A batch may answer for the
+    leading progressions only, the first four at least; the rule then calls
+    ``node_sums(rest, rows)`` with the progressions still to come and the
+    integrands not yet stopped.
     Non-adaptive: the value at the requested step count, estimated against
     one refinement.  Adaptive: keep doubling until the estimate meets ``tol``
-    or the coarse grid reaches ``MAX_STEPS``.
+    or the coarse grid reaches ``MAX_STEPS``; each integrand keeps its first
+    level that passes.  Returns (value, estimate), as floats for one
+    integrand and as arrays for a batch.
     """
-    steps = quad.steps
-    # an adaptive run's coarse grids are steps << j up to the first >= MAX_STEPS
-    deepest = (-(-MAX_STEPS // steps) - 1).bit_length() + 1 if quad.adaptive else 1
-    grids = [steps << j for j in range(deepest + 1)]
-    sums = node_sums(np.array([[steps, steps, *grids],
-                               [0, 2] + [1] * len(grids),
-                               [2, steps // 2 - 1, *(n // 2 for n in grids)],
-                               [steps, 2] + [2] * len(grids)], dtype=float)).tolist()
-    ends, even, odd = sums[0], sums[1], sums[2:]
-    coarse = (b - a) / steps / 3.0 * (ends + 4.0 * odd[0] + 2.0 * even)
-    for level in range(1, deepest + 1):
-        h = (b - a) / (2 * steps)
-        even += odd[level - 1]
-        fine = h / 3.0 * (ends + 4.0 * odd[level] + 2.0 * even)
-        estimate = abs(fine - coarse) / 15.0
-        if not quad.adaptive:
-            return coarse, estimate
-        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= MAX_STEPS:
-            break
-        coarse, steps = fine, 2 * steps
-    return fine, estimate
+    progressions = _ladder(quad.steps, quad.adaptive)
+    grids = progressions[0, 2:]
+    weights = (b - a) / grids / 3.0
+    sums = np.asarray(node_sums(progressions), dtype=float)
+    single = sums.ndim == 1
+    sums = sums.reshape(-1, sums.shape[-1])
+    rule, change = _levels(sums, weights)
+    if not quad.adaptive:
+        value, estimate = rule[:, 0], change[:, 0]
+    else:
+        rows = np.arange(sums.shape[0])  # the integrands still running
+        value, estimate = np.empty(rows.size), np.empty(rows.size)
+        while True:
+            passed = change <= quad.tol * np.maximum(1.0, np.abs(rule[:, 1:]))
+            passed |= grids[:change.shape[1]] >= MAX_STEPS
+            level = passed.argmax(axis=1)
+            done = passed[np.arange(rows.size), level]
+            value[rows[done]] = rule[done, level[done] + 1]
+            estimate[rows[done]] = change[done, level[done]]
+            if done.all():
+                break
+            sums, rows = sums[~done], rows[~done]
+            sums = np.concatenate((sums, node_sums(progressions[:, sums.shape[1]:], rows)), axis=1)
+            rule, change = _levels(sums, weights)
+    if single:
+        return float(value[0]), float(estimate[0])
+    return value, estimate
 
 
 # Taylor coefficients of phi'(x), phi(x) = expm1(x) / x, through x^17: on
 # [-1, 0] the terms fall and alternate, and the first one left out is below
 # 2^-55 of the sum, which is at least 1 - 2/e there
 _SLOPE_TAYLOR = np.array([(j + 1) / math.factorial(j + 2) for j in range(18)])
-# knot positions located per pass, and (progression, segment) pairs summed
-# per batch: larger tables go in chunks
-_CELLS, _PAIRS = 1 << 15, 1 << 12
+# (mode, progression, segment) cells located per pass; pairs per mode in one
+# round of levels, and per batch of the phi' series; table segments per
+# block, so that a large table's sums add in an order fixed by the table alone
+_CELLS, _PAIRS, _BLOCK = 1 << 15, 1 << 12, 1 << 12
 
 
-def _table_sums(lam: float, t: float, table: TableForcing, progressions: np.ndarray) -> np.ndarray:
-    """``exp(lam (t - s)) f(s)``, ``f`` the table's interpolant, summed over
-    each progression of nodes ``s = i t / steps`` (see :func:`simpson_integrate`).
+class _TableSums:
+    """The ``node_sums`` of :func:`simpson_integrate` for a batch of table
+    modes: row ``i`` sums ``exp(lams[i] (t - s)) f_i(s)``, ``f_i`` the
+    interpolant of ``tables[i]``, over each progression of nodes
+    ``s = i t / steps``.
 
-    A progression's nodes on one table segment, a (progression, segment)
-    pair, are summed in closed form by :func:`_pair_sums`; only pairs that
-    hold a node are summed, so past locating the knots the work is
-    O(min(segments, nodes)).
+    A progression's nodes on one table segment, a (mode, progression,
+    segment) triple, are summed in closed form by :func:`_pair_sums`; the
+    knots of every mode are located on one grid and only triples that hold a
+    node are summed, so past locating the knots the work is
+    O(min(segments, nodes)).  A call answers for the leading progressions
+    that fit in ``_PAIRS`` pairs per mode, and for at least one (four on the
+    first call): a large adaptive table is summed a few levels at a time, and
+    stops when its rule does.  Tables past ``_BLOCK`` segments go in blocks
+    of segments.
     """
-    steps, first, count, stride = progressions
-    scale, shift = (steps / stride)[:, None], (first / stride)[:, None]
-    totals = np.zeros(steps.size)
-    # a segment whose top knot sees the kernel below e^-750 holds only nodes
-    # where exp gives exactly 0, so leaving it out changes no bit
-    live = max(int(np.searchsorted(table.times, t + 750.0 / lam)) - 1, 0) if lam < 0.0 else 0
-    width = max(1, _CELLS // steps.size)
-    for k0 in range(live, table.times.size, width):
+
+    def __init__(self, lams, tables, t: float):
+        self.lams, self.tables, self.t = lams, tables, t
+        self.sizes = [table.times.size for table in tables]  # the last segment runs on to infinity
+        # a segment whose top knot sees the kernel below e^-750 holds only nodes
+        # where exp gives exactly 0, so leaving it out changes no bit
+        self.live = [max(int(table.times.searchsorted(t + 750.0 / lam)) - 1, 0) if lam < 0.0 else 0
+                     for lam, table in zip(lams, tables)]
+
+    def __call__(self, progressions: np.ndarray, rows=None) -> np.ndarray:
+        opening = rows is None  # the rule's first level needs four progressions
+        rows = range(len(self.tables)) if opening else rows.tolist()
+        cost = max([self.sizes[i] - self.live[i] for i in rows])  # live segments: pairs per progression
+        taken = progressions.shape[1]
+        if cost * taken > _PAIRS:
+            pairs = itertools.accumulate(min(count, cost) for count in progressions[2].tolist())
+            taken = max(min(4, taken) if opening else 1, sum(1 for total in pairs if total <= _PAIRS))
+            progressions = progressions[:, :taken]
+        top = max([self.sizes[i] for i in rows])
+        if top <= _BLOCK and len(rows) * taken * (top + 1) <= _CELLS:
+            return self._block(rows, 0, top, progressions)  # the whole batch in one pass
+        totals = np.zeros((len(rows), taken))
+        for lo in range(min(self.live[i] for i in rows) // _BLOCK * _BLOCK, top, _BLOCK):
+            members = [j for j, i in enumerate(rows) if self.live[i] < lo + _BLOCK and self.sizes[i] > lo]
+            if not members:
+                continue  # past the short tables, before the long ones' live segments
+            width = min(_BLOCK, max(self.sizes[rows[j]] for j in members) - lo)
+            per = max(1, _CELLS // (taken * (width + 1)))
+            for g in range(0, len(members), per):
+                group = members[g:g + per]
+                totals[group] += self._block([rows[j] for j in group], lo, width, progressions)
+        return totals
+
+    def _block(self, modes, lo, width, progressions):
+        """Sums over segments ``lo`` to ``lo + width`` of ``modes``, shape (modes, progressions)."""
+        t = self.t
+        steps, first, count, stride = progressions
+        tables = [self.tables[i] for i in modes]
+        lams, live = [self.lams[i] for i in modes], [self.live[i] for i in modes]
+        if len(modes) == 1:
+            bounds = tables[0]._bounds[None, lo:lo + width + 1]
+            width = bounds.shape[1] - 1
+        else:  # padded with +inf past each mode's last segment
+            bounds = np.full((len(modes), width + 1), math.inf)
+            for row, table in zip(bounds, tables):
+                part = table._bounds[lo:lo + width + 1]
+                row[:part.size] = part
         # the knots in units of t, clipped where they lie past every node
-        # anyway so that a tiny t cannot overflow them; then each segment's
-        # progression indices [c_k, c_{k+1})
-        knots = np.minimum(np.maximum(table._bounds[k0:k0 + width + 1], -t), 2.0 * t) / t
-        c = knots * scale
-        c -= shift
+        # anyway so that a tiny t cannot overflow them; below a mode's live
+        # segment raised to its lower knot, so that they hold no node
+        knots = np.minimum(np.maximum(bounds, -t), 2.0 * t) / t
+        if max(live) > lo:
+            cut = np.array([[table._bounds[k]] for k, table in zip(live, tables)])
+            np.maximum(knots, np.minimum(np.maximum(cut, -t), 2.0 * t) / t, out=knots)
+        # each segment's progression indices [c_k, c_{k+1}), on a (mode,
+        # progression, knot) grid; a nonzero cell of m is a triple, its nodes
+        c = knots[:, None, :] * (steps / stride)[:, None]
+        c -= (first / stride)[:, None]
         np.ceil(c, out=c)
         np.maximum(c, 0.0, out=c)
         np.minimum(c, count[:, None], out=c)
-        m = c[:, 1:] - c[:, :-1]
-        rows, segs = np.nonzero(m)
-        for p in range(0, rows.size, _PAIRS):
-            row, seg = rows[p:p + _PAIRS], segs[p:p + _PAIRS]
-            anchor = c[row, seg + 1] - 1.0 if lam <= 0.0 else c[row, seg]
-            pairs = _pair_sums(lam, t, table, progressions[:, row], m[row, seg], anchor, k0 + seg)
-            totals += np.bincount(row, weights=pairs, minlength=steps.size)
-    return totals
+        m = c[..., 1:] - c[..., :-1]
+        held = m.reshape(-1).nonzero()[0]
+        if not held.size:
+            return np.zeros(m.shape[:2])
+        cell, seg = np.divmod(held, width)  # cell: mode * progressions + progression
+        below = held + cell  # where c holds the triple's bottom; its top is next
+        c = c.reshape(-1)
+        # the anchor is the top node where lam <= 0, else the bottom one
+        if len(modes) == 1:
+            mode, col, lam = 0, cell, lams[0]
+        else:
+            mode, col = np.divmod(cell, steps.size)
+            lam = np.array(lams)[mode]
+        down = lam <= 0.0
+        if max(lams) <= 0.0:
+            anchor = c[1:][below]
+            anchor -= 1.0
+        else:
+            anchor = np.where(down, c[1:][below] - 1.0, c[below])
+        # the interpolant at the anchors, mode by mode (their triples are
+        # contiguous), on the block's knots and one more each side: np.interp
+        # there is np.interp on the whole table
+        knots = slice(max(lo - 1, 0), lo + width + 2)
+        if len(modes) == 1:
+            table = tables[0]
+            slope = table._slopes[lo:][seg]
+            interp = lambda node: np.interp(node, table.times[knots], table.values[knots])  # noqa: E731
+        else:
+            parts = [table._slopes[lo:lo + width] for table in tables]
+            starts = np.cumsum([0] + [part.size for part in parts[:-1]])
+            slope = np.concatenate(parts)[starts[mode] + seg]
+            ends = mode.searchsorted(np.arange(len(modes) + 1)).tolist()
+            interp = lambda node: np.concatenate([  # noqa: E731
+                np.interp(node[ends[j]:ends[j + 1]], table.times[knots], table.values[knots])
+                for j, table in enumerate(tables)])
+        sums = _pair_sums(lam, down, t, progressions[:, col], m.reshape(-1)[held], anchor, slope, interp)
+        return np.bincount(cell, weights=sums, minlength=m.shape[0] * m.shape[1]).reshape(m.shape[:2])
 
 
-def _pair_sums(lam, t, table, progressions, m, anchor, seg):
-    """Per pair, the ``m`` nodes of a progression on table segment ``seg``
-    summed in closed form; ``anchor`` is the progression index of the node of
-    largest kernel, the top one for lam <= 0 and the bottom one for lam > 0.
+def _phi_slope(z: np.ndarray) -> np.ndarray:
+    """phi' at ``max(z, -1)`` from its Taylor series, in batches of ``2 _PAIRS``."""
+    if z.size > 2 * _PAIRS:
+        return np.concatenate([_phi_slope(z[lo:lo + 2 * _PAIRS]) for lo in range(0, z.size, 2 * _PAIRS)])
+    # the powers double blockwise
+    powers = np.empty((_SLOPE_TAYLOR.size, z.size))
+    powers[0] = 1.0
+    np.maximum(z, -1.0, out=powers[1])
+    square = powers[1] * powers[1]
+    np.multiply(powers[:2], square, out=powers[2:4])
+    square *= square
+    np.multiply(powers[:4], square, out=powers[4:8])
+    square *= square
+    np.multiply(powers[:8], square, out=powers[8:16])
+    square *= square
+    np.multiply(powers[:2], square, out=powers[16:])
+    return np.einsum("j,jn->n", _SLOPE_TAYLOR, powers)
+
+
+def _pair_sums(lam, down, t, progressions, m, anchor, slope, interp):
+    """Per pair, the ``m`` nodes of a progression on one table segment of
+    slope ``slope``, summed in closed form; ``lam`` is the pair's rate,
+    ``down`` whether it is at most 0, ``interp`` its interpolant, and
+    ``anchor`` the progression index of the node of largest kernel, the top
+    one for lam <= 0 and the bottom one for lam > 0.
 
     On the segment ``f`` is linear and the kernel geometric, so walking from
     the anchor the sum is ``E (f_a G0 -+ slope d G1)``: ``E`` and ``f_a`` are the
@@ -270,22 +417,10 @@ def _pair_sums(lam, t, table, progressions, m, anchor, seg):
     kernel *= lam * h
     np.exp(kernel, out=kernel)
     node *= h
-    f = np.interp(node, table.times, table.values)
+    f = interp(node)
     z = np.concatenate((m * r, r))  # m r, then r
     em1 = np.expm1(z)
-    # phi' at max(z, -1) from its Taylor series; the powers double blockwise
-    powers = np.empty((_SLOPE_TAYLOR.size, z.size))
-    powers[0] = 1.0
-    np.maximum(z, -1.0, out=powers[1])
-    square = powers[1] * powers[1]
-    np.multiply(powers[:2], square, out=powers[2:4])
-    square *= square
-    np.multiply(powers[:4], square, out=powers[4:8])
-    square *= square
-    np.multiply(powers[:8], square, out=powers[8:16])
-    square *= square
-    np.multiply(powers[:2], square, out=powers[16:])
-    phi_slope = np.einsum("j,jn->n", _SLOPE_TAYLOR, powers)
+    phi_slope = _phi_slope(z)
     em1, em1_r = em1[:m.size], em1[m.size:]
     g0 = em1 / em1_r
     g1 = m * m * phi_slope[:m.size]
@@ -297,19 +432,30 @@ def _pair_sums(lam, t, table, progressions, m, anchor, seg):
     if not series.all():
         exp = np.exp(z)  # not expm1 + 1, which loses e^r's last digits for r << 0
         g1 = np.where(series, g1, (exp[m.size:] * g0 - m * exp[:m.size]) / -em1_r)
-    g1 *= table._slopes[seg]
-    g1 *= -spacing if lam <= 0.0 else spacing
+    g1 *= slope
+    g1 *= spacing
+    np.negative(g1, out=g1, where=down)
     g0 *= f
     g0 += g1
     g0 *= kernel
     return g0
 
 
+def _table_responses(lams, tables, t: float, quad: QuadratureConfig):
+    """Every table mode's convolution over [0, t], t > 0, in one Simpson pass:
+    (values, estimates) as arrays."""
+    for table in tables:
+        if t > table.times[-1] + 1e-12 * max(1.0, abs(t)) or table.times[0] > 0.0:
+            raise ValueError("table forcing must cover the whole interval [0, t]")
+    return simpson_integrate(_TableSums(lams, tables, t), 0.0, t, quad)
+
+
 def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureConfig) -> tuple[float, float]:
     """The convolution of one mode's forcing with its damping kernel over
     ``[0, t]``; returns (value, error estimate).  Closed forms are exact; a
-    table goes through Simpson, whose level sums are closed forms per table
-    segment, so a level costs O(segments) whatever its node count."""
+    table is the one-mode case of :func:`forcing_integral`'s Simpson pass,
+    whose level sums are closed forms per table segment, so a level costs
+    O(segments) whatever its node count."""
     if t == 0.0:
         return 0.0, 0.0
     if not isinstance(forcing, TableForcing):
@@ -321,9 +467,8 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         if gap == 0.0:
             return a * t * math.exp(lam * t), 0.0
         return a * exp_or_inf(max(mu, lam) * t) * -math.expm1(-gap * t) / gap, 0.0
-    if t > forcing.times[-1] + 1e-12 * max(1.0, abs(t)) or forcing.times[0] > 0.0:
-        raise ValueError("table forcing must cover the whole interval [0, t]")
-    return simpson_integrate(functools.partial(_table_sums, lam, t, forcing), 0.0, t, quad)
+    values, estimates = _table_responses((lam,), (forcing,), t, quad)
+    return float(values[0]), float(estimates[0])
 
 
 def forcing_integral(
@@ -335,18 +480,32 @@ def forcing_integral(
     estimates: list | None = None,
 ) -> SpectralState:
     """The accumulated forcing state (the mild-solution convolution term);
-    each forced mode's quadrature error estimate is appended to ``estimates``."""
+    each forced mode's quadrature error estimate is appended to ``estimates``,
+    in mode order.  Every table mode goes through one Simpson pass; each
+    value is bit for bit its :func:`mode_response`."""
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     values = np.zeros(spectrum.num_modes)
+    errors = []  # per forced mode in order; a table's comes from the pass
+    tabled = []  # (place in errors, mode, lam, table)
     for mode, f in forcing.entries:
         if mode > spectrum.num_modes:
             continue  # forcing past the truncation is out of scope
         lam = float(spectrum.eigenvalues[mode - 1])
-        values[mode - 1], estimate = mode_response(lam, f, t, quad)
-        if estimates is not None:
-            estimates.append(estimate)
+        if isinstance(f, TableForcing) and t > 0.0:
+            tabled.append((len(errors), mode, lam, f))
+            errors.append(0.0)
+        else:
+            values[mode - 1], estimate = mode_response(lam, f, t, quad)
+            errors.append(estimate)
+    if tabled:
+        places, modes, lams, tables = zip(*tabled)
+        drive, spread = _table_responses(lams, tables, t, quad)
+        for place, mode, value, e in zip(places, modes, drive.tolist(), spread.tolist()):
+            values[mode - 1], errors[place] = value, e
+    if estimates is not None:
+        estimates.extend(errors)
     return SpectralState.from_values(spectrum, values)
 
 

@@ -9,9 +9,10 @@ import pytest
 
 import retroflow as rf
 from reference import embed_reference, mp_log_tail_sum
-from retroflow.density import DensityCertificate
-from retroflow.errors import OracleFailedError
-from retroflow.spectral import log_distance
+from retroflow import spectral
+from retroflow.density import DensityCertificate, _least_depth, _tail_log_norm_beyond
+from retroflow.errors import NotConvergedError, OracleFailedError
+from retroflow.spectral import MAX_MODES, log_distance
 
 PI2 = math.pi**2
 
@@ -268,3 +269,86 @@ def test_truncate_zero_tail_returns_the_state_and_an_empty_certificate():
     assert type(out) is rf.SpectralState and out is not x
     assert out == rf.SpectralState(sp, x.signs, x.log_mags)
     assert cert == DensityCertificate(1e-3, 0.0, 0, ())
+
+
+# --- the depth search ----------------------------------------------------------------
+
+def doubling_and_bisection(state, log_eps):
+    """The least deep-enough depth as first searched: double from the
+    state's depth, capped at ``MAX_MODES``, then bisect."""
+    def small(m):
+        return _tail_log_norm_beyond(state, m) < log_eps
+
+    lo = state.num_modes
+    if small(lo):
+        return lo
+    hi = max(lo + 1, 2 * lo)
+    while not small(hi):
+        if hi >= MAX_MODES:
+            raise NotConvergedError("past MAX_MODES")
+        lo, hi = hi, min(2 * hi, MAX_MODES)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if small(mid) else (mid, hi)
+    return hi
+
+
+def random_tails(rng, count):
+    for _ in range(count):
+        coeff = 10.0 ** rng.uniform(-3.0, 3.0)
+        if rng.random() < 0.5:
+            yield rf.PowerTail(rng.uniform(0.55, 4.0), coeff)
+        else:
+            yield rf.ExpTail(10.0 ** rng.uniform(-12.0, 0.0), coeff)
+
+
+def test_depth_search_agrees_with_doubling_and_bisection():
+    # random power and exp tails at budgets whose least depth runs from the
+    # state's own (already small enough) to 10^7 modes; a budget equal to the
+    # norm beyond a depth is not met there
+    rng = np.random.default_rng(17)
+    for tail in random_tails(rng, 300):
+        x = rf.SpectralState.zeros(rf.make_heat_spectrum(int(rng.integers(1, 200))), tail)
+        depth = int(10.0 ** rng.uniform(0.0, 7.0))
+        above, below = (_tail_log_norm_beyond(x, m) for m in (depth - 1, depth))
+        for log_eps in (below + rng.uniform(0.0, 1.0) * (above - below), below):
+            want = doubling_and_bisection(x, log_eps)
+            got, dropped = _least_depth(x, log_eps)
+            assert got == want >= x.num_modes
+            assert dropped == _tail_log_norm_beyond(x, got) < log_eps
+
+
+@pytest.mark.parametrize("tail", [rf.PowerTail(0.6, 1.0), rf.ExpTail(1e-16, 1.0)])
+def test_depth_search_stops_at_max_modes(tail):
+    # the least depth MAX_MODES is found; one more mode is refused, as by the
+    # reference, and before any mode is written out
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(32), tail)
+    norms = [_tail_log_norm_beyond(x, m) for m in (MAX_MODES - 1, MAX_MODES, MAX_MODES + 1)]
+    assert norms[0] > norms[1] > norms[2]
+    edge = 0.5 * (norms[0] + norms[1])
+    assert _least_depth(x, edge)[0] == doubling_and_bisection(x, edge) == MAX_MODES
+    past = 0.5 * (norms[1] + norms[2])
+    for search in (_least_depth, doubling_and_bisection):
+        with pytest.raises(NotConvergedError):
+            search(x, past)
+    with pytest.raises(NotConvergedError, match="without meeting eps"):
+        rf.truncate_to_reversible(x, math.exp(past))
+
+
+def test_a_deep_certify_op_takes_at_most_16_tail_sums(monkeypatch):
+    # a 10^5-mode truncation and a preimage iteration from about 1000 modes
+    # (the adaptive forced flow takes none)
+    rng = np.random.default_rng(9)
+    n = np.arange(1.0, 33.0)
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), 32)
+    deep = rf.SpectralState(rf.make_heat_spectrum(32), signs, -2.0 * np.log(n), rf.PowerTail(2.0, 1.0))
+    shallow = rf.SpectralState(rf.make_heat_spectrum(32), signs, -2.5 * np.log(n), rf.PowerTail(2.5, 1.0))
+    eps = math.exp(0.5 * sum(_tail_log_norm_beyond(deep, m) for m in (99_999, 100_000)))
+    eps0 = 4.0 * math.exp(_tail_log_norm_beyond(shallow, 1001))
+    calls = []
+    real = spectral.log_tail_sum
+    monkeypatch.setattr(spectral, "log_tail_sum", lambda *args: calls.append(args) or real(*args))
+    out, _ = rf.truncate_to_reversible(deep, eps)
+    assert out.num_modes == 100_000
+    rf.iterate_to_reversible(shallow, eps0, rf.truncation_preimage_oracle())
+    assert 0 < len(calls) <= 16

@@ -332,13 +332,14 @@ def test_adaptive_simpson_stops_at_the_step_ceiling():
 
 
 def table_node_sums(lam, table, t):
-    """The ``node_sums`` that ``mode_response`` hands the quadrature."""
+    """The ``node_sums`` that ``mode_response`` hands the quadrature, for
+    its one row."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inhomogeneous, "simpson_integrate",
-                      lambda sums, a, b, quad: seen.append(sums) or (0.0, 0.0))
+                      lambda sums, a, b, quad: seen.append(sums) or (np.zeros(1), np.zeros(1)))
         mode_response(lam, table, t, QUAD)
-    return seen[0]
+    return lambda progressions: seen[0](progressions)[0]
 
 
 def rounding_bound(weights, lam, table, t, s):
@@ -623,3 +624,126 @@ def test_constant_forcing_response_is_the_plain_closed_form_bit_for_bit(value):
         for t in (1e-6, 0.03, 0.5, 1.0, 2.0):
             got, err = mode_response(lam, rf.ConstantForcing(value), t, QUAD)
             assert (got, err) == (value * math.expm1(lam * t) / lam, 0.0)
+
+
+# --- one Simpson pass for every table mode ---------------------------------------
+
+def mixed_forcing():
+    """Tables of different knot counts and times, one of two segment blocks,
+    with constant and exponential modes between them and a table past a
+    16-mode truncation."""
+    rng = np.random.default_rng(21)
+    long = np.linspace(0.0, 1.0, inhomogeneous._BLOCK + 900)
+    return rf.Forcing.from_dict({
+        1: rf.ConstantForcing(0.75),
+        2: rf.TableForcing(np.arange(17) / 16, rng.uniform(-1.0, 1.0, 17)),
+        3: rf.ExponentialForcing(-1.5, 0.3),
+        5: rf.TableForcing(np.array([-0.2, 0.13, 0.5, 0.77, 1.0]), rng.uniform(-1.0, 1.0, 5)),
+        6: rf.TableForcing(long, np.cos(3.0 * long)),
+        7: rf.ConstantForcing(-2.0),
+        8: rf.TableForcing(np.linspace(0.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300)),
+        11: rf.TableForcing(np.array([0.0, 1.0]), np.array([1.0, -1.0])),
+        12: rf.ExponentialForcing(2.0, -(12 * math.pi) ** 2),
+        14: rf.TableForcing(np.array([0.0, 0.3, 2.0]), np.array([0.5, -0.5, 0.25])),
+        40: rf.TableForcing(np.arange(5) / 4, np.ones(5)),
+    })
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("t", [1.0, 1.0 + 4e-13, 0.37, 1e-9])
+def test_forcing_integral_is_each_mode_response_bit_for_bit(adaptive, t):
+    # one pass over the six table modes in range gives each the value and the
+    # estimate of its own pass; t = 1 + 4e-13 is clamped past the last knots
+    sp = rf.make_heat_spectrum(16)
+    forcing = mixed_forcing()
+    quad = rf.QuadratureConfig(steps=8, adaptive=adaptive, tol=1e-9)
+    estimates = []
+    got = rf.forcing_integral(sp, forcing, t, quad, estimates=estimates)
+    values, want = np.zeros(16), []
+    for mode, f in forcing.entries[:-1]:
+        values[mode - 1], estimate = mode_response(float(sp.eigenvalues[mode - 1]), f, t, quad)
+        want.append(estimate)
+    assert estimates == want and len(want) == 10
+    assert t < 1e-6 or min(want[i] for i in (1, 3, 4, 6, 7, 9)) > 0.0  # the tables'
+    want_state = rf.SpectralState.from_values(sp, values)
+    assert got.signs.tobytes() == want_state.signs.tobytes()
+    assert got.log_mags.tobytes() == want_state.log_mags.tobytes()
+
+
+def test_forcing_integral_skips_segment_blocks_that_no_mode_reaches():
+    # mode 100's kernel is below e^-750 on its first 9,250 segments, so its
+    # live segments start two blocks in, past every segment of mode 1's table
+    sp = rf.make_heat_spectrum(100)
+    short, long = np.linspace(0.0, 1.0, 3000), np.linspace(0.0, 1.0, 10_000)
+    forcing = rf.Forcing.from_dict({1: rf.TableForcing(short, np.sin(short)),
+                                    100: rf.TableForcing(long, np.cos(long))})
+    estimates = []
+    got = rf.forcing_integral(sp, forcing, 1.0, QUAD, estimates=estimates)
+    values, want = np.zeros(100), []
+    for mode, f in forcing.entries:
+        values[mode - 1], estimate = mode_response(float(sp.eigenvalues[mode - 1]), f, 1.0, QUAD)
+        want.append(estimate)
+    assert estimates == want and min(want) > 0.0
+    want_state = rf.SpectralState.from_values(sp, values)
+    assert got.signs.tobytes() == want_state.signs.tobytes()
+    assert got.log_mags.tobytes() == want_state.log_mags.tobytes()
+
+
+def test_a_large_adaptive_table_sums_no_level_past_its_stop(monkeypatch):
+    # 10^5 samples: the whole ladder of levels is about 500k (progression,
+    # segment) pairs; levels are summed a round at a time, and none past the
+    # level whose rule stops the run
+    times = np.linspace(0.0, 1.0, 10**5)
+    table = rf.TableForcing(times, np.sin(7.0 * times))
+    lam, quad = -PI2 * 169, rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+    stop = adaptive_steps(lam, table, 1.0, quad)  # the grid of the value
+    assert 2 * quad.steps < stop < inhomogeneous.MAX_STEPS
+    grids = spy_on_table_sums(monkeypatch)
+    mode_response(lam, table, 1.0, quad)
+    assert len(grids) > 1 and max(max(g) for g in grids) <= 2 * stop
+
+
+def test_small_adaptive_tables_are_summed_in_one_round(monkeypatch):
+    # seven 17-sample tables on modes 13-22 to the step ceiling: every level
+    # of every mode in the first call
+    sp = rf.make_heat_spectrum(22)
+    times = np.arange(17) / 16
+    rng = np.random.default_rng(5)
+    forcing = rf.Forcing.from_dict({m: rf.TableForcing(times, rng.uniform(-1.0, 1.0, 17))
+                                    for m in (13, 14, 15, 19, 20, 21, 22)})
+    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-300)
+    grids = spy_on_table_sums(monkeypatch)
+    rf.forcing_integral(sp, forcing, 1.0, quad)
+    assert len(grids) == 1 and max(grids[0]) == 2 * inhomogeneous.MAX_STEPS
+
+
+def spy_on_table_sums(monkeypatch):
+    """Per call of a table pass's ``node_sums``, the grids it summed."""
+    grids = []
+    real = inhomogeneous._TableSums.__call__
+
+    def spy(self, progressions, rows=None):
+        sums = real(self, progressions, rows)
+        grids.append(progressions[0, :sums.shape[1]].tolist())
+        return sums
+
+    monkeypatch.setattr(inhomogeneous._TableSums, "__call__", spy)
+    return grids
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([math.nan, 0.5, 1.0], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0], "finite"),
+    ([-math.inf, 0.5, 1.0], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, math.inf, 0.5], [1.0, 1.0, 1.0], "finite"),
+    ([0.0, 0.5, 1.0], [math.nan, 1.0, 1.0], "finite"),
+    ([0.0, 0.5, 1.0], [1.0, 1.0, -math.inf], "finite"),
+    ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0, 0.5], [1.0, 1.0, 1.0], "strictly increasing"),
+    ([1.0, -1e308], [1.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0], [1.0], "matching"),
+])
+def test_table_refusals(times, values, message):
+    # a non-finite sample is refused as such wherever it sits, before the order
+    with pytest.raises(ValueError, match=message):
+        rf.TableForcing(np.array(times), np.array(values))
