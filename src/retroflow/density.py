@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotConvergedError, OracleFailedError
-from .logdomain import _scaled_upper_gamma
+from .logdomain import log_erfc
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
@@ -86,43 +86,43 @@ def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
     return result
 
 
-def _leading_term(tail, x: float) -> tuple[float, float]:
-    """The log tail norm beyond ``m = x - 1/2`` from the law's leading term,
-    half the log of ``coeff^2 int_x^inf u^-P e^{-c u^2} du``, ``P = 2 power``,
-    ``c = 2 pi^2 rate``, and its slope in ``log x``, ``-1/(2 rho)``: ``rho`` is
-    the integral over ``x f(x)``, ``1 / (P - 1)`` when ``c = 0`` and an
-    incomplete gamma ratio otherwise."""
-    big, c = 2.0 * tail.power, 2.0 * math.pi**2 * tail.rate
-    z = c * x * x
-    if not c:
-        rho = 1.0 / (big - 1.0)
-    elif big or z >= 2.0:
-        rho = 0.5 * _scaled_upper_gamma(0.5 * (1.0 - big), z)
-    else:  # the same for P = 0, where the series of the gamma ratio is slow
-        rho = 0.5 * math.sqrt(math.pi / z) * math.exp(z) * math.erfc(math.sqrt(z))
-    log_integral = (1.0 - big) * math.log(x) - z + math.log(rho)
-    return math.log(tail.coeff) + 0.5 * log_integral, -0.5 / rho
+def _law_log_norm(tail, x: float) -> float:
+    """The leading term of the log tail norm beyond ``m = x - 1/2``: half the
+    log of ``coeff^2 int_x^inf`` of the squared law.  A power law integrates
+    to ``x^(1 - P) / (P - 1)``, ``P = 2 power``; an exponential one to
+    ``sqrt(pi / 4c) erfc(sqrt(c) x)``, ``c = 2 pi^2 rate``."""
+    if tail.rate:
+        c = 2.0 * math.pi**2 * tail.rate
+        log_integral = 0.5 * math.log(math.pi / (4.0 * c)) + log_erfc(math.sqrt(c) * x)
+    else:
+        big = 2.0 * tail.power
+        log_integral = (1.0 - big) * math.log(x) - math.log(big - 1.0)
+    return math.log(tail.coeff) + 0.5 * log_integral
 
 
-def _seed_depth(tail, log_eps: float) -> float:
-    """Where the law's leading term (:func:`_leading_term`) puts the least
-    depth, by safeguarded Newton in ``log x``; 0 for a law it does not model.
-    Only a first guess."""
-    if not (tail.coeff and 0.0 <= tail.rate < math.inf and (tail.rate or tail.power > 0.5)):
+def _law_depth(tail, log_norm: float) -> float:
+    """The ``x`` at which :func:`_law_log_norm` falls to ``log_norm``, at
+    most ``2 MAX_MODES``; 0 if it lies below every ``x``.  In closed form for
+    a power law; for an exponential one by Newton's method on the concave
+    ``log erfc``, from ``sqrt(-target)`` down, where ``log erfc(y) < -y^2``
+    puts the start past the root."""
+    level = 2.0 * (log_norm - math.log(tail.coeff))
+    if not tail.rate:
+        big = 2.0 * tail.power
+        u = -(level + math.log(big - 1.0)) / (big - 1.0)
+        return math.exp(min(u, math.log(2.0 * MAX_MODES)))
+    c = 2.0 * math.pi**2 * tail.rate
+    target = level - 0.5 * math.log(math.pi / (4.0 * c))  # log erfc(sqrt(c) x)
+    if not target < 0.0:
         return 0.0
-    lo, hi = 0.0, math.log(2.0 * MAX_MODES)  # u = log x, with the root inside
-    u = lo
-    for _ in range(40):
-        value, slope = _leading_term(tail, math.exp(u))
-        if value < log_eps:
-            hi = u
-        else:
-            lo = u
-        step = (log_eps - value) / slope
-        if abs(step) < 1e-9:
+    y = math.sqrt(-target)
+    for _ in range(60):
+        log_tail = log_erfc(y)
+        step = 0.5 * math.sqrt(math.pi) * (target - log_tail) * math.exp(y * y + log_tail)
+        y -= step
+        if step <= 1e-12 * y:
             break
-        u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
-    return math.exp(u) - 0.5
+    return min(y / math.sqrt(c), 2.0 * MAX_MODES)
 
 
 def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
@@ -131,18 +131,22 @@ def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
     past ``MAX_MODES``.
 
     The norm beyond ``m`` falls as ``m`` grows, so the answer is bracketed by
-    a depth too shallow and one deep enough.  Each probe is one tail sum; the
-    first is the law's leading-term inverse (:func:`_seed_depth`), each next
-    one a Newton step in ``log m`` from the last probe's norm along the
-    leading term's slope, rounded up to a whole mode and kept inside the
-    bracket.  A smooth law takes two or three probes.  Three probes in a row
-    on one side double the depth, or halve the bracket, instead, so the
-    search ends whatever the law.
+    a depth too shallow and one deep enough.  Each probe is one tail sum, at
+    the depth where the law's leading term (:func:`_law_log_norm`), shifted
+    by the last probe's miss, meets the budget (:func:`_law_depth`), rounded
+    up to a whole mode and kept inside the bracket.  A law takes two or three
+    probes.  Three probes in a row on one side double the depth, or halve the
+    bracket, instead, so the search ends whatever the law.
     """
+    tail = state.tail
     shallow, deep = state.num_modes - 1, None  # the answer lies in (shallow, deep]
-    m = min(max(math.ceil(_seed_depth(state.tail, log_eps)), state.num_modes), MAX_MODES)
-    run, side = 0, None  # probes in a row on one side, and that side
+    miss, run, side = 0.0, 0, None  # the model's last miss; probes in a row on one side, and that side
     while True:
+        guess = math.ceil(_law_depth(tail, log_eps - miss) - 0.5) if tail.coeff else 0
+        if deep is None:
+            m = min(max(guess, shallow + 1, 2 * shallow if run > 2 else 0), MAX_MODES)
+        else:
+            m = (shallow + deep) // 2 if run > 2 else min(max(guess, shallow + 1), deep - 1)
         value = _tail_log_norm_beyond(state, m)
         small = value < log_eps
         run, side = (run + 1 if small == side else 1), small
@@ -154,13 +158,7 @@ def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
             return deep, dropped
         if shallow >= MAX_MODES:
             raise NotConvergedError(f"truncation scan passed {MAX_MODES} modes without meeting eps")
-        slope = _leading_term(state.tail, m + 0.5)[1]
-        reach = (log_eps - value) / slope if slope < 0.0 else 1.0
-        guess = math.ceil((m + 0.5) * math.exp(min(reach, 40.0)) - 0.5)
-        if deep is None:
-            m = min(max(guess, shallow + 1, 2 * shallow if run > 2 else 0), MAX_MODES)
-        else:
-            m = (shallow + deep) // 2 if run > 2 else min(max(guess, shallow + 1), deep - 1)
+        miss = value - _law_log_norm(tail, m + 0.5)
 
 
 def truncate_to_reversible(

@@ -7,9 +7,10 @@ estimate from the same pass as the value.  The integrand is the damping
 kernel times a piecewise-linear interpolant, so a level's nodes on one table
 segment sum in closed form (a geometric sum and its first moment): a level
 costs O(table segments), not O(nodes).  All table modes of a forcing share
-one pass: one array kernel sums every mode's levels, the rule and the stop
-test run over modes and levels at once, and each mode keeps its own stop
-level.  Forcing acts on explicit modes only; tail forcing is out of scope.
+one kernel pass, which sums every mode's levels at once; each mode's sums
+then go through the rule and its stop test on their own, so each value is
+bit for bit the mode's alone.  Forcing acts on explicit modes only; tail
+forcing is out of scope.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class TableForcing:
         object.__setattr__(self, "values", values)
         # segment k runs from times[k] to the next knot with np.interp's slope;
         # the last runs on to infinity, where np.interp clamps to the last sample
-        slopes = np.zeros_like(values)
-        np.divide(np.diff(values), gaps, out=slopes[:-1])
+        slopes = np.zeros(values.size + 1)  # and a zero past the end
+        np.divide(np.diff(values), gaps, out=slopes[:-2])
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_bounds", np.concatenate(([-math.inf], times[1:], [math.inf])))
 
@@ -183,108 +184,95 @@ def _ladder(steps: int, adaptive: bool) -> np.ndarray:
     return progressions
 
 
-def _levels(sums: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson's rule at every level whose sums are in, one row per integrand,
-    and the Richardson estimate of each level against the next."""
-    # level j's even nodes are the first grid's plus the midpoints of levels
-    # below j, added in that order
-    even = sums[:, 1:-1].cumsum(axis=1)
-    rule = weights[:even.shape[1]] * (sums[:, :1] + 4.0 * sums[:, 2:] + 2.0 * even)
-    return rule, np.abs(rule[:, 1:] - rule[:, :-1]) / 15.0
-
-
-def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig):
-    """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``,
-    for one integrand or a batch of them.
+def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
+    """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
 
     ``node_sums(progressions)`` gets a float array whose rows are ``steps``,
     ``first``, ``count`` and ``stride``, one column per arithmetic progression
     of grid nodes ``a + i (b - a) / steps``, ``i = first + stride j`` for
-    ``j < count``, and returns the integrand summed over each: shape (P,) for
-    one integrand, (M, P) for a batch of M.  The grids are nested, so the rule
-    needs only the two ends, the first grid's even nodes and each level's new
-    midpoints, and asks for all of them at once.  A batch may answer for the
-    leading progressions only, the first four at least; the rule then calls
-    ``node_sums(rest, rows)`` with the progressions still to come and the
-    integrands not yet stopped.
+    ``j < count``, and returns the integrand summed over each.  The grids are
+    nested, so the rule needs only the two ends, the first grid's even nodes
+    and each level's new midpoints, and asks for all of them at once.
+    ``node_sums`` may answer for the leading progressions only, the first
+    four at least; the rule asks again for the rest when it needs them.
     Non-adaptive: the value at the requested step count, estimated against
     one refinement.  Adaptive: keep doubling until the estimate meets ``tol``
-    or the coarse grid reaches ``MAX_STEPS``; each integrand keeps its first
-    level that passes.  Returns (value, estimate), as floats for one
-    integrand and as arrays for a batch.
+    or the coarse grid reaches ``MAX_STEPS``.
     """
-    progressions = _ladder(quad.steps, quad.adaptive)
-    grids = progressions[0, 2:]
-    weights = (b - a) / grids / 3.0
-    sums = np.asarray(node_sums(progressions), dtype=float)
-    single = sums.ndim == 1
-    sums = sums.reshape(-1, sums.shape[-1])
-    rule, change = _levels(sums, weights)
-    if not quad.adaptive:
-        value, estimate = rule[:, 0], change[:, 0]
-    else:
-        rows = np.arange(sums.shape[0])  # the integrands still running
-        value, estimate = np.empty(rows.size), np.empty(rows.size)
-        while True:
-            passed = change <= quad.tol * np.maximum(1.0, np.abs(rule[:, 1:]))
-            passed |= grids[:change.shape[1]] >= MAX_STEPS
-            level = passed.argmax(axis=1)
-            done = passed[np.arange(rows.size), level]
-            value[rows[done]] = rule[done, level[done] + 1]
-            estimate[rows[done]] = change[done, level[done]]
-            if done.all():
-                break
-            sums, rows = sums[~done], rows[~done]
-            sums = np.concatenate((sums, node_sums(progressions[:, sums.shape[1]:], rows)), axis=1)
-            rule, change = _levels(sums, weights)
-    if single:
-        return float(value[0]), float(estimate[0])
-    return value, estimate
+    steps = quad.steps
+    progressions = _ladder(steps, quad.adaptive)
+    sums = node_sums(progressions).tolist()
+    ends, even, odd = sums[0], sums[1], sums[2:]
+    coarse = (b - a) / steps / 3.0 * (ends + 4.0 * odd[0] + 2.0 * even)
+    for level in range(1, progressions.shape[1] - 2):
+        if level == len(odd):
+            odd += node_sums(progressions[:, level + 2:]).tolist()
+        h = (b - a) / (2 * steps)
+        even += odd[level - 1]
+        fine = h / 3.0 * (ends + 4.0 * odd[level] + 2.0 * even)
+        estimate = abs(fine - coarse) / 15.0
+        if not quad.adaptive:
+            return coarse, estimate
+        if estimate <= quad.tol * max(1.0, abs(fine)) or steps >= MAX_STEPS:
+            break
+        coarse, steps = fine, 2 * steps
+    return fine, estimate
 
 
 # Taylor coefficients of phi'(x), phi(x) = expm1(x) / x, through x^17: on
 # [-1, 0] the terms fall and alternate, and the first one left out is below
 # 2^-55 of the sum, which is at least 1 - 2/e there
 _SLOPE_TAYLOR = np.array([(j + 1) / math.factorial(j + 2) for j in range(18)])
-# (mode, progression, segment) cells located per pass; pairs per mode in one
-# round of levels, and per batch of the phi' series; table segments per
-# block, so that a large table's sums add in an order fixed by the table alone
+# (knot, progression) cells located per pass; pairs per mode in one round of
+# levels, and per batch of the phi' series; table segments per block, so that
+# a large table's sums add in an order fixed by the table alone
 _CELLS, _PAIRS, _BLOCK = 1 << 15, 1 << 12, 1 << 12
 
 
 class _TableSums:
-    """The ``node_sums`` of :func:`simpson_integrate` for a batch of table
-    modes: row ``i`` sums ``exp(lams[i] (t - s)) f_i(s)``, ``f_i`` the
-    interpolant of ``tables[i]``, over each progression of nodes
-    ``s = i t / steps``.
+    """The level sums of a batch of table modes, for :func:`simpson_integrate`:
+    mode ``i`` sums ``exp(lams[i] (t - s)) f_i(s)``, ``f_i`` the interpolant
+    of ``tables[i]``, over each progression of nodes ``s = i t / steps``.
 
     A progression's nodes on one table segment, a (mode, progression,
     segment) triple, are summed in closed form by :func:`_pair_sums`; the
     knots of every mode are located on one grid and only triples that hold a
     node are summed, so past locating the knots the work is
-    O(min(segments, nodes)).  A call answers for the leading progressions
-    that fit in ``_PAIRS`` pairs per mode, and for at least one (four on the
-    first call): a large adaptive table is summed a few levels at a time, and
-    stops when its rule does.  Tables past ``_BLOCK`` segments go in blocks
-    of segments.
+    O(min(segments, nodes)).  The opening pass sums every mode's levels at
+    once, for the ladder of :func:`_ladder`; :meth:`row` is mode ``i``'s
+    ``node_sums``, which answers the rule's first call, with that same
+    ladder, from the opening pass.  A pass answers for the
+    leading progressions that fit in ``_PAIRS`` pairs per mode: a large
+    adaptive table is summed a few levels at a time, and stops when its rule
+    does.  Tables past ``_BLOCK`` segments go in blocks of segments.
     """
 
-    def __init__(self, lams, tables, t: float):
+    def __init__(self, lams, tables, t: float, progressions: np.ndarray):
         self.lams, self.tables, self.t = lams, tables, t
         self.sizes = [table.times.size for table in tables]  # the last segment runs on to infinity
         # a segment whose top knot sees the kernel below e^-750 holds only nodes
-        # where exp gives exactly 0, so leaving it out changes no bit
-        self.live = [max(int(table.times.searchsorted(t + 750.0 / lam)) - 1, 0) if lam < 0.0 else 0
+        # where exp gives exactly 0, so leaving it out changes no bit; there is
+        # none on [0, t] unless lam t < -750
+        self.live = [max(int(table.times.searchsorted(t + 750.0 / lam)) - 1, 0) if lam * t < -750.0 else 0
                      for lam, table in zip(lams, tables)]
+        self.ladder = progressions
+        self.opening = self.sums(progressions, range(len(tables)), 4)  # the rule's first level needs four
 
-    def __call__(self, progressions: np.ndarray, rows=None) -> np.ndarray:
-        opening = rows is None  # the rule's first level needs four progressions
-        rows = range(len(self.tables)) if opening else rows.tolist()
+    def row(self, i: int, progressions: np.ndarray) -> np.ndarray:
+        """Mode ``i``'s ``node_sums``: its row of the opening pass for the
+        ladder, its own pass for the levels past what that answered."""
+        if progressions is self.ladder:
+            return self.opening[i]
+        return self.sums(progressions, [i], 1)[0]
+
+    def sums(self, progressions: np.ndarray, rows, least: int) -> np.ndarray:
+        """The sums of ``rows`` over the leading progressions that fit in
+        ``_PAIRS`` pairs per mode, ``least`` at least; shape (rows, taken)."""
         cost = max([self.sizes[i] - self.live[i] for i in rows])  # live segments: pairs per progression
         taken = progressions.shape[1]
         if cost * taken > _PAIRS:
             pairs = itertools.accumulate(min(count, cost) for count in progressions[2].tolist())
-            taken = max(min(4, taken) if opening else 1, sum(1 for total in pairs if total <= _PAIRS))
+            taken = max(min(least, taken), sum(1 for total in pairs if total <= _PAIRS))
             progressions = progressions[:, :taken]
         top = max([self.sizes[i] for i in rows])
         if top <= _BLOCK and len(rows) * taken * (top + 1) <= _CELLS:
@@ -306,66 +294,59 @@ class _TableSums:
         t = self.t
         steps, first, count, stride = progressions
         tables = [self.tables[i] for i in modes]
-        lams, live = [self.lams[i] for i in modes], [self.live[i] for i in modes]
-        if len(modes) == 1:
-            bounds = tables[0]._bounds[None, lo:lo + width + 1]
-            width = bounds.shape[1] - 1
-        else:  # padded with +inf past each mode's last segment
-            bounds = np.full((len(modes), width + 1), math.inf)
-            for row, table in zip(bounds, tables):
-                part = table._bounds[lo:lo + width + 1]
-                row[:part.size] = part
-        # the knots in units of t, clipped where they lie past every node
-        # anyway so that a tiny t cannot overflow them; below a mode's live
-        # segment raised to its lower knot, so that they hold no node
-        knots = np.minimum(np.maximum(bounds, -t), 2.0 * t) / t
-        if max(live) > lo:
-            cut = np.array([[table._bounds[k]] for k, table in zip(live, tables)])
-            np.maximum(knots, np.minimum(np.maximum(cut, -t), 2.0 * t) / t, out=knots)
-        # each segment's progression indices [c_k, c_{k+1}), on a (mode,
-        # progression, knot) grid; a nonzero cell of m is a triple, its nodes
-        c = knots[:, None, :] * (steps / stride)[:, None]
-        c -= (first / stride)[:, None]
+        # the modes' knots in one column, mode after mode, in units of t and
+        # clipped where they lie past every node anyway, so that a tiny t
+        # cannot overflow them; knots below a mode's live segment are raised
+        # to its lower knot, so that they hold no node
+        knots = [table._bounds[lo:lo + width + 1] for table in tables]
+        starts = [0, *itertools.accumulate(part.size for part in knots)]
+        slopes = _joined([table._slopes[lo:lo + part.size] for table, part in zip(tables, knots)])
+        knots = np.minimum(np.maximum(_joined(knots), -t), 2.0 * t) / t
+        for i, start in zip(modes, starts):
+            if self.live[i] > lo:
+                knots[start:start + self.live[i] - lo] = knots[start + self.live[i] - lo]
+        # each segment's progression indices [c_k, c_{k+1}), on a (knot,
+        # progression) grid: a positive cell of m is a triple, its node
+        # count.  Between two modes +inf meets -inf, which gives no positive cell.
+        c = knots[:, None] * (steps / stride)
+        c -= first / stride
         np.ceil(c, out=c)
         np.maximum(c, 0.0, out=c)
-        np.minimum(c, count[:, None], out=c)
-        m = c[..., 1:] - c[..., :-1]
-        held = m.reshape(-1).nonzero()[0]
-        if not held.size:
-            return np.zeros(m.shape[:2])
-        cell, seg = np.divmod(held, width)  # cell: mode * progressions + progression
-        below = held + cell  # where c holds the triple's bottom; its top is next
-        c = c.reshape(-1)
-        # the anchor is the top node where lam <= 0, else the bottom one
+        np.minimum(c, count, out=c)
+        m = c[1:] - c[:-1]
+        held = (m > 0.0).reshape(-1).nonzero()[0]
+        seg, col = np.divmod(held, steps.size)
+        # each mode's triples, in order, and each triple's (mode, progression)
+        # cell and rate; one mode's rate stays a scalar, which keeps a one-table
+        # call (mode_response) about 12 % faster than per-triple arrays
+        lam = [self.lams[i] for i in modes]
         if len(modes) == 1:
-            mode, col, lam = 0, cell, lams[0]
+            ends, cell, lam = [0, seg.size], col, lam[0]
         else:
-            mode, col = np.divmod(cell, steps.size)
-            lam = np.array(lams)[mode]
+            ends = seg.searchsorted(starts).tolist()
+            mode = np.repeat(np.arange(len(modes)), [b - a for a, b in zip(ends, ends[1:])])
+            cell, lam = mode * steps.size + col, np.array(lam)[mode]
         down = lam <= 0.0
-        if max(lams) <= 0.0:
-            anchor = c[1:][below]
-            anchor -= 1.0
-        else:
-            anchor = np.where(down, c[1:][below] - 1.0, c[below])
-        # the interpolant at the anchors, mode by mode (their triples are
-        # contiguous), on the block's knots and one more each side: np.interp
-        # there is np.interp on the whole table
-        knots = slice(max(lo - 1, 0), lo + width + 2)
-        if len(modes) == 1:
-            table = tables[0]
-            slope = table._slopes[lo:][seg]
-            interp = lambda node: np.interp(node, table.times[knots], table.values[knots])  # noqa: E731
-        else:
-            parts = [table._slopes[lo:lo + width] for table in tables]
-            starts = np.cumsum([0] + [part.size for part in parts[:-1]])
-            slope = np.concatenate(parts)[starts[mode] + seg]
-            ends = mode.searchsorted(np.arange(len(modes) + 1)).tolist()
-            interp = lambda node: np.concatenate([  # noqa: E731
-                np.interp(node[ends[j]:ends[j + 1]], table.times[knots], table.values[knots])
-                for j, table in enumerate(tables)])
-        sums = _pair_sums(lam, down, t, progressions[:, col], m.reshape(-1)[held], anchor, slope, interp)
-        return np.bincount(cell, weights=sums, minlength=m.shape[0] * m.shape[1]).reshape(m.shape[:2])
+        # the anchor is the top node where lam <= 0, else the bottom one; c
+        # holds a triple's bottom at its place in m, and its top a knot on
+        anchor = c.reshape(-1)[held + steps.size * down] - down
+        n, first, _, stride = progressions[:, col]
+        node = anchor * stride
+        node += first
+        h = t / n
+        # the interpolant at the anchors, mode by mode, on the block's knots
+        # and one more each side: np.interp there is np.interp on the whole table
+        window = slice(max(lo - 1, 0), lo + width + 2)
+        place = node * h
+        f = _joined([np.interp(place[ends[j]:ends[j + 1]], table.times[window], table.values[window])
+                     for j, table in enumerate(tables)])
+        sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f)
+        return np.bincount(cell, weights=sums, minlength=len(modes) * steps.size).reshape(len(modes), steps.size)
+
+
+def _joined(parts: list) -> np.ndarray:
+    """``np.concatenate(parts)``, or the one part itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _phi_slope(z: np.ndarray) -> np.ndarray:
@@ -387,12 +368,13 @@ def _phi_slope(z: np.ndarray) -> np.ndarray:
     return np.einsum("j,jn->n", _SLOPE_TAYLOR, powers)
 
 
-def _pair_sums(lam, down, t, progressions, m, anchor, slope, interp):
-    """Per pair, the ``m`` nodes of a progression on one table segment of
-    slope ``slope``, summed in closed form; ``lam`` is the pair's rate,
-    ``down`` whether it is at most 0, ``interp`` its interpolant, and
-    ``anchor`` the progression index of the node of largest kernel, the top
-    one for lam <= 0 and the bottom one for lam > 0.
+def _pair_sums(lam, down, h, n, stride, m, node, slope, f):
+    """Per pair, the ``m`` nodes of a progression of stride ``stride`` on one
+    table segment of slope ``slope``, summed in closed form; ``lam`` is the
+    pair's rate, ``down`` whether it is at most 0, ``h`` the step of its grid
+    of ``n`` intervals, ``node`` the grid index of the node of largest kernel,
+    the top one for lam <= 0 and the bottom one for lam > 0, and ``f`` the
+    interpolant there.
 
     On the segment ``f`` is linear and the kernel geometric, so walking from
     the anchor the sum is ``E (f_a G0 -+ slope d G1)``: ``E`` and ``f_a`` are the
@@ -405,19 +387,13 @@ def _pair_sums(lam, down, t, progressions, m, anchor, slope, interp):
     difference cancels at most 4.1-fold where it is used, and both give 0 at
     ``m = 1``.
     """
-    n, first, _, stride = progressions
-    h = t / n
     spacing = stride * h
     # |r| below 2^-900 (lam = 0, say) is taken as 2^-900, where the formulas
     # give G0 = m and G1 = m (m - 1) / 2 exactly, as they are to double precision
     r = np.minimum(-abs(lam) * spacing, -2.0 ** -900)
-    node = anchor * stride
-    node += first
     kernel = n - node
     kernel *= lam * h
     np.exp(kernel, out=kernel)
-    node *= h
-    f = interp(node)
     z = np.concatenate((m * r, r))  # m r, then r
     em1 = np.expm1(z)
     phi_slope = _phi_slope(z)
@@ -428,8 +404,8 @@ def _pair_sums(lam, down, t, progressions, m, anchor, slope, interp):
     g1 *= r / em1_r
     # the first form holds where m r >= -1, and gives 0 at m = 1 (its two
     # phi' are one number); the second takes the other pairs
-    series = z[:m.size] >= np.minimum(r, -1.0)
-    if not series.all():
+    if z[:m.size].min(initial=0.0) < -1.0:
+        series = z[:m.size] >= np.minimum(r, -1.0)
         exp = np.exp(z)  # not expm1 + 1, which loses e^r's last digits for r << 0
         g1 = np.where(series, g1, (exp[m.size:] * g0 - m * exp[:m.size]) / -em1_r)
     g1 *= slope
@@ -441,13 +417,15 @@ def _pair_sums(lam, down, t, progressions, m, anchor, slope, interp):
     return g0
 
 
-def _table_responses(lams, tables, t: float, quad: QuadratureConfig):
-    """Every table mode's convolution over [0, t], t > 0, in one Simpson pass:
-    (values, estimates) as arrays."""
+def _table_responses(lams, tables, t: float, quad: QuadratureConfig) -> list:
+    """Every table mode's convolution over [0, t], t > 0, as (value,
+    estimate): one kernel pass sums every mode's levels, and each mode's row
+    goes through the rule."""
     for table in tables:
         if t > table.times[-1] + 1e-12 * max(1.0, abs(t)) or table.times[0] > 0.0:
             raise ValueError("table forcing must cover the whole interval [0, t]")
-    return simpson_integrate(_TableSums(lams, tables, t), 0.0, t, quad)
+    batch = _TableSums(lams, tables, t, _ladder(quad.steps, quad.adaptive))
+    return [simpson_integrate(functools.partial(batch.row, i), 0.0, t, quad) for i in range(len(tables))]
 
 
 def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureConfig) -> tuple[float, float]:
@@ -467,8 +445,7 @@ def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureCo
         if gap == 0.0:
             return a * t * math.exp(lam * t), 0.0
         return a * exp_or_inf(max(mu, lam) * t) * -math.expm1(-gap * t) / gap, 0.0
-    values, estimates = _table_responses((lam,), (forcing,), t, quad)
-    return float(values[0]), float(estimates[0])
+    return _table_responses((lam,), (forcing,), t, quad)[0]
 
 
 def forcing_integral(
@@ -501,8 +478,7 @@ def forcing_integral(
             errors.append(estimate)
     if tabled:
         places, modes, lams, tables = zip(*tabled)
-        drive, spread = _table_responses(lams, tables, t, quad)
-        for place, mode, value, e in zip(places, modes, drive.tolist(), spread.tolist()):
+        for place, mode, (value, e) in zip(places, modes, _table_responses(lams, tables, t, quad)):
             values[mode - 1], errors[place] = value, e
     if estimates is not None:
         estimates.extend(errors)

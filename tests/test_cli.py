@@ -144,18 +144,19 @@ def test_duhamel_verb_runs_each_table_quadrature_once(tmp_path, capsys, monkeypa
         mode_response(float(x0.spectrum.eigenvalues[m - 1]), f.get(m), 1.0, quad)[1]
         for m in (1, 13, 22)])
     assert worst > 0.0
-    calls = []
-    nested = inhomogeneous.simpson_integrate
+    calls, passes = [], []
+    nested, batch = inhomogeneous.simpson_integrate, inhomogeneous._TableSums
     monkeypatch.setattr(inhomogeneous, "simpson_integrate",
                         lambda *args: calls.append(args) or nested(*args))
+    monkeypatch.setattr(inhomogeneous, "_TableSums", lambda *args: passes.append(args) or batch(*args))
     argv = ["duhamel", "--in", str(xp), "--forcing", str(fp), "--t", "1.0",
             "--steps", "8", "--adaptive", "--quad-tol", "1e-10"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    # one pass holds both table modes in range, each once
-    assert len(calls) == 1
-    lams = x0.spectrum.eigenvalues[[12, 21]]
-    assert list(calls[0][0].lams) == lams.tolist()
+    # one kernel pass holds both table modes in range, and each goes through
+    # the rule once
+    assert len(calls) == 2 and len(passes) == 1
+    assert list(passes[0][0]) == x0.spectrum.eigenvalues[[12, 21]].tolist()
     assert out == json.dumps(serialize.state_to_dict(moved), indent=2) + "\n"
     assert err == f"worst quadrature error estimate: {worst:.3e}\n"
     want = tmp_path / "want.json"
@@ -163,7 +164,7 @@ def test_duhamel_verb_runs_each_table_quadrature_once(tmp_path, capsys, monkeypa
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
     assert (tmp_path / "out.json").read_bytes() == want.read_bytes()
     assert capsys.readouterr() == ("", err)
-    assert len(calls) == 2
+    assert len(calls) == 4 and len(passes) == 2
 
 
 def test_duhamel_runs_at_the_step_ceiling(tmp_path, capsys):

@@ -332,14 +332,13 @@ def test_adaptive_simpson_stops_at_the_step_ceiling():
 
 
 def table_node_sums(lam, table, t):
-    """The ``node_sums`` that ``mode_response`` hands the quadrature, for
-    its one row."""
+    """The ``node_sums`` that ``mode_response`` hands the quadrature."""
     seen = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inhomogeneous, "simpson_integrate",
-                      lambda sums, a, b, quad: seen.append(sums) or (np.zeros(1), np.zeros(1)))
+                      lambda sums, a, b, quad: seen.append(sums) or (0.0, 0.0))
         mode_response(lam, table, t, QUAD)
-    return lambda progressions: seen[0](progressions)[0]
+    return seen[0]
 
 
 def rounding_bound(weights, lam, table, t, s):
@@ -718,16 +717,16 @@ def test_small_adaptive_tables_are_summed_in_one_round(monkeypatch):
 
 
 def spy_on_table_sums(monkeypatch):
-    """Per call of a table pass's ``node_sums``, the grids it summed."""
+    """Per kernel pass of a table batch, the grids it summed."""
     grids = []
-    real = inhomogeneous._TableSums.__call__
+    real = inhomogeneous._TableSums.sums
 
-    def spy(self, progressions, rows=None):
-        sums = real(self, progressions, rows)
+    def spy(self, progressions, rows, least):
+        sums = real(self, progressions, rows, least)
         grids.append(progressions[0, :sums.shape[1]].tolist())
         return sums
 
-    monkeypatch.setattr(inhomogeneous._TableSums, "__call__", spy)
+    monkeypatch.setattr(inhomogeneous._TableSums, "sums", spy)
     return grids
 
 
