@@ -6,17 +6,17 @@ go through composite Simpson quadrature on nested grids, with the error
 estimate from the same pass as the value.  The integrand is the damping
 kernel times a piecewise-linear interpolant, so a level's nodes on one table
 segment sum in closed form (a geometric sum and its first moment): a level
-costs O(table segments), not O(nodes).  All table modes of a forcing share
-one kernel pass, which sums every mode's levels at once; each mode's sums
-then go through the rule and its stop test on their own, so each value is
-bit for bit the mode's alone.  Forcing acts on explicit modes only; tail
-forcing is out of scope.
+costs O(table segments), not O(nodes).  All table modes of a forcing go
+through one kernel call, which sums every level of every mode in passes of
+at most ``_CELLS`` (knot, progression) cells; each mode's sums then go
+through the rule and its stop test on their own, so each value is bit for
+bit the mode's alone.  Forcing acts on explicit modes only; tail forcing is
+out of scope.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -171,8 +171,11 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 @functools.lru_cache(maxsize=64)
 def _ladder(steps: int, adaptive: bool) -> np.ndarray:
-    """The progressions :func:`simpson_integrate` asks for: the ends, the
-    first grid's even nodes, then each grid's midpoints."""
+    """The progressions whose sums :func:`simpson_integrate` reads: the ends,
+    the first grid's even nodes, then each grid's midpoints.  Its rows are
+    ``steps``, ``first``, ``count`` and ``stride``, one column per arithmetic
+    progression of grid nodes ``a + i (b - a) / steps``, ``i = first + stride
+    j`` for ``j < count``."""
     # an adaptive run's coarse grids are steps << j up to the first >= MAX_STEPS
     deepest = (-(-MAX_STEPS // steps) - 1).bit_length() + 1 if adaptive else 1
     grids = [steps << j for j in range(deepest + 1)]
@@ -184,29 +187,21 @@ def _ladder(steps: int, adaptive: bool) -> np.ndarray:
     return progressions
 
 
-def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
+def simpson_integrate(sums, a: float, b: float, quad: QuadratureConfig) -> tuple[float, float]:
     """Composite Simpson with a Richardson error estimate ``|I_h - I_{h/2}|/15``.
 
-    ``node_sums(progressions)`` gets a float array whose rows are ``steps``,
-    ``first``, ``count`` and ``stride``, one column per arithmetic progression
-    of grid nodes ``a + i (b - a) / steps``, ``i = first + stride j`` for
-    ``j < count``, and returns the integrand summed over each.  The grids are
+    ``sums`` is a sequence: the integrand summed over each progression of
+    ``_ladder(quad.steps, quad.adaptive)``, in its order.  The grids are
     nested, so the rule needs only the two ends, the first grid's even nodes
-    and each level's new midpoints, and asks for all of them at once.
-    ``node_sums`` may answer for the leading progressions only, the first
-    four at least; the rule asks again for the rest when it needs them.
-    Non-adaptive: the value at the requested step count, estimated against
-    one refinement.  Adaptive: keep doubling until the estimate meets ``tol``
-    or the coarse grid reaches ``MAX_STEPS``.
+    and each level's new midpoints.  Non-adaptive: the value at the
+    requested step count, estimated against one refinement.  Adaptive: keep
+    doubling until the estimate meets ``tol`` or the coarse grid reaches
+    ``MAX_STEPS``.
     """
     steps = quad.steps
-    progressions = _ladder(steps, quad.adaptive)
-    sums = node_sums(progressions).tolist()
     ends, even, odd = sums[0], sums[1], sums[2:]
     coarse = (b - a) / steps / 3.0 * (ends + 4.0 * odd[0] + 2.0 * even)
-    for level in range(1, progressions.shape[1] - 2):
-        if level == len(odd):
-            odd += node_sums(progressions[:, level + 2:]).tolist()
+    for level in range(1, len(odd)):
         h = (b - a) / (2 * steps)
         even += odd[level - 1]
         fine = h / 3.0 * (ends + 4.0 * odd[level] + 2.0 * even)
@@ -223,136 +218,100 @@ def simpson_integrate(node_sums, a: float, b: float, quad: QuadratureConfig) -> 
 # [-1, 0] the terms fall and alternate, and the first one left out is below
 # 2^-55 of the sum, which is at least 1 - 2/e there
 _SLOPE_TAYLOR = np.array([(j + 1) / math.factorial(j + 2) for j in range(18)])
-# (knot, progression) cells located per pass; pairs per mode in one round of
-# levels, and per batch of the phi' series; table segments per block, so that
-# a large table's sums add in an order fixed by the table alone
-_CELLS, _PAIRS, _BLOCK = 1 << 15, 1 << 12, 1 << 12
+# (knot, progression) cells per kernel pass; they bound every array a pass
+# builds: it sums fewer pairs than cells, and their phi' series, the largest
+# array, takes 2 * 18 doubles a pair, 2.4 MB at most
+_CELLS = 1 << 13
 
 
-class _TableSums:
-    """The level sums of a batch of table modes, for :func:`simpson_integrate`:
+def _level_sums(lams, tables, t: float, progressions: np.ndarray) -> np.ndarray:
+    """The level sums of a batch of table modes, shape (modes, progressions):
     mode ``i`` sums ``exp(lams[i] (t - s)) f_i(s)``, ``f_i`` the interpolant
     of ``tables[i]``, over each progression of nodes ``s = i t / steps``.
 
-    A progression's nodes on one table segment, a (mode, progression,
-    segment) triple, are summed in closed form by :func:`_pair_sums`; the
-    knots of every mode are located on one grid and only triples that hold a
-    node are summed, so past locating the knots the work is
-    O(min(segments, nodes)).  The opening pass sums every mode's levels at
-    once, for the ladder of :func:`_ladder`; :meth:`row` is mode ``i``'s
-    ``node_sums``, which answers the rule's first call, with that same
-    ladder, from the opening pass.  A pass answers for the
-    leading progressions that fit in ``_PAIRS`` pairs per mode: a large
-    adaptive table is summed a few levels at a time, and stops when its rule
-    does.  Tables past ``_BLOCK`` segments go in blocks of segments.
+    Each table is cut into pieces of ``_CELLS // progressions - 1`` segments
+    from its first live one, and the pieces are packed, in table order, into
+    passes of at most ``_CELLS`` (knot, progression) cells.  Each piece's
+    sums are added to its mode's in table order, so a mode's sums are bit
+    for bit the same alone or in any batch.
     """
-
-    def __init__(self, lams, tables, t: float, progressions: np.ndarray):
-        self.lams, self.tables, self.t = lams, tables, t
-        self.sizes = [table.times.size for table in tables]  # the last segment runs on to infinity
-        # a segment whose top knot sees the kernel below e^-750 holds only nodes
-        # where exp gives exactly 0, so leaving it out changes no bit; there is
-        # none on [0, t] unless lam t < -750
-        self.live = [max(int(table.times.searchsorted(t + 750.0 / lam)) - 1, 0) if lam * t < -750.0 else 0
-                     for lam, table in zip(lams, tables)]
-        self.ladder = progressions
-        self.opening = self.sums(progressions, range(len(tables)), 4)  # the rule's first level needs four
-
-    def row(self, i: int, progressions: np.ndarray) -> np.ndarray:
-        """Mode ``i``'s ``node_sums``: its row of the opening pass for the
-        ladder, its own pass for the levels past what that answered."""
-        if progressions is self.ladder:
-            return self.opening[i]
-        return self.sums(progressions, [i], 1)[0]
-
-    def sums(self, progressions: np.ndarray, rows, least: int) -> np.ndarray:
-        """The sums of ``rows`` over the leading progressions that fit in
-        ``_PAIRS`` pairs per mode, ``least`` at least; shape (rows, taken)."""
-        cost = max([self.sizes[i] - self.live[i] for i in rows])  # live segments: pairs per progression
-        taken = progressions.shape[1]
-        if cost * taken > _PAIRS:
-            pairs = itertools.accumulate(min(count, cost) for count in progressions[2].tolist())
-            taken = max(min(least, taken), sum(1 for total in pairs if total <= _PAIRS))
-            progressions = progressions[:, :taken]
-        top = max([self.sizes[i] for i in rows])
-        if top <= _BLOCK and len(rows) * taken * (top + 1) <= _CELLS:
-            return self._block(rows, 0, top, progressions)  # the whole batch in one pass
-        totals = np.zeros((len(rows), taken))
-        for lo in range(min(self.live[i] for i in rows) // _BLOCK * _BLOCK, top, _BLOCK):
-            members = [j for j, i in enumerate(rows) if self.live[i] < lo + _BLOCK and self.sizes[i] > lo]
-            if not members:
-                continue  # past the short tables, before the long ones' live segments
-            width = min(_BLOCK, max(self.sizes[rows[j]] for j in members) - lo)
-            per = max(1, _CELLS // (taken * (width + 1)))
-            for g in range(0, len(members), per):
-                group = members[g:g + per]
-                totals[group] += self._block([rows[j] for j in group], lo, width, progressions)
-        return totals
-
-    def _block(self, modes, lo, width, progressions):
-        """Sums over segments ``lo`` to ``lo + width`` of ``modes``, shape (modes, progressions)."""
-        t = self.t
-        steps, first, count, stride = progressions
-        tables = [self.tables[i] for i in modes]
-        # the modes' knots in one column, mode after mode, in units of t and
-        # clipped where they lie past every node anyway, so that a tiny t
-        # cannot overflow them; knots below a mode's live segment are raised
-        # to its lower knot, so that they hold no node
-        knots = [table._bounds[lo:lo + width + 1] for table in tables]
-        starts = [0, *itertools.accumulate(part.size for part in knots)]
-        slopes = _joined([table._slopes[lo:lo + part.size] for table, part in zip(tables, knots)])
-        knots = np.minimum(np.maximum(_joined(knots), -t), 2.0 * t) / t
-        for i, start in zip(modes, starts):
-            if self.live[i] > lo:
-                knots[start:start + self.live[i] - lo] = knots[start + self.live[i] - lo]
-        # each segment's progression indices [c_k, c_{k+1}), on a (knot,
-        # progression) grid: a positive cell of m is a triple, its node
-        # count.  Between two modes +inf meets -inf, which gives no positive cell.
-        c = knots[:, None] * (steps / stride)
-        c -= first / stride
-        np.ceil(c, out=c)
-        np.maximum(c, 0.0, out=c)
-        np.minimum(c, count, out=c)
-        m = c[1:] - c[:-1]
-        held = (m > 0.0).reshape(-1).nonzero()[0]
-        seg, col = np.divmod(held, steps.size)
-        # each mode's triples, in order, and each triple's (mode, progression)
-        # cell and rate; one mode's rate stays a scalar, which keeps a one-table
-        # call (mode_response) about 12 % faster than per-triple arrays
-        lam = [self.lams[i] for i in modes]
-        if len(modes) == 1:
-            ends, cell, lam = [0, seg.size], col, lam[0]
-        else:
-            ends = seg.searchsorted(starts).tolist()
-            mode = np.repeat(np.arange(len(modes)), [b - a for a, b in zip(ends, ends[1:])])
-            cell, lam = mode * steps.size + col, np.array(lam)[mode]
-        down = lam <= 0.0
-        # the anchor is the top node where lam <= 0, else the bottom one; c
-        # holds a triple's bottom at its place in m, and its top a knot on
-        anchor = c.reshape(-1)[held + steps.size * down] - down
-        n, first, _, stride = progressions[:, col]
-        node = anchor * stride
-        node += first
-        h = t / n
-        # the interpolant at the anchors, mode by mode, on the block's knots
-        # and one more each side: np.interp there is np.interp on the whole table
-        window = slice(max(lo - 1, 0), lo + width + 2)
-        place = node * h
-        f = _joined([np.interp(place[ends[j]:ends[j + 1]], table.times[window], table.values[window])
-                     for j, table in enumerate(tables)])
-        sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f)
-        return np.bincount(cell, weights=sums, minlength=len(modes) * steps.size).reshape(len(modes), steps.size)
+    room = _CELLS // progressions.shape[1]  # knots per pass
+    passes, used = [[]], 0
+    for i, (lam, table) in enumerate(zip(lams, tables)):
+        # a segment whose top knot sees the kernel below e^-750 holds only
+        # nodes where exp gives exactly 0, so leaving it out changes no bit;
+        # there is none on [0, t] unless lam t < -750
+        live = max(int(table.times.searchsorted(t + 750.0 / lam)) - 1, 0) if lam * t < -750.0 else 0
+        for lo in range(live, table.times.size, room - 1):  # the last segment runs on to infinity
+            hi = min(lo + room - 1, table.times.size)
+            if used + hi - lo + 1 > room:
+                passes.append([])
+                used = 0
+            passes[-1].append((i, lo, hi))
+            used += hi - lo + 1
+    totals = np.zeros((len(tables), progressions.shape[1]))
+    for pieces in passes:
+        np.add.at(totals, [i for i, _, _ in pieces], _pass_sums(lams, tables, t, progressions, pieces))
+    return totals
 
 
-def _joined(parts: list) -> np.ndarray:
-    """``np.concatenate(parts)``, or the one part itself."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -> np.ndarray:
+    """One kernel pass: the sums over each piece ``(i, lo, hi)``, segments
+    ``lo`` to ``hi - 1`` of mode ``i``'s table, shape (pieces, progressions).
+
+    A progression's nodes on one table segment, a (progression, segment)
+    pair, are summed in closed form by :func:`_pair_sums`; the knots of
+    every piece are located on one grid and only pairs that hold a node are
+    summed, so past locating the knots the work is O(min(segments, nodes)).
+    """
+    steps, first, count, stride = progressions
+    # the pieces' knots in one column, piece after piece, in units of t and
+    # clipped where they lie past every node anyway, so that a tiny t cannot
+    # overflow them
+    knots = np.concatenate([tables[i]._bounds[lo:hi + 1] for i, lo, hi in pieces])
+    slopes = np.concatenate([tables[i]._slopes[lo:hi + 1] for i, lo, hi in pieces])
+    knots = np.minimum(np.maximum(knots, -t), 2.0 * t) / t
+    # each segment's progression indices [c_k, c_{k+1}), on a (knot,
+    # progression) grid: a positive cell of m is a pair, its node count
+    c = knots[:, None] * (steps / stride)
+    c -= first / stride
+    np.ceil(c, out=c)
+    np.maximum(c, 0.0, out=c)
+    np.minimum(c, count, out=c)
+    m = c[1:] - c[:-1]
+    starts = [0]  # each piece's first knot
+    for _, lo, hi in pieces:
+        starts.append(starts[-1] + hi - lo + 1)
+    for top in starts[1:-1]:
+        m[top - 1] = 0.0  # from one piece's top knot to the next one's bottom knot is no segment
+    held = (m > 0.0).reshape(-1).nonzero()[0]
+    seg, col = np.divmod(held, steps.size)
+    # each pair's piece, and so its (piece, progression) cell and rate; each
+    # piece's pairs, in order
+    starts = np.array(starts)
+    piece = starts.searchsorted(seg, side="right") - 1
+    ends = seg.searchsorted(starts).tolist()
+    lam = np.array([lams[i] for i, _, _ in pieces])[piece]
+    down = lam <= 0.0
+    # the anchor is the top node where lam <= 0, else the bottom one; c
+    # holds a pair's bottom at its place in m, and its top a knot on
+    anchor = c.reshape(-1)[held + steps.size * down] - down
+    n, first, _, stride = progressions[:, col]
+    node = anchor * stride + first
+    h = t / n
+    # the interpolant at the anchors, piece by piece, on the piece's knots
+    # and one more each side: np.interp there is np.interp on the whole table
+    place = node * h
+    f = np.concatenate([np.interp(place[a:b], tables[i].times[max(lo - 1, 0):hi + 2],
+                                  tables[i].values[max(lo - 1, 0):hi + 2])
+                        for (i, lo, hi), a, b in zip(pieces, ends, ends[1:])])
+    sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f)
+    cells = piece * steps.size + col
+    return np.bincount(cells, weights=sums, minlength=len(pieces) * steps.size).reshape(len(pieces), -1)
 
 
 def _phi_slope(z: np.ndarray) -> np.ndarray:
-    """phi' at ``max(z, -1)`` from its Taylor series, in batches of ``2 _PAIRS``."""
-    if z.size > 2 * _PAIRS:
-        return np.concatenate([_phi_slope(z[lo:lo + 2 * _PAIRS]) for lo in range(0, z.size, 2 * _PAIRS)])
+    """phi' at ``max(z, -1)`` from its Taylor series."""
     # the powers double blockwise
     powers = np.empty((_SLOPE_TAYLOR.size, z.size))
     powers[0] = 1.0
@@ -419,19 +378,19 @@ def _pair_sums(lam, down, h, n, stride, m, node, slope, f):
 
 def _table_responses(lams, tables, t: float, quad: QuadratureConfig) -> list:
     """Every table mode's convolution over [0, t], t > 0, as (value,
-    estimate): one kernel pass sums every mode's levels, and each mode's row
+    estimate): one kernel call sums every mode's levels, and each mode's row
     goes through the rule."""
     for table in tables:
         if t > table.times[-1] + 1e-12 * max(1.0, abs(t)) or table.times[0] > 0.0:
             raise ValueError("table forcing must cover the whole interval [0, t]")
-    batch = _TableSums(lams, tables, t, _ladder(quad.steps, quad.adaptive))
-    return [simpson_integrate(functools.partial(batch.row, i), 0.0, t, quad) for i in range(len(tables))]
+    sums = _level_sums(lams, tables, t, _ladder(quad.steps, quad.adaptive))
+    return [simpson_integrate(row, 0.0, t, quad) for row in sums.tolist()]
 
 
 def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureConfig) -> tuple[float, float]:
     """The convolution of one mode's forcing with its damping kernel over
     ``[0, t]``; returns (value, error estimate).  Closed forms are exact; a
-    table is the one-mode case of :func:`forcing_integral`'s Simpson pass,
+    table is the one-mode case of :func:`forcing_integral`'s kernel call,
     whose level sums are closed forms per table segment, so a level costs
     O(segments) whatever its node count."""
     if t == 0.0:
@@ -458,7 +417,7 @@ def forcing_integral(
 ) -> SpectralState:
     """The accumulated forcing state (the mild-solution convolution term);
     each forced mode's quadrature error estimate is appended to ``estimates``,
-    in mode order.  Every table mode goes through one Simpson pass; each
+    in mode order.  Every table mode goes through one kernel call; each
     value is bit for bit its :func:`mode_response`."""
     t = float(t)
     if not 0.0 <= t < math.inf:

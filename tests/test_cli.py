@@ -145,15 +145,15 @@ def test_duhamel_verb_runs_each_table_quadrature_once(tmp_path, capsys, monkeypa
         for m in (1, 13, 22)])
     assert worst > 0.0
     calls, passes = [], []
-    nested, batch = inhomogeneous.simpson_integrate, inhomogeneous._TableSums
+    nested, kernel = inhomogeneous.simpson_integrate, inhomogeneous._level_sums
     monkeypatch.setattr(inhomogeneous, "simpson_integrate",
                         lambda *args: calls.append(args) or nested(*args))
-    monkeypatch.setattr(inhomogeneous, "_TableSums", lambda *args: passes.append(args) or batch(*args))
+    monkeypatch.setattr(inhomogeneous, "_level_sums", lambda *args: passes.append(args) or kernel(*args))
     argv = ["duhamel", "--in", str(xp), "--forcing", str(fp), "--t", "1.0",
             "--steps", "8", "--adaptive", "--quad-tol", "1e-10"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    # one kernel pass holds both table modes in range, and each goes through
+    # one kernel call holds both table modes in range, and each goes through
     # the rule once
     assert len(calls) == 2 and len(passes) == 1
     assert list(passes[0][0]) == x0.spectrum.eigenvalues[[12, 21]].tolist()

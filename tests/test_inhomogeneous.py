@@ -261,9 +261,9 @@ def reference_simpson(fn, a, b, quad):
 
 
 def node_sums(fn, a, b, asked):
-    """A ``node_sums`` for :func:`simpson_integrate` that evaluates ``fn`` node
-    by node, at the places ``np.linspace`` puts them; it records each
-    progression as (steps, node indices) in ``asked``."""
+    """Level sums for :func:`simpson_integrate` that evaluate ``fn`` node by
+    node, at the places ``np.linspace`` puts them, over any progressions; it
+    records each progression as (steps, node indices) in ``asked``."""
     def sums(progressions):
         out = []
         for steps, first, count, stride in progressions.T.astype(int).tolist():
@@ -274,6 +274,11 @@ def node_sums(fn, a, b, asked):
             out.append(np.sum(fn(s)))
         return np.array(out)
     return sums
+
+
+def ladder(quad):
+    """The progressions whose sums the rule reads for ``quad``."""
+    return inhomogeneous._ladder(quad.steps, quad.adaptive)
 
 
 def on_grid(asked, steps):
@@ -293,8 +298,8 @@ def table_integrand(lam, table, t):
 def test_fixed_step_simpson_evaluates_each_node_once_and_matches_the_reference(steps):
     quad = rf.QuadratureConfig(steps=steps)
     asked = []
-    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked), 0.1, 1.7, quad)
-    # the progressions cover the refined grid, each node once
+    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked)(ladder(quad)), 0.1, 1.7, quad)
+    # the ladder's progressions cover the refined grid, each node once
     assert np.array_equal(on_grid(asked, 2 * steps), np.arange(2 * steps + 1))
     want, want_estimate, _ = reference_simpson(smooth, 0.1, 1.7, quad)
     assert value == want  # bit for bit: the coarse value's arithmetic is the reference's
@@ -305,9 +310,9 @@ def test_fixed_step_simpson_evaluates_each_node_once_and_matches_the_reference(s
 def test_adaptive_simpson_evaluates_each_node_once_and_matches_the_reference(steps, tol):
     quad = rf.QuadratureConfig(steps=steps, adaptive=True, tol=tol)
     asked = []
-    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked), 0.1, 1.7, quad)
+    value, estimate = simpson_integrate(node_sums(smooth, 0.1, 1.7, asked)(ladder(quad)), 0.1, 1.7, quad)
     want, want_estimate, want_steps = reference_simpson(smooth, 0.1, 1.7, quad)
-    # one call covers every grid the run may reach, each node once: the
+    # the ladder covers every grid the run may reach, each node once: the
     # first grid, then each refinement's new midpoints
     finest = max(n for n, _ in asked)
     assert finest >= inhomogeneous.MAX_STEPS and want_steps > 2 * steps
@@ -322,7 +327,7 @@ def test_adaptive_simpson_stops_at_the_step_ceiling():
     # the MAX_STEPS grid, as in the reference
     asked = []
     quad = rf.QuadratureConfig(steps=inhomogeneous.MAX_STEPS // 4, adaptive=True, tol=1e-300)
-    value, _ = simpson_integrate(node_sums(np.sqrt, 0.0, 1.0, asked), 0.0, 1.0, quad)
+    value, _ = simpson_integrate(node_sums(np.sqrt, 0.0, 1.0, asked)(ladder(quad)), 0.0, 1.0, quad)
     finest = 2 * inhomogeneous.MAX_STEPS
     assert max(n for n, _ in asked) == finest
     assert np.array_equal(on_grid(asked, finest), np.arange(finest + 1))
@@ -332,13 +337,8 @@ def test_adaptive_simpson_stops_at_the_step_ceiling():
 
 
 def table_node_sums(lam, table, t):
-    """The ``node_sums`` that ``mode_response`` hands the quadrature."""
-    seen = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inhomogeneous, "simpson_integrate",
-                      lambda sums, a, b, quad: seen.append(sums) or (0.0, 0.0))
-        mode_response(lam, table, t, QUAD)
-    return seen[0]
+    """The level sums of ``mode_response``'s kernel, over any progressions."""
+    return lambda progressions: inhomogeneous._level_sums([lam], [table], t, progressions)[0]
 
 
 def rounding_bound(weights, lam, table, t, s):
@@ -533,11 +533,13 @@ def test_table_quadrature_at_the_step_ceiling_allocates_under_a_megabyte():
 
 
 def test_large_table_quadrature_allocates_less_than_the_node_path():
-    # 10^5 samples: the (progression, segment) arrays go in chunks; the node
-    # path peaked at 14.9 MB on this call
+    # 10^5 samples: the (progression, segment) arrays go in passes of at most
+    # _CELLS cells; the node path peaked at 14.9 MB at the ceiling, and the
+    # adaptive run from 64 steps sums every level of its ladder
     times = np.linspace(0.0, 1.0, 10**5)
     table = rf.TableForcing(times, np.sin(7.0 * times))
-    assert traced_peak(lambda: mode_response(-PI2 * 169, table, 1.0, CEILING)) < 8 << 20
+    for quad in (CEILING, rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)):
+        assert traced_peak(lambda: mode_response(-PI2 * 169, table, 1.0, quad)) < 8 << 20
 
 
 LAMS = [0.0, 1e-12, -1e-12, -1e-6, -1e-3, -PI2, -700.0, -(22 * math.pi) ** 2, 2.0]
@@ -628,11 +630,11 @@ def test_constant_forcing_response_is_the_plain_closed_form_bit_for_bit(value):
 # --- one Simpson pass for every table mode ---------------------------------------
 
 def mixed_forcing():
-    """Tables of different knot counts and times, one of two segment blocks,
-    with constant and exponential modes between them and a table past a
-    16-mode truncation."""
+    """Tables of different knot counts and times, one of 17,000 samples that
+    spans several pieces, with constant and exponential modes between them
+    and a table past a 16-mode truncation."""
     rng = np.random.default_rng(21)
-    long = np.linspace(0.0, 1.0, inhomogeneous._BLOCK + 900)
+    long = np.linspace(0.0, 1.0, 17_000)
     return rf.Forcing.from_dict({
         1: rf.ConstantForcing(0.75),
         2: rf.TableForcing(np.arange(17) / 16, rng.uniform(-1.0, 1.0, 17)),
@@ -651,8 +653,9 @@ def mixed_forcing():
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("t", [1.0, 1.0 + 4e-13, 0.37, 1e-9])
 def test_forcing_integral_is_each_mode_response_bit_for_bit(adaptive, t):
-    # one pass over the six table modes in range gives each the value and the
-    # estimate of its own pass; t = 1 + 4e-13 is clamped past the last knots
+    # one kernel call over the six table modes in range gives each the value
+    # and the estimate of its own call; t = 1 + 4e-13 is clamped past the
+    # last knots
     sp = rf.make_heat_spectrum(16)
     forcing = mixed_forcing()
     quad = rf.QuadratureConfig(steps=8, adaptive=adaptive, tol=1e-9)
@@ -671,7 +674,7 @@ def test_forcing_integral_is_each_mode_response_bit_for_bit(adaptive, t):
 
 def test_forcing_integral_skips_segment_blocks_that_no_mode_reaches():
     # mode 100's kernel is below e^-750 on its first 9,250 segments, so its
-    # live segments start two blocks in, past every segment of mode 1's table
+    # first piece starts there, past every segment of mode 1's table
     sp = rf.make_heat_spectrum(100)
     short, long = np.linspace(0.0, 1.0, 3000), np.linspace(0.0, 1.0, 10_000)
     forcing = rf.Forcing.from_dict({1: rf.TableForcing(short, np.sin(short)),
@@ -688,46 +691,73 @@ def test_forcing_integral_skips_segment_blocks_that_no_mode_reaches():
     assert got.log_mags.tobytes() == want_state.log_mags.tobytes()
 
 
-def test_a_large_adaptive_table_sums_no_level_past_its_stop(monkeypatch):
-    # 10^5 samples: the whole ladder of levels is about 500k (progression,
-    # segment) pairs; levels are summed a round at a time, and none past the
-    # level whose rule stops the run
-    times = np.linspace(0.0, 1.0, 10**5)
-    table = rf.TableForcing(times, np.sin(7.0 * times))
-    lam, quad = -PI2 * 169, rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
-    stop = adaptive_steps(lam, table, 1.0, quad)  # the grid of the value
-    assert 2 * quad.steps < stop < inhomogeneous.MAX_STEPS
-    grids = spy_on_table_sums(monkeypatch)
-    mode_response(lam, table, 1.0, quad)
-    assert len(grids) > 1 and max(max(g) for g in grids) <= 2 * stop
-
-
 def test_small_adaptive_tables_are_summed_in_one_round(monkeypatch):
     # seven 17-sample tables on modes 13-22 to the step ceiling: every level
-    # of every mode in the first call
+    # of every mode in one kernel call of one pass, and one rule call a mode
     sp = rf.make_heat_spectrum(22)
     times = np.arange(17) / 16
     rng = np.random.default_rng(5)
     forcing = rf.Forcing.from_dict({m: rf.TableForcing(times, rng.uniform(-1.0, 1.0, 17))
                                     for m in (13, 14, 15, 19, 20, 21, 22)})
     quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-300)
-    grids = spy_on_table_sums(monkeypatch)
+    calls, passes = spy_on_kernel(monkeypatch)
+    rules = []
+    rule = inhomogeneous.simpson_integrate
+    monkeypatch.setattr(inhomogeneous, "simpson_integrate", lambda *args: rules.append(args) or rule(*args))
     rf.forcing_integral(sp, forcing, 1.0, quad)
-    assert len(grids) == 1 and max(grids[0]) == 2 * inhomogeneous.MAX_STEPS
+    assert len(calls) == 1 and len(passes) == 1 and len(rules) == 7
+    assert max(calls[0][3][0]) == 2 * inhomogeneous.MAX_STEPS
+    assert [i for i, _, _ in passes[0]] == list(range(7))
 
 
-def spy_on_table_sums(monkeypatch):
-    """Per kernel pass of a table batch, the grids it summed."""
-    grids = []
-    real = inhomogeneous._TableSums.sums
+def spy_on_kernel(monkeypatch):
+    """The arguments of each kernel call, and each pass's pieces."""
+    calls, passes = [], []
+    level_sums, pass_sums = inhomogeneous._level_sums, inhomogeneous._pass_sums
+    monkeypatch.setattr(inhomogeneous, "_level_sums", lambda *args: calls.append(args) or level_sums(*args))
+    monkeypatch.setattr(inhomogeneous, "_pass_sums", lambda *args: passes.append(args[-1]) or pass_sums(*args))
+    return calls, passes
 
-    def spy(self, progressions, rows, least):
-        sums = real(self, progressions, rows, least)
-        grids.append(progressions[0, :sums.shape[1]].tolist())
-        return sums
 
-    monkeypatch.setattr(inhomogeneous._TableSums, "sums", spy)
-    return grids
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_pieces_that_share_a_pass_are_summed_as_alone(monkeypatch, adaptive):
+    # one pass holds a table whose last finite knot lies past t, a 17-sample
+    # table and a deep mode (lam t < -750) whose piece starts at its live
+    # segment at 0.55, not at 0; each value is its mode's alone and within
+    # the rounding bound of the node-by-node reference
+    sp = rf.make_heat_spectrum(13)
+    rng = np.random.default_rng(8)
+    deep = np.linspace(0.0, 1.0, 41)
+    forcing = rf.Forcing.from_dict({
+        2: rf.TableForcing(np.array([0.0, 0.3, 0.6, 2.0]), np.array([0.5, -0.5, 0.25, 1.0])),
+        5: rf.TableForcing(np.arange(17) / 16, rng.uniform(-1.0, 1.0, 17)),
+        13: rf.TableForcing(deep, np.cos(5.0 * deep)),
+    })
+    quad = rf.QuadratureConfig(steps=8, adaptive=adaptive, tol=1e-9)
+    _, passes = spy_on_kernel(monkeypatch)
+    estimates = []
+    got = rf.forcing_integral(sp, forcing, 1.0, quad, estimates=estimates)
+    assert passes == [[(0, 0, 4), (1, 0, 17), (2, 22, 41)]]
+    values, want_estimates = np.zeros(13), []
+    for mode, table in forcing.entries:
+        lam = float(sp.eigenvalues[mode - 1])
+        values[mode - 1], estimate = mode_response(lam, table, 1.0, quad)
+        want_estimates.append(estimate)
+        want, _, want_steps = reference_simpson(table_integrand(lam, table, 1.0), 0.0, 1.0, quad)
+        assert abs(values[mode - 1] - want) <= 2.0 * simpson_bound(lam, table, 1.0, want_steps)
+    assert estimates == want_estimates
+    want_state = rf.SpectralState.from_values(sp, values)
+    assert got.signs.tobytes() == want_state.signs.tobytes()
+    assert got.log_mags.tobytes() == want_state.log_mags.tobytes()
+    # a piece cut short of its table's end, at a finite knot, followed in its
+    # pass by a piece that starts at a later knot: each sums as in a pass alone
+    tables = [f for _, f in forcing.entries]
+    lams = [float(sp.eigenvalues[m - 1]) for m, _ in forcing.entries]
+    progressions = ladder(quad)
+    pieces = [(1, 0, 5), (2, 22, 41)]
+    shared = inhomogeneous._pass_sums(lams, tables, 1.0, progressions, pieces)
+    alone = [inhomogeneous._pass_sums(lams, tables, 1.0, progressions, [p])[0] for p in pieces]
+    assert shared.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("times, values, message", [
