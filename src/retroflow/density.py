@@ -18,6 +18,7 @@ from .logdomain import log_erfc
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
+    ZERO_TAIL,
     SpectralState,
     _tail_cross_log,
     embed,
@@ -79,11 +80,15 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
 
 
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
-    """Explicit zero-tail copy with the tail law written out up to ``n_prime``."""
+    """Explicit zero-tail copy with the tail law written out up to ``n_prime``.
+    At the state's own depth it is a new state sharing the arrays and the
+    lineage, so a flowed state's logs stay unwritten until they are read."""
+    if n_prime == state.num_modes:
+        result = object.__new__(SpectralState)
+        result.__dict__.update(state.__dict__, tail=ZERO_TAIL)
+        return result
     grown = embed(state, n_prime)
-    result = SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
-    object.__setattr__(result, "_origin", grown._origin)  # the state's, at its own depth
-    return result
+    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
 
 
 def _law_log_norm(tail, x: float) -> float:
@@ -229,7 +234,11 @@ def iterate_to_reversible(
     roundoff is unavoidable.  A flow rounds once from its lineage base (see
     ``SpectralState``), so where the oracle output is a backward flow of its
     target, as the truncation oracle's is from step 1 on, both gaps are
-    exactly 0 and cost no arithmetic.
+    exactly 0 and cost no arithmetic.  A flow's logs are written on their
+    first read (below the ``2**968`` bound on ``|lambda_N|`` times the
+    lineage's time; eagerly past it), so from step 1 on the truncation
+    oracle's steps write no array: only step 0's gap reads a flowed state's
+    logs, and the result's are written when the caller reads them.
     """
     if not eps0 > 0.0:
         raise ValueError("eps0 must be positive")

@@ -291,7 +291,14 @@ def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -
     starts = np.array(starts)
     piece = starts.searchsorted(seg, side="right") - 1
     ends = seg.searchsorted(starts).tolist()
-    lam = np.array([lams[i] for i, _, _ in pieces])[piece]
+    cells = piece * steps.size + col
+    rates = np.array([lams[i] for i, _, _ in pieces])
+    # the kernel's ratio r = -|lam| d between a pair's neighbouring nodes, d =
+    # stride h, is one number per cell; |r| below 2^-900 (lam = 0, say) is
+    # taken as 2^-900, where the formulas give G0 = m and G1 = m (m - 1) / 2
+    # exactly, as they are to double precision
+    r = np.minimum(np.multiply.outer(-abs(rates), stride * (t / steps)), -2.0 ** -900)
+    lam = rates[piece]
     down = lam <= 0.0
     # the anchor is the top node where lam <= 0, else the bottom one; c
     # holds a pair's bottom at its place in m, and its top a knot on
@@ -305,8 +312,8 @@ def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -
     f = np.concatenate([np.interp(place[a:b], tables[i].times[max(lo - 1, 0):hi + 2],
                                   tables[i].values[max(lo - 1, 0):hi + 2])
                         for (i, lo, hi), a, b in zip(pieces, ends, ends[1:])])
-    sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f)
-    cells = piece * steps.size + col
+    sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f,
+                      r.reshape(-1), cells)
     return np.bincount(cells, weights=sums, minlength=len(pieces) * steps.size).reshape(len(pieces), -1)
 
 
@@ -327,13 +334,15 @@ def _phi_slope(z: np.ndarray) -> np.ndarray:
     return np.einsum("j,jn->n", _SLOPE_TAYLOR, powers)
 
 
-def _pair_sums(lam, down, h, n, stride, m, node, slope, f):
+def _pair_sums(lam, down, h, n, stride, m, node, slope, f, r, cells):
     """Per pair, the ``m`` nodes of a progression of stride ``stride`` on one
     table segment of slope ``slope``, summed in closed form; ``lam`` is the
     pair's rate, ``down`` whether it is at most 0, ``h`` the step of its grid
     of ``n`` intervals, ``node`` the grid index of the node of largest kernel,
     the top one for lam <= 0 and the bottom one for lam > 0, and ``f`` the
-    interpolant there.
+    interpolant there.  ``r``, defined below, is given per (piece,
+    progression) cell, and ``cells`` is each pair's cell: what depends on
+    ``r`` alone is computed once a cell.
 
     On the segment ``f`` is linear and the kernel geometric, so walking from
     the anchor the sum is ``E (f_a G0 -+ slope d G1)``: ``E`` and ``f_a`` are the
@@ -346,29 +355,27 @@ def _pair_sums(lam, down, h, n, stride, m, node, slope, f):
     difference cancels at most 4.1-fold where it is used, and both give 0 at
     ``m = 1``.
     """
-    spacing = stride * h
-    # |r| below 2^-900 (lam = 0, say) is taken as 2^-900, where the formulas
-    # give G0 = m and G1 = m (m - 1) / 2 exactly, as they are to double precision
-    r = np.minimum(-abs(lam) * spacing, -2.0 ** -900)
     kernel = n - node
     kernel *= lam * h
     np.exp(kernel, out=kernel)
-    z = np.concatenate((m * r, r))  # m r, then r
-    em1 = np.expm1(z)
-    phi_slope = _phi_slope(z)
-    em1, em1_r = em1[:m.size], em1[m.size:]
-    g0 = em1 / em1_r
+    em1_r = np.expm1(r)[cells]
+    z = r[cells]
+    z *= m
+    g0 = np.expm1(z)
+    g0 /= em1_r
+    # one series call, never of one element, where einsum sums in another order
+    phi_slope = _phi_slope(np.concatenate((z, r)))  # phi'(m r) per pair, phi'(r) per cell
     g1 = m * m * phi_slope[:m.size]
-    g1 -= g0 * phi_slope[m.size:]
-    g1 *= r / em1_r
+    g1 -= g0 * phi_slope[m.size:][cells]
+    g1 *= r[cells] / em1_r
     # the first form holds where m r >= -1, and gives 0 at m = 1 (its two
     # phi' are one number); the second takes the other pairs
-    if z[:m.size].min(initial=0.0) < -1.0:
-        series = z[:m.size] >= np.minimum(r, -1.0)
-        exp = np.exp(z)  # not expm1 + 1, which loses e^r's last digits for r << 0
-        g1 = np.where(series, g1, (exp[m.size:] * g0 - m * exp[:m.size]) / -em1_r)
+    if z.min(initial=0.0) < -1.0:
+        series = z >= np.minimum(r, -1.0)[cells]
+        # not expm1 + 1, which loses e^r's last digits for r << 0
+        g1 = np.where(series, g1, (np.exp(r)[cells] * g0 - m * np.exp(z)) / -em1_r)
     g1 *= slope
-    g1 *= spacing
+    g1 *= stride * h
     np.negative(g1, out=g1, where=down)
     g0 *= f
     g0 += g1
@@ -428,7 +435,7 @@ def forcing_integral(
     for mode, f in forcing.entries:
         if mode > spectrum.num_modes:
             continue  # forcing past the truncation is out of scope
-        lam = float(spectrum.eigenvalues[mode - 1])
+        lam = spectrum.eigenvalue(mode)
         if isinstance(f, TableForcing) and t > 0.0:
             tabled.append((len(errors), mode, lam, f))
             errors.append(0.0)

@@ -90,7 +90,11 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     Legal only within the horizon; the error carries the horizon so callers
     can see where the trajectory stops.  ``t = 0`` is the identity and is
     always legal.  Like ``evolve``, it rounds once from the state's lineage
-    base, so ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs exactly.
+    base, so ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs exactly,
+    and it is O(1): the logs are written on their first read while
+    ``|lambda_N|`` times the lineage's time stays below ``2**968``.  Past that
+    bound the step is eager, and an image whose logs overflow raises
+    ``ValueError`` here, not on a later read.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -114,7 +118,7 @@ def amplification_log(state: SpectralState, t: float) -> float:
     because the factor itself overflows floats well inside desk scale."""
     if state.num_modes == 0:
         return 0.0
-    return -float(state.spectrum.eigenvalues[-1]) * float(t)
+    return -state.spectrum.eigenvalue(state.num_modes) * float(t)
 
 
 def log_backward_norm(state: SpectralState, t: float) -> float:

@@ -30,8 +30,12 @@ MAX_MODES = 50_000_000
 
 
 def _heat_eigenvalues(num_modes: int) -> np.ndarray:
-    n = np.arange(1, num_modes + 1, dtype=float)
-    return -((n * math.pi) ** 2)
+    """The heat law on modes ``1..num_modes``: ``x = n pi``, then ``-(x x)``,
+    the arithmetic of :meth:`Spectrum.eigenvalue`, so both agree bit for bit."""
+    x = np.arange(1, num_modes + 1, dtype=float)
+    x *= math.pi
+    np.square(x, out=x)
+    return np.negative(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,16 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", ev)
         return ev
 
-    def eigenvalue_beyond(self, n: int) -> float:
-        """Eigenvalue of mode ``n`` (1-based) past the truncation; heat only."""
+    def eigenvalue(self, n: int) -> float:
+        """Eigenvalue of mode ``n`` (1-based).  A listed one is read from the
+        array, except on a law-built spectrum, which, like a heat spectrum past
+        its truncation, takes it from the law without building the array."""
+        if not (self._law or n > self.num_modes):
+            return float(self.eigenvalues[n - 1])
         if self.kind != "heat":
             raise ValueError("custom spectra carry no eigenvalue law beyond the truncation")
-        return -((n * math.pi) ** 2)
+        x = n * math.pi
+        return -(x * x)
 
     def extended(self, num_modes: int) -> "Spectrum":
         """Same law with more explicit modes; heat only."""
@@ -311,6 +320,14 @@ class SpectralState:
     began at.  Other states, and flows that moved a zero, are their own base
     at time 0.  ``==``, ``repr``, the wire format and ``replace`` ignore the
     lineage, so states equal by value may flow to results a few ulps apart.
+
+    A flow whose largest product ``|lambda_N * time|`` is below
+    ``2**968`` (:data:`_LAZY_REACH`) holds no logs: they are written, made
+    read-only and kept on their first read, which is how an unread
+    intermediate costs O(1).  Such a product is under half an ulp of the
+    largest float, so no finite log overflows and a ``-inf`` one stays
+    ``-inf``: the deferred logs are bit for bit the eager ones and need no
+    normalisation.  Any other flow writes its logs at the call, eagerly.
     """
 
     spectrum: Spectrum
@@ -365,6 +382,18 @@ class SpectralState:
         object.__setattr__(self, "log_mags", logs)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_origin", (logs, 0.0))
+
+    def __getattr__(self, name):
+        # normal lookup failed: a lazily flowed state writes its logs now
+        origin = self.__dict__.get("_origin")
+        if name != "log_mags" or origin is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        base, time = origin
+        logs = self.spectrum.eigenvalues * time
+        logs += base
+        logs.flags.writeable = False
+        object.__setattr__(self, "log_mags", logs)
+        return logs
 
     @staticmethod
     def _check_decay(tail: TailModel):
@@ -447,12 +476,20 @@ def _require_same_spectrum(x: SpectralState, y: SpectralState):
 # stable and cancel in differences.
 _POWER_FAMILY_STEP = 1e-6
 
+# The bound on |lambda_N * time| below which a flow's logs wait for their
+# first read (see SpectralState); half an ulp of the largest float is 2**970.
+_LAZY_REACH = 2.0**968
+
 
 def evolve(state: SpectralState, t: float) -> SpectralState:
     """Forward flow: mode ``n`` is damped by ``exp(lambda_n * t)``, ``t >= 0``.
 
     Logs round once from the lineage base (see :class:`SpectralState`), so
-    ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs bit for bit.
+    ``evolve(backward_evolve(x, t), t)`` has ``x``'s logs bit for bit.  The
+    call is O(1): the logs are written on their first read, unless
+    ``|lambda_N|`` times the lineage's time reaches ``2**968``; such a step
+    takes the eager path, where modes that underflow become zeros and start
+    a new lineage.
 
     Tail envelopes transform in closed form, except that a power tail's exact
     image is no longer a power law: it maps to a dominating exponential
@@ -472,23 +509,32 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
 
 def _flow(state: SpectralState, t: float) -> SpectralState:
     """Mode ``n`` times ``exp(lambda_n * t)`` from the lineage base, for a
-    checked nonzero ``t``: forward, or backward inside the horizon."""
+    checked nonzero ``t``: forward, or backward inside the horizon.  Below
+    :data:`_LAZY_REACH` the result's logs are left to its first read."""
     base, time = state._origin
     time += t
+    spectrum, tail = state.spectrum, state.tail
+    num_modes = spectrum.num_modes
+    if tail.coeff:  # a state's zero tail is ZERO_TAIL, which flows to itself
+        if isinstance(tail, ExpTail):
+            tail = ExpTail(tail.rate + t, tail.coeff)
+        elif t < _POWER_FAMILY_STEP:
+            first = spectrum.eigenvalue(num_modes + 1)
+            tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
+        else:
+            tail = ExpTail(t, tail.coeff * (num_modes + 1) ** (-tail.power))
+        tail = _normalized_tail(tail)
+        SpectralState._check_decay(tail)
+    if num_modes == 0 or abs(spectrum.eigenvalue(num_modes) * time) < _LAZY_REACH:
+        result = object.__new__(SpectralState)
+        result.__dict__.update(spectrum=spectrum, signs=state.signs, tail=tail, _origin=(base, time))
+        return result
     # past float range: -inf logs, zero coefficients; backward, +inf logs,
     # which normalisation refuses, or nan ones of zero coefficients, which it zeroes
     with np.errstate(over="ignore", invalid="ignore"):
-        logs = base + state.spectrum.eigenvalues * time
-    tail = state.tail
-    if isinstance(tail, ExpTail):
-        tail = ExpTail(tail.rate + t, tail.coeff)
-    elif isinstance(tail, PowerTail):
-        first = state.spectrum.eigenvalue_beyond(state.num_modes + 1)
-        if t < _POWER_FAMILY_STEP:
-            tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
-        else:
-            tail = ExpTail(t, tail.coeff * (state.num_modes + 1) ** (-tail.power))
-    result = SpectralState._result(state.spectrum, state.signs, logs, tail)
+        logs = spectrum.eigenvalues * time
+        logs += base
+    result = SpectralState._result(spectrum, state.signs, logs, tail)
     if result.signs is state.signs:
         object.__setattr__(result, "_origin", (base, time))
     return result

@@ -175,6 +175,28 @@ def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
     assert cert.step_gaps[0] > 0.0 and set(cert.step_gaps[1:]) == {0.0}
 
 
+def test_a_deep_iteration_writes_the_logs_of_one_flowed_state(monkeypatch):
+    # 32 explicit modes under PowerTail(2.5, 1), the first truncation near
+    # mode 900: only step 0's gap reads a flowed state's logs, and the
+    # result's are left to the caller
+    rng = np.random.default_rng(5)
+    logs = -2.5 * np.log(np.arange(1.0, 33.0)) + np.log(rng.uniform(0.5, 1.5, 32))
+    x0 = rf.SpectralState(rf.make_heat_spectrum(32), rng.choice([-1, 1], 32), logs,
+                          rf.PowerTail(2.5, 1.0))
+    eps0 = 4.0 * math.exp(_tail_log_norm_beyond(x0, 901))
+    written, read = [], rf.SpectralState.__getattr__
+
+    def spied(state, name):
+        if name == "log_mags":
+            written.append(state)
+        return read(state, name)
+
+    monkeypatch.setattr(rf.SpectralState, "__getattr__", spied)
+    out, cert = rf.iterate_to_reversible(x0, eps0, rf.truncation_preimage_oracle())
+    assert len(written) <= 1 and cert.iterations == 12
+    assert 850 < out.num_modes < 950 and "log_mags" not in vars(out)
+
+
 def test_iteration_meets_exact_preimages_exactly_at_depth():
     # the unit-step check at step 40 used to see 4.6e-13 of roundoff against
     # a budget of 4.5e-15

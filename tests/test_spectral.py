@@ -5,8 +5,10 @@ named next to them (brute-force series summation, dense matrix exponential,
 closed-form zeta values) and are pinned here.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -52,6 +54,23 @@ def test_library_heat_spectra_equal_checked_ones():
         assert not built.eigenvalues.flags.writeable and not grown.eigenvalues.flags.writeable
     with pytest.raises(ValueError, match="heat spectrum"):
         Spectrum(np.array([-1.0, -2.0]), "heat")
+
+
+def test_one_eigenvalue_is_the_array_entry_bit_for_bit():
+    # Python's pow would differ from the array's x * x in 771 of these modes
+    n = 10**6
+    law = rf.make_heat_spectrum(n)
+    eigenvalue = law.eigenvalue
+    assert [eigenvalue(k) for k in range(1, n + 1)] == _law(n).tolist()
+    # the closed form builds no array; a listed spectrum reads its own
+    assert "eigenvalues" not in vars(law) and law.eigenvalue(n + 5) == _law(n + 5)[-1]
+    listed = Spectrum(np.nextafter(_law(3), 0.0), "heat")
+    assert [listed.eigenvalue(k) for k in (1, 2, 3)] == listed.eigenvalues.tolist()
+    assert listed.eigenvalue(4) == _law(4)[-1]
+    custom = Spectrum(np.array([-0.5, -1.0]))
+    assert custom.eigenvalue(2) == -1.0
+    with pytest.raises(ValueError, match="no eigenvalue law"):
+        custom.eigenvalue(3)
 
 
 def test_zero_modes_rejected():
@@ -483,8 +502,24 @@ def _bitwise_equal(a, b):
 def _results_match_the_public_constructor(monkeypatch, built):
     """Route every ``SpectralState._result`` through a check: the same arrays
     and tail, given to the public constructor, build the same state bit for
-    bit (or both refuse them), and the result's arrays are read-only."""
+    bit (or both refuse them), and the result's arrays are read-only.  Check
+    each lazily flowed state's first read of its logs the same way: once
+    written, it is the public constructor's state from ``base + lambda_n *
+    time``, bit for bit, with read-only arrays."""
     result = rf.SpectralState._result.__func__
+    read = rf.SpectralState.__getattr__
+
+    def checked_read(state, name):
+        if name != "log_mags":
+            return read(state, name)
+        base, time = state._origin
+        public = rf.SpectralState(state.spectrum, state.signs,
+                                  base + state.spectrum.eigenvalues * time, state.tail)
+        logs = read(state, name)
+        assert logs is state.log_mags and _bitwise_equal(state, public)
+        assert not state.signs.flags.writeable and not logs.flags.writeable
+        built.append(state)
+        return logs
 
     def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, settled=False):
         try:
@@ -500,6 +535,7 @@ def _results_match_the_public_constructor(monkeypatch, built):
         return state
 
     monkeypatch.setattr(rf.SpectralState, "_result", classmethod(checked))
+    monkeypatch.setattr(rf.SpectralState, "__getattr__", checked_read)
 
 
 @settings(max_examples=60, deadline=None)
@@ -514,13 +550,12 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
     built = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         _results_match_the_public_constructor(monkeypatch, built)
-        rf.evolve(x, t)
-        if rf.horizon(x).allows(t):
-            rf.backward_evolve(x, t)
         flowed = rf.evolve(x, 0.5)  # its flows round once from x's logs
-        rf.evolve(flowed, t)
-        if rf.horizon(flowed).allows(t):
-            rf.backward_evolve(flowed, t)
+        flows = [rf.evolve(x, t), rf.evolve(flowed, t), _materialize(flowed, x.num_modes + extra)]
+        for state in (x, flowed):
+            if rf.horizon(state).allows(t):
+                flows.append(rf.backward_evolve(state, t))
+        flows.append(flowed)
         rf.add(x, y)
         rf.subtract(x, y)
         rf.scale(x, factor)
@@ -529,6 +564,8 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
         _materialize(x, x.num_modes + extra)
         if not (isinstance(x.tail, rf.PowerTail) and x.tail.power <= 2.5):
             rf.generator_action(x)
+        for state in flows:  # the flows' logs are written here, on first read
+            state.log_mags
     # embed by zero extra modes and a zero step return their argument
     assert len(built) >= 6
 
@@ -725,3 +762,79 @@ def test_states_equal_by_value_compare_equal_whatever_their_lineage():
     again, other = rf.evolve(flowed, 0.3), rf.evolve(fresh, 0.3)
     assert again == x
     assert rf.relative_gap(other, again) < 1e-13
+
+
+# --- lazy flows: logs written on first read -------------------------------------
+
+def _unread(state):
+    return "log_mags" not in vars(state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(_states),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0).filter(lambda t: t != 0.0),
+                min_size=1, max_size=8))
+def test_a_chain_read_only_at_its_end_equals_one_read_at_every_step(x, steps):
+    lazy, eager, total = x, x, 0.0
+    for t in steps:
+        if not rf.horizon(lazy).allows(-t):
+            t = -t  # a backward step past the horizon turns forward
+        lazy, eager = _chain(lazy, [t]), _chain(eager, [t])
+        assert _unread(lazy)
+        eager.log_mags
+        total += t
+    assert _bitwise_equal(lazy, eager) and lazy.signs is x.signs
+    want = x.log_mags + x.spectrum.eigenvalues * total
+    assert _bitwise_equal(lazy, rf.SpectralState(x.spectrum, x.signs, want, lazy.tail))
+    assert not lazy.log_mags.flags.writeable
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_steps_either_side_of_the_lazy_bound_agree_with_the_public_constructor(direction):
+    # the largest finite log and a zero coefficient: just below 2**968 the
+    # deferred sum stays finite and -inf; just above, the step is eager
+    spectrum = rf.make_heat_spectrum(6)
+    x = rf.SpectralState(spectrum, [1, -1, 0, 1, -1, 1],
+                         [np.finfo(float).max, -np.finfo(float).max, 0.0, 3.0, -2.0, 1.0])
+    edge = 2.0**968 / abs(spectrum.eigenvalue(6))
+    for t, lazy in ((np.nextafter(edge, 0.0), True), (np.nextafter(edge, math.inf), False)):
+        flowed = rf.evolve(x, t) if direction > 0 else rf.backward_evolve(x, t)
+        assert _unread(flowed) is lazy
+        logs = x.log_mags + spectrum.eigenvalues * (direction * t)
+        assert _bitwise_equal(flowed, rf.SpectralState(spectrum, x.signs, logs))
+    # a lineage whose summed time crosses the bound flows eagerly
+    half = rf.evolve(x, np.nextafter(edge, 0.0) / 2.0)
+    assert _unread(half) and not _unread(rf.evolve(half, edge))
+
+
+def test_an_unread_state_pickles_copies_replaces_compares_and_prints_as_its_logs():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(5), [1.0, 0.0, -2.0, 0.5, 3.0],
+                                     rf.ExpTail(0.8, 1.5))
+
+    def unread():
+        state = rf.backward_evolve(x, 0.3)
+        assert _unread(state)
+        return state
+
+    read = unread()
+    read.log_mags
+    for out in (pickle.loads(pickle.dumps(unread())), copy.deepcopy(unread()),
+                dataclasses.replace(unread())):
+        assert _bitwise_equal(out, read)
+    assert unread() == read and read == unread() and repr(unread()) == repr(read)
+    assert dataclasses.replace(unread(), tail=rf.ZERO_TAIL) == dataclasses.replace(read, tail=rf.ZERO_TAIL)
+    with pytest.raises(AttributeError):
+        unread().no_such_attribute
+
+
+def test_a_flow_allocates_nothing_per_mode():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(10**6), np.ones(10**6))
+    flowed = rf.evolve(x, 0.5)
+    for step in (lambda: rf.evolve(x, 0.5), lambda: rf.backward_evolve(x, 0.5),
+                 lambda: rf.evolve(flowed, 0.25), lambda: rf.backward_evolve(flowed, 0.25)):
+        tracemalloc.start()
+        try:
+            step()
+            assert tracemalloc.get_traced_memory()[1] < 4096
+        finally:
+            tracemalloc.stop()
