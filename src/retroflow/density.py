@@ -80,15 +80,12 @@ def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
 
 
 def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
-    """Explicit zero-tail copy with the tail law written out up to ``n_prime``.
-    At the state's own depth it is a new state sharing the arrays and the
-    lineage, so a flowed state's logs stay unwritten until they are read."""
-    if n_prime == state.num_modes:
-        result = object.__new__(SpectralState)
-        result.__dict__.update(state.__dict__, tail=ZERO_TAIL)
-        return result
-    grown = embed(state, n_prime)
-    return SpectralState._result(grown.spectrum, grown.signs, grown.log_mags, settled=True)
+    """Explicit zero-tail copy with the tail law written out up to ``n_prime``:
+    a new state sharing ``embed``'s arrays and lineage, so at the state's own
+    depth a flowed state's logs stay unwritten until they are read."""
+    result = object.__new__(SpectralState)
+    result.__dict__.update(embed(state, n_prime).__dict__, tail=ZERO_TAIL)
+    return result
 
 
 def _law_log_norm(tail, x: float) -> float:
@@ -284,8 +281,9 @@ def iterate_to_reversible(
         # Cauchy gap of consecutive forward images, bounded by the growth at
         # time k applied to the step-k oracle error.
         step_bound = bound.at(float(k)) * eps_k
+        # at step 0 the target x0 is its own image, so the gap is the one above
         next_image = unit_image if k == 0 else evolve(candidate, float(k + 1))
-        forward_gap = log_distance(next_image, image)
+        forward_gap = gap if k == 0 else log_distance(next_image, image)
         measured = math.exp(forward_gap)
         if measured > step_bound * (1.0 + 1e-9):
             raise OracleFailedError(

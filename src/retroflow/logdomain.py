@@ -5,8 +5,8 @@ leaves float range around mode 15 already at ``t = 1``.  All coefficient
 arithmetic therefore lives in the log domain: a value is a sign in
 ``{-1, 0, +1}`` together with the natural log of its magnitude.
 
-Every sum of sign/log values in the library goes through one array kernel,
-:func:`signed_add` and :func:`signed_logsumexp`.  Every tail series goes
+Every sum of sign/log values goes through :func:`signed_add`, elementwise,
+or :func:`signed_logsumexp`, one row to Python scalars.  Every tail series goes
 through one primitive, :func:`log_tail_sum`, the log of
 ``sum_{n >= m} n**-p exp(-c n**2)``: a short numpy head and an
 Euler–Maclaurin remainder around an upper incomplete gamma function, or
@@ -108,8 +108,7 @@ def log_add(a: LogAmplitude, b: LogAmplitude) -> LogAmplitude:
 def log_sum(entries) -> LogAmplitude:
     """Sum an iterable of ``LogAmplitude`` through :func:`signed_logsumexp`."""
     entries = list(entries)
-    sign, log = signed_logsumexp([e.sign for e in entries], [e.log_mag for e in entries])
-    return LogAmplitude(int(sign), float(log))
+    return LogAmplitude(*signed_logsumexp([e.sign for e in entries], [e.log_mag for e in entries]))
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +135,24 @@ def signed_add(sign_a, log_a, sign_b, log_b) -> tuple[np.ndarray, np.ndarray]:
     return sign.astype(np.int8, copy=False), rel
 
 
-def signed_logsumexp(signs, logs) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log of ``sum(signs * exp(logs))`` over the last axis.
+def signed_logsumexp(signs, logs) -> tuple[int, float]:
+    """Sign and log of ``sum(signs * exp(logs))`` over one row, as a Python
+    ``int`` and ``float``; a zero sign goes with a ``-inf`` log.
 
-    Broadcasts over the leading axes; a zero sign goes with a ``-inf`` log.
     Every entry is shifted by the row's largest log before exponentiating
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021), so nothing
-    overflows.  A sum below ``CANCEL_LOG`` relative to the summed magnitudes
-    is exact zero, as is an empty or all-zero row (sign 0, log ``-inf``).
-    """
+    overflows.  The reductions are numpy's, the rest is scalar.  A sum below
+    ``CANCEL_LOG`` relative to the summed magnitudes is exact zero, as is an
+    empty or all-zero row."""
     logs = np.asarray(logs, dtype=float)
-    top = logs.max(axis=-1, initial=LOG_ZERO, keepdims=True)
-    shift = np.where(top > LOG_ZERO, top, 0.0)
+    top = float(logs.max(initial=LOG_ZERO))
+    shift = top if top > LOG_ZERO else 0.0
     terms = signs * np.exp(logs - shift)
-    total = terms.sum(axis=-1)
-    size = np.abs(total)
-    live = size > _CANCEL * np.abs(terms).sum(axis=-1)
-    # only live rows take a log (no log of zero), the others keep their fill
-    log = np.log(size, out=np.full(live.shape, LOG_ZERO), where=live)
-    np.add(log, shift[..., 0], out=log, where=live)
-    sign = np.sign(total, out=np.zeros(live.shape, np.int8), where=live, casting="unsafe")
-    return sign, log
+    total = float(terms.sum())
+    if not abs(total) > _CANCEL * float(np.abs(terms).sum()):
+        return 0, LOG_ZERO
+    # numpy's log, not math.log: the two may differ in the last bit
+    return (1 if total > 0.0 else -1), float(np.log(abs(total))) + shift
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def _heat_eigenvalues(num_modes: int) -> np.ndarray:
     return np.negative(x, out=x)
 
 
+def _freeze(self, state: dict):
+    """``__setstate__``: arrays come back writeable from a deep copy or a pickle."""
+    for array in (*state.values(), *state.get("_origin", ())):  # a lineage base too
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Strictly decreasing, strictly negative eigenvalues of the generator.
@@ -55,10 +63,10 @@ class Spectrum:
     eigenvalues: np.ndarray
     kind: str = "custom"
     _law = False  # built from the law by ``_heat``, eigenvalues on first read
+    __setstate__ = _freeze
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        ev = ev.copy()
+        ev = np.array(self.eigenvalues, dtype=float)
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "num_modes", ev.size)
@@ -288,23 +296,22 @@ def scale_tail(tail: TailModel, factor: float) -> TailModel:
 # states
 # ---------------------------------------------------------------------------
 
-def coefficient_arrays(spectrum: Spectrum, signs, log_mags) -> tuple[np.ndarray, np.ndarray]:
-    """Checked copies of a coefficient sequence in sign/log form, from caller data.
-
-    Signs are checked on the raw input, before the ``int8`` cast could wrap
-    or truncate them: only integral values in ``{-1, 0, +1}`` pass.  The
-    copies still need :meth:`SpectralState._settle`.
-    """
-    raw = np.asarray(signs)
-    if raw.dtype.kind not in "biuf" or not np.all((raw >= -1) & (raw <= 1)):
-        raise ValueError("signs must be integers in {-1, 0, +1}")
-    signs = raw.astype(np.int8)
-    if raw.dtype.kind == "f" and not np.all(signs == raw):
-        raise ValueError("signs must be integers in {-1, 0, +1}")
-    logs = np.array(log_mags, dtype=float)
-    if signs.shape != (spectrum.num_modes,) or logs.shape != signs.shape:
-        raise ValueError("coefficient arrays must match the spectrum length")
-    return signs, logs
+def _settle(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Settled arrays: a zero sign and a ``-inf`` log both mean a zero
+    coefficient, and are made to agree; any other log must be finite, so an
+    overflowed log raises.  Signs that need a change are replaced, never
+    written, since they may belong to another state; ones needing none are
+    kept, and so is a flow's lineage."""
+    finite = np.isfinite(logs)
+    if finite.all() and signs.all():
+        return signs, logs
+    zero_sign = signs == 0
+    zero = zero_sign | (logs == LOG_ZERO)
+    if not (finite | zero).all():
+        raise ValueError("nonzero coefficients need finite log magnitudes")
+    if (zero ^ zero_sign).any():
+        signs = np.where(zero, np.int8(0), signs)
+    return signs, np.where(zero, LOG_ZERO, logs)
 
 
 @dataclass(frozen=True)
@@ -334,54 +341,51 @@ class SpectralState:
     signs: np.ndarray
     log_mags: np.ndarray
     tail: TailModel = ZERO_TAIL
+    __setstate__ = _freeze
 
     def __post_init__(self):
-        signs, logs = coefficient_arrays(self.spectrum, self.signs, self.log_mags)
-        if not isinstance(self.tail, (ZeroTail, ExpTail, PowerTail)):
-            raise ValueError(f"unknown tail law {type(self.tail).__name__}")
-        self._settle(signs, logs, self.tail)
-        if self.tail.coeff and self.spectrum.kind != "heat":
+        # signs are checked raw, since the int8 cast could wrap or truncate them
+        raw = np.asarray(self.signs)
+        if raw.dtype.kind not in "biuf" or not np.all((raw >= -1) & (raw <= 1)):
+            raise ValueError("signs must be integers in {-1, 0, +1}")
+        signs = raw.astype(np.int8)
+        if raw.dtype.kind == "f" and not np.all(signs == raw):
+            raise ValueError("signs must be integers in {-1, 0, +1}")
+        logs = np.array(self.log_mags, dtype=float)  # a copy: the caller's stays theirs
+        self._check(self.spectrum, signs, logs, self.tail)
+        self._store(self.spectrum, *_settle(signs, logs), self.tail)
+
+    @staticmethod
+    def _check(spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
+        """One coefficient per mode, and a known tail law, on a heat spectrum unless zero."""
+        if signs.shape != (spectrum.num_modes,) or logs.shape != signs.shape:
+            raise ValueError("coefficient arrays must match the spectrum length")
+        if not isinstance(tail, (ZeroTail, ExpTail, PowerTail)):
+            raise ValueError(f"unknown tail law {type(tail).__name__}")
+        if tail.coeff and spectrum.kind != "heat":
             raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
 
     @classmethod
     def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray,
-                tail: TailModel = ZERO_TAIL, settled: bool = False) -> "SpectralState":
-        """A library result: arrays of the spectrum's length, an ``int8`` sign
-        array and a tail law that the library built from valid states.  They
-        are normalised, not checked again; ``settled`` arrays, taken from a
-        state or written out by ``embed``, are normalised already."""
+                tail: TailModel = ZERO_TAIL) -> "SpectralState":
+        """A library result from settled arrays (see :func:`_settle`), not checked again.
+        ``signed_add`` settles them for ``add`` and ``subtract``; ``scale``, ``negate`` and
+        ``generator_action`` shift finite logs by finite amounts far below ``2**970``;
+        ``embed`` zeroes the signs of logs its law underflows to ``-inf``; ``from_values``
+        logs finite values, ``basis`` writes one 0, and others pass a state's own.  Only the
+        eager flow and the public constructor settle first: their logs may be ``+-inf``/``nan``."""
         state = object.__new__(cls)
-        object.__setattr__(state, "spectrum", spectrum)
-        state._settle(signs, logs, tail, settled)
+        state._store(spectrum, signs, logs, tail)
         return state
 
-    def _settle(self, signs: np.ndarray, logs: np.ndarray, tail: TailModel,
-                settled: bool = False):
-        """The normalisation every state gets, checked or not.  A zero sign
-        and a ``-inf`` log both mean a zero coefficient, and are made to agree;
-        any other log must be finite, so an overflowed log raises.  A vanished
-        tail coefficient is the zero tail; a state's tail must decay.  The
-        arrays are made read-only; one that needs a change is replaced, never
-        written, since it may belong to another state; one needing none is kept."""
-        if not settled:
-            finite = np.isfinite(logs)
-            if not (finite.all() and signs.all()):
-                zero_sign, zero_log = signs == 0, logs == LOG_ZERO
-                zero = zero_sign | zero_log
-                if not (finite | zero).all():
-                    raise ValueError("nonzero coefficients need finite log magnitudes")
-                if (zero ^ zero_sign).any():
-                    signs = np.where(zero, np.int8(0), signs)
-                if (zero ^ zero_log).any():
-                    logs = np.where(zero, LOG_ZERO, logs)
+    def _store(self, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
+        """Read-only settled arrays, a vanished tail coefficient made zero, a decaying tail."""
         signs.flags.writeable = False
         logs.flags.writeable = False
         tail = _normalized_tail(tail)
         self._check_decay(tail)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "log_mags", logs)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "_origin", (logs, 0.0))
+        self.__dict__.update(spectrum=spectrum, signs=signs, log_mags=logs, tail=tail,
+                             _origin=(logs, 0.0))
 
     def __getattr__(self, name):
         # normal lookup failed: a lazily flowed state writes its logs now
@@ -409,9 +413,10 @@ class SpectralState:
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficient values must be finite")
         signs = np.sign(values).astype(np.int8)
-        with np.errstate(divide="ignore"):
-            logs = np.where(values == 0.0, LOG_ZERO, np.log(np.abs(values)))
-        return cls(spectrum, signs, logs, tail)
+        with np.errstate(divide="ignore"):  # a zero's log is -inf: settled
+            logs = np.log(np.abs(values))
+        cls._check(spectrum, signs, logs, tail)
+        return cls._result(spectrum, signs, logs, tail)
 
     @classmethod
     def zeros(cls, spectrum: Spectrum, tail: TailModel = ZERO_TAIL) -> "SpectralState":
@@ -428,7 +433,7 @@ class SpectralState:
         logs = np.full(n, LOG_ZERO)
         signs[mode - 1] = 1
         logs[mode - 1] = 0.0
-        return cls(spectrum, signs, logs)
+        return cls._result(spectrum, signs, logs)
 
     # inspection --------------------------------------------------------------
 
@@ -530,11 +535,11 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
         result.__dict__.update(spectrum=spectrum, signs=state.signs, tail=tail, _origin=(base, time))
         return result
     # past float range: -inf logs, zero coefficients; backward, +inf logs,
-    # which normalisation refuses, or nan ones of zero coefficients, which it zeroes
+    # which settling refuses, or nan ones of zero coefficients, which it zeroes
     with np.errstate(over="ignore", invalid="ignore"):
         logs = spectrum.eigenvalues * time
         logs += base
-    result = SpectralState._result(spectrum, state.signs, logs, tail)
+    result = SpectralState._result(spectrum, *_settle(state.signs, logs), tail)
     if result.signs is state.signs:
         object.__setattr__(result, "_origin", (base, time))
     return result
@@ -548,7 +553,7 @@ def log_norm(state: SpectralState) -> float:
     """Natural log of the ambient (square-sum) norm; ``-inf`` for zero."""
     tail_squares = _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
     squares = np.concatenate((2.0 * state.log_mags, [tail_squares]))
-    return 0.5 * float(signed_logsumexp(1, squares)[1])
+    return 0.5 * signed_logsumexp(1, squares)[1]
 
 
 def norm(state: SpectralState) -> float:
@@ -572,8 +577,7 @@ def log_inner_product(x: SpectralState, y: SpectralState) -> LogAmplitude:
     cross = _tail_cross_log(x.tail, y.tail, x.num_modes + 1)
     signs = np.concatenate((x.signs * y.signs, [1]))
     logs = np.concatenate((x.log_mags + y.log_mags, [cross]))
-    sign, log = signed_logsumexp(signs, logs)
-    return LogAmplitude(int(sign), float(log))
+    return LogAmplitude(*signed_logsumexp(signs, logs))
 
 
 def inner_product(x: SpectralState, y: SpectralState) -> float:
@@ -594,6 +598,8 @@ def add(x: SpectralState, y: SpectralState) -> SpectralState:
 
 def scale(state: SpectralState, factor: float) -> SpectralState:
     factor = float(factor)
+    if not math.isfinite(factor):
+        raise ValueError(f"a scale factor must be finite, got {factor!r}")
     if factor == 0.0:
         return SpectralState.zeros(state.spectrum)
     signs = state.signs * (1 if factor > 0 else -1)
@@ -641,8 +647,8 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
                 new *= -tail.rate
         new += math.log(tail.coeff)
         signs[old:][new == LOG_ZERO] = 0
-    # settled: only a growing law's logs overflow to +inf, and it fails the decay check
-    return SpectralState._result(spectrum, signs, logs, tail, settled=True)
+    # only a growing law's logs overflow to +inf, and it fails the decay check
+    return SpectralState._result(spectrum, signs, logs, tail)
 
 
 def _aligned(x: SpectralState, y: SpectralState):

@@ -413,7 +413,8 @@ def test_state_verbs_honour_format_with_out(verb, state_file, tmp_path, capsys):
     assert out.read_text() == printed
     table = tmp_path / "out.csv"
     assert main(args + ["--format", "csv", "--out", str(table)]) == 0
-    header, row = csv.reader(table.open())
+    with table.open() as fh:
+        header, row = csv.reader(fh)
     assert header[:2] == ["spectrum.kind", "spectrum.modes"] and row[:2] == ["heat", "4"]
 
 

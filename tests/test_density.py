@@ -154,8 +154,9 @@ def test_iteration_evolves_each_iterate_once_per_step(monkeypatch):
 
 
 def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
-    # from step 1 on the oracle output is a backward flow of its target, so
-    # both gaps meet states of one lineage at one time: no difference is built
+    # step 0 measures its one gap once; from step 1 on the oracle output is a
+    # backward flow of its target, so both gaps meet states of one lineage at
+    # one time: no difference is built
     steps, subtracted = [], []
     oracle = rf.truncation_preimage_oracle()
     subtract = rf.spectral.subtract
@@ -171,7 +172,7 @@ def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
     monkeypatch.setattr(rf.spectral, "subtract", counted)
     x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(2.5, 1.0))
     _, cert = rf.iterate_to_reversible(x0, 1e-3, stepped, max_iters=12)
-    assert len(steps) == 12 and subtracted == [0, 0]
+    assert len(steps) == 12 and subtracted == [0]
     assert cert.step_gaps[0] > 0.0 and set(cert.step_gaps[1:]) == {0.0}
 
 

@@ -467,6 +467,15 @@ def test_from_values_rejects_non_finite_values(bad):
         rf.SpectralState.from_values(rf.make_heat_spectrum(3), [bad, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scale_rejects_a_non_finite_factor(bad):
+    # the factor's log would make +-inf or nan logs, zero states included
+    spectrum = rf.make_heat_spectrum(3)
+    for x in (rf.SpectralState.zeros(spectrum), rf.SpectralState.from_values(spectrum, [1.0, 0.0, -2.0])):
+        with pytest.raises(ValueError, match="scale factor must be finite"):
+            rf.scale(x, bad)
+
+
 @pytest.mark.parametrize("power", [math.inf, math.nan, 0.5])
 def test_power_tail_rejects_a_power_that_is_not_finite_above_one_half(power):
     with pytest.raises(ValueError, match="power must be finite and exceed 1/2"):
@@ -521,14 +530,14 @@ def _results_match_the_public_constructor(monkeypatch, built):
         built.append(state)
         return logs
 
-    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, settled=False):
+    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL):
         try:
-            public = rf.SpectralState(spectrum, signs, logs, tail)
+            public = cls(spectrum, signs, logs, tail)
         except ValueError:
             with pytest.raises(ValueError):
-                result(cls, spectrum, signs, logs, tail, settled)
+                result(cls, spectrum, signs, logs, tail)
             raise
-        state = result(cls, spectrum, signs, logs, tail, settled)
+        state = result(cls, spectrum, signs, logs, tail)
         assert _bitwise_equal(state, public)
         assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
         built.append(state)
@@ -551,7 +560,8 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _results_match_the_public_constructor(monkeypatch, built)
         flowed = rf.evolve(x, 0.5)  # its flows round once from x's logs
-        flows = [rf.evolve(x, t), rf.evolve(flowed, t), _materialize(flowed, x.num_modes + extra)]
+        flows = [rf.evolve(x, t), rf.evolve(flowed, t), _materialize(flowed, x.num_modes + extra),
+                 rf.evolve(x, 1e306)]  # eager, past 2**968: modes from 5 on underflow to zeros
         for state in (x, flowed):
             if rf.horizon(state).allows(t):
                 flows.append(rf.backward_evolve(state, t))
@@ -564,10 +574,15 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
         _materialize(x, x.num_modes + extra)
         if not (isinstance(x.tail, rf.PowerTail) and x.tail.power <= 2.5):
             rf.generator_action(x)
+        rf.SpectralState.from_values(x.spectrum, x.coeff_values(), x.tail)
+        rf.SpectralState.basis(x.spectrum, x.num_modes)
+        forcing = rf.Forcing.from_dict({1: rf.ConstantForcing(factor),
+                                        x.num_modes: rf.ExponentialForcing(factor, 2.0)})
+        rf.duhamel_evolve(x, forcing, t)
         for state in flows:  # the flows' logs are written here, on first read
             state.log_mags
     # embed by zero extra modes and a zero step return their argument
-    assert len(built) >= 6
+    assert len(built) >= 10
 
 
 def test_library_results_underflow_to_zero_coefficients():
@@ -825,6 +840,21 @@ def test_an_unread_state_pickles_copies_replaces_compares_and_prints_as_its_logs
     assert dataclasses.replace(unread(), tail=rf.ZERO_TAIL) == dataclasses.replace(read, tail=rf.ZERO_TAIL)
     with pytest.raises(AttributeError):
         unread().no_such_attribute
+
+
+def test_copies_and_unpickled_states_stay_read_only():
+    spectrum = rf.Spectrum(-np.arange(1.0, 5.0)**3)
+    x = rf.SpectralState.from_values(spectrum, [1.0, 0.0, -2.0, 0.5])
+    law = rf.Functional.from_exp_law(rf.make_heat_spectrum(4), -0.5)
+    law.spectrum.eigenvalues
+    for make in (lambda: x, lambda: rf.evolve(x, 0.3), lambda: law):
+        for out in (copy.deepcopy(make()), pickle.loads(pickle.dumps(make()))):
+            state = make()
+            assert type(out) is type(state) and _unread(out) is _unread(state)
+            base, time = out._origin
+            arrays = [out.signs, base, out.spectrum.eigenvalues, out.log_mags]
+            assert not any(array.flags.writeable for array in arrays)
+            assert (base is out.log_mags) is (time == 0.0) and _bitwise_equal(out, state)
 
 
 def test_a_flow_allocates_nothing_per_mode():
