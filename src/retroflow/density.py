@@ -18,10 +18,9 @@ from .logdomain import log_erfc
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
-    ZERO_TAIL,
     SpectralState,
+    _drop_tail,
     _tail_cross_log,
-    embed,
     evolve,
     log_distance,
     log_norm,
@@ -77,15 +76,6 @@ class DensityCertificate:
 def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
     """log norm of the tail restricted to modes beyond ``n_prime``."""
     return 0.5 * _tail_cross_log(state.tail, state.tail, n_prime + 1)
-
-
-def _materialize(state: SpectralState, n_prime: int) -> SpectralState:
-    """Explicit zero-tail copy with the tail law written out up to ``n_prime``:
-    a new state sharing ``embed``'s arrays and lineage, so at the state's own
-    depth a flowed state's logs stay unwritten until they are read."""
-    result = object.__new__(SpectralState)
-    result.__dict__.update(embed(state, n_prime).__dict__, tail=ZERO_TAIL)
-    return result
 
 
 def _law_log_norm(tail, x: float) -> float:
@@ -177,7 +167,7 @@ def truncate_to_reversible(
         raise ValueError("eps must be positive")
     n_prime, dropped = _least_depth(state, math.log(eps))
     cert = DensityCertificate(eps, math.exp(dropped), n_prime - state.num_modes, ())
-    return _materialize(state, n_prime), cert
+    return _drop_tail(state, n_prime), cert
 
 
 PreimageOracle = Callable[[SpectralState, float], SpectralState]
@@ -223,6 +213,8 @@ def iterate_to_reversible(
     The step budgets ``eps_k = eps0 * exp(-rate*(k+1)) * 2**-(k+1) / factor``
     make each telescoping term at most ``eps0 * 2**-(k+1)``, so the full
     series (executed steps plus the unexecuted residual) stays below ``eps0``.
+    A ``max_iters`` past the last step whose budget is positive and finite
+    (at most 1,074, where ``2**-(k+1)`` underflows) is refused before any step.
     Oracle outputs are refined to zero-tail states, hence the result is fully
     reversible.  An oracle output violating its accuracy budget raises
     ``OracleFailedError`` with the partial certificate attached; agreement at
@@ -244,13 +236,25 @@ def iterate_to_reversible(
     if regime not in ("linear", "nonexpansive"):
         raise ValueError("regime must be 'linear' or 'nonexpansive'")
 
-    schedule = tuple(
-        eps0 * math.exp(-bound.rate * (k + 1)) * 2.0 ** -(k + 1) / bound.factor
-        for k in range(max_iters)
-    )
+    schedule = []  # eps_k; 2**-(k+1) is 0 from k = 1074 on, so no later budget is positive
+    for k in range(min(max_iters, 1075)):
+        try:
+            eps_k = eps0 * math.exp(-bound.rate * (k + 1)) * 2.0 ** -(k + 1) / bound.factor
+        except OverflowError:
+            eps_k = math.inf
+        schedule.append(eps_k)
+        if not 0.0 < eps_k < math.inf:
+            raise ValueError(f"max_iters {max_iters} passes step {k}, the last whose budget "
+                             "eps0 exp(-rate k) 2**-k / factor is positive and finite")
     current = image = x0  # image: the current target's forward image at time k
     step_bounds: list[float] = []
     step_gaps: list[float] = []
+
+    def certificate(steps: int, residual: float) -> DensityCertificate:
+        return DensityCertificate(eps0, math.fsum(step_bounds) + residual, steps,
+                                  tuple(schedule[:steps]), tuple(step_bounds), tuple(step_gaps),
+                                  residual_bound=residual, regime=regime)
+
     for k, eps_k in enumerate(schedule):
         candidate = oracle(current, eps_k)
         if candidate.tail.coeff:
@@ -263,20 +267,10 @@ def iterate_to_reversible(
             deepest = abs(candidate.log_mags[candidate.signs != 0]).max(initial=0.0)
             allowance = max(_ROUNDOFF_FLOOR, _ROUNDOFF_ULPS * deepest)
             if gap >= log_norm(current) + math.log(allowance):
-                partial = DensityCertificate(
-                    eps0,
-                    math.fsum(step_bounds),
-                    k,
-                    schedule[:k],
-                    tuple(step_bounds),
-                    tuple(step_gaps),
-                    residual_bound=0.0,
-                    regime=regime,
-                )
                 raise OracleFailedError(
                     k,
                     f"unit-step image misses the target by exp({gap:.6g}) >= {eps_k:.6g}",
-                    partial,
+                    certificate(k, 0.0),
                 )
         # Cauchy gap of consecutive forward images, bounded by the growth at
         # time k applied to the step-k oracle error.
@@ -293,16 +287,5 @@ def iterate_to_reversible(
         step_gaps.append(measured)
         current, image = candidate, next_image
 
-    result = image  # evolve(current, max_iters), from the last step
-    residual = eps0 * math.exp(-bound.rate) * 2.0 ** -max_iters
-    cert = DensityCertificate(
-        eps0,
-        math.fsum(step_bounds) + residual,
-        max_iters,
-        schedule,
-        tuple(step_bounds),
-        tuple(step_gaps),
-        residual_bound=residual,
-        regime=regime,
-    )
-    return result, cert
+    # the result is evolve(current, max_iters), from the last step
+    return image, certificate(max_iters, eps0 * math.exp(-bound.rate) * 2.0 ** -max_iters)

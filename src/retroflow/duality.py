@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotFullyReversibleError
 from .extended import ExtendedState, canonicalize, lift
-from .logdomain import LogAmplitude
+from .logdomain import LOG_ZERO, LogAmplitude
 from .reversibility import ReversibilityClass, backward_evolve, classify
 from .spectral import ExpTail, SpectralState, Spectrum, TailModel, evolve, log_inner_product
 
@@ -33,12 +33,17 @@ class Functional(SpectralState):
     def from_exp_law(cls, spectrum: Spectrum, rate: float, coeff: float = 1.0) -> "Functional":
         """Functional following ``b_n = coeff * exp(rate * lambda_n)`` on every
         mode, explicit up to the truncation and as a law beyond it.  Negative
-        rates grow."""
+        rates grow; a rate past float range gives zero coefficients or an error."""
         if coeff <= 0.0:
             raise ValueError("coeff must be positive for a law-built functional")
-        logs = math.log(coeff) + rate * spectrum.eigenvalues
-        signs = np.ones(spectrum.num_modes, dtype=np.int8)
-        return cls(spectrum, signs, logs, ExpTail(rate, coeff))
+        tail = ExpTail(rate, coeff)
+        with np.errstate(over="ignore"):
+            logs = tail.rate * spectrum.eigenvalues + math.log(tail.coeff)
+        if np.any(logs == math.inf):
+            raise ValueError(f"rate {rate!r} overflows the logs of the law's coefficients")
+        signs = (logs != LOG_ZERO).astype(np.int8)  # an underflowed log: a zero coefficient
+        cls._check(spectrum, signs, logs, tail)
+        return cls._result(spectrum, signs, logs, tail)
 
 
 def representable_time(functional: Functional) -> float:

@@ -50,19 +50,18 @@ def _freeze(self, state: dict):
 class Spectrum:
     """Strictly decreasing, strictly negative eigenvalues of the generator.
 
-    ``kind == "heat"`` marks the Dirichlet Laplacian law ``-(n*pi)**2``, which
+    ``kind == "heat"`` is the Dirichlet Laplacian law ``-(n*pi)**2``, which
     extends past the truncation and so enables tail analytics.  Custom spectra
     carry no law beyond their listed modes and admit only zero tails.
 
-    A heat spectrum built from the law (``make_heat_spectrum``, ``extended``)
-    is its size: its eigenvalues are built once, on their first read, and two
-    such spectra are equal when their sizes are.  Other spectra are equal when
-    their kinds and their eigenvalues, bit for bit, are.
+    A heat spectrum is its law, so it is its size: ``Spectrum(ev, "heat")``
+    takes only the law's eigenvalues bit for bit, :func:`make_heat_spectrum`
+    builds them on their first read, and heat spectra are equal when their
+    sizes are.  Custom spectra are equal when their eigenvalues, bit for bit, are.
     """
 
     eigenvalues: np.ndarray
     kind: str = "custom"
-    _law = False  # built from the law by ``_heat``, eigenvalues on first read
     __setstate__ = _freeze
 
     def __post_init__(self):
@@ -76,10 +75,9 @@ class Spectrum:
             raise ValueError("all eigenvalues must be strictly negative")
         if ev.size > 1 and not np.all(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be strictly decreasing")
-        if self.kind == "heat" and ev.size:
-            expected = _heat_eigenvalues(ev.size)
-            if not np.allclose(ev, expected, rtol=1e-12, atol=0.0):
-                raise ValueError("heat spectrum must follow -(n*pi)**2")
+        if self.kind == "heat" and not np.array_equal(ev, _heat_eigenvalues(ev.size)):
+            raise ValueError("a heat spectrum is -(n*pi)**2 bit for bit: build it with "
+                             "make_heat_spectrum, or list other eigenvalues as kind='custom'")
 
     @classmethod
     def _heat(cls, num_modes: int) -> "Spectrum":
@@ -92,12 +90,12 @@ class Spectrum:
         if count != num_modes:
             raise ValueError(f"a mode count must be an integer, got {num_modes!r}")
         spectrum = object.__new__(cls)
-        spectrum.__dict__.update(kind="heat", num_modes=count, _law=True)
+        spectrum.__dict__.update(kind="heat", num_modes=count)
         return spectrum
 
     def __getattr__(self, name):
-        # normal lookup failed: a law-built spectrum builds its eigenvalues now
-        if name != "eigenvalues" or not self._law:
+        # normal lookup failed: a heat spectrum builds its eigenvalues now
+        if name != "eigenvalues" or self.kind != "heat":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         ev = _heat_eigenvalues(self.num_modes)
         ev.flags.writeable = False
@@ -105,15 +103,14 @@ class Spectrum:
         return ev
 
     def eigenvalue(self, n: int) -> float:
-        """Eigenvalue of mode ``n`` (1-based).  A listed one is read from the
-        array, except on a law-built spectrum, which, like a heat spectrum past
-        its truncation, takes it from the law without building the array."""
-        if not (self._law or n > self.num_modes):
-            return float(self.eigenvalues[n - 1])
-        if self.kind != "heat":
+        """Eigenvalue of mode ``n`` (1-based): a heat spectrum's from its law,
+        without building the array, a custom one's read from its list."""
+        if self.kind == "heat":
+            x = n * math.pi
+            return -(x * x)
+        if n > self.num_modes:
             raise ValueError("custom spectra carry no eigenvalue law beyond the truncation")
-        x = n * math.pi
-        return -(x * x)
+        return float(self.eigenvalues[n - 1])
 
     def extended(self, num_modes: int) -> "Spectrum":
         """Same law with more explicit modes; heat only."""
@@ -130,7 +127,7 @@ class Spectrum:
             return NotImplemented
         if self.kind != other.kind or self.num_modes != other.num_modes:
             return False
-        return (self._law and other._law) or np.array_equal(self.eigenvalues, other.eigenvalues)
+        return self.kind == "heat" or np.array_equal(self.eigenvalues, other.eigenvalues)
 
     __hash__ = None
 
@@ -353,7 +350,7 @@ class SpectralState:
             raise ValueError("signs must be integers in {-1, 0, +1}")
         logs = np.array(self.log_mags, dtype=float)  # a copy: the caller's stays theirs
         self._check(self.spectrum, signs, logs, self.tail)
-        self._store(self.spectrum, *_settle(signs, logs), self.tail)
+        self.__dict__.update(vars(self._result(self.spectrum, *_settle(signs, logs), self.tail)))
 
     @staticmethod
     def _check(spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
@@ -366,26 +363,26 @@ class SpectralState:
             raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
 
     @classmethod
-    def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray,
-                tail: TailModel = ZERO_TAIL) -> "SpectralState":
-        """A library result from settled arrays (see :func:`_settle`), not checked again.
-        ``signed_add`` settles them for ``add`` and ``subtract``; ``scale``, ``negate`` and
-        ``generator_action`` shift finite logs by finite amounts far below ``2**970``;
-        ``embed`` zeroes the signs of logs its law underflows to ``-inf``; ``from_values``
-        logs finite values, ``basis`` writes one 0, and others pass a state's own.  Only the
-        eager flow and the public constructor settle first: their logs may be ``+-inf``/``nan``."""
-        state = object.__new__(cls)
-        state._store(spectrum, signs, logs, tail)
-        return state
-
-    def _store(self, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
-        """Read-only settled arrays, a vanished tail coefficient made zero, a decaying tail."""
-        signs.flags.writeable = False
-        logs.flags.writeable = False
+    def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray | None,
+                tail: TailModel = ZERO_TAIL, origin: tuple | None = None) -> "SpectralState":
+        """Every state is built here, from settled arrays (see :func:`_settle`), not checked
+        again: read-only arrays, a vanished tail coefficient made zero, a decaying tail.  The
+        lineage ``origin`` is ``(logs, 0.0)`` unless given; ``logs=None`` is a lazy flow of it.
+        The public constructor and ``zeros`` check first; ``from_values`` logs finite values,
+        ``basis`` writes one 0, ``Functional.from_exp_law`` settles its law; ``signed_add``
+        settles ``add`` and ``subtract``; ``scale``, ``negate`` and ``generator_action`` shift
+        finite logs far below ``2**970``; ``embed`` and :func:`_drop_tail` zero the signs of
+        ``-inf`` logs; flows are lazy or settled; others pass a state's own arrays."""
         tail = _normalized_tail(tail)
-        self._check_decay(tail)
-        self.__dict__.update(spectrum=spectrum, signs=signs, log_mags=logs, tail=tail,
-                             _origin=(logs, 0.0))
+        cls._check_decay(tail)
+        signs.flags.writeable = False
+        state = object.__new__(cls)
+        state.__dict__.update(spectrum=spectrum, signs=signs, tail=tail,
+                              _origin=origin or (logs, 0.0))
+        if logs is not None:
+            logs.flags.writeable = False
+            state.__dict__["log_mags"] = logs
+        return state
 
     def __getattr__(self, name):
         # normal lookup failed: a lazily flowed state writes its logs now
@@ -421,7 +418,9 @@ class SpectralState:
     @classmethod
     def zeros(cls, spectrum: Spectrum, tail: TailModel = ZERO_TAIL) -> "SpectralState":
         n = spectrum.num_modes
-        return cls(spectrum, np.zeros(n, dtype=np.int8), np.full(n, LOG_ZERO), tail)
+        signs, logs = np.zeros(n, dtype=np.int8), np.full(n, LOG_ZERO)
+        cls._check(spectrum, signs, logs, tail)
+        return cls._result(spectrum, signs, logs, tail)
 
     @classmethod
     def basis(cls, spectrum: Spectrum, mode: int) -> "SpectralState":
@@ -528,21 +527,17 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
             tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
         else:
             tail = ExpTail(t, tail.coeff * (num_modes + 1) ** (-tail.power))
-        tail = _normalized_tail(tail)
-        SpectralState._check_decay(tail)
     if num_modes == 0 or abs(spectrum.eigenvalue(num_modes) * time) < _LAZY_REACH:
-        result = object.__new__(SpectralState)
-        result.__dict__.update(spectrum=spectrum, signs=state.signs, tail=tail, _origin=(base, time))
-        return result
+        return SpectralState._result(spectrum, state.signs, None, tail, (base, time))
     # past float range: -inf logs, zero coefficients; backward, +inf logs,
     # which settling refuses, or nan ones of zero coefficients, which it zeroes
     with np.errstate(over="ignore", invalid="ignore"):
         logs = spectrum.eigenvalues * time
         logs += base
-    result = SpectralState._result(spectrum, *_settle(state.signs, logs), tail)
-    if result.signs is state.signs:
-        object.__setattr__(result, "_origin", (base, time))
-    return result
+    signs, logs = _settle(state.signs, logs)
+    # a flow that moved a zero starts a new lineage
+    return SpectralState._result(spectrum, signs, logs, tail,
+                                 (base, time) if signs is state.signs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +644,14 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
         signs[old:][new == LOG_ZERO] = 0
     # only a growing law's logs overflow to +inf, and it fails the decay check
     return SpectralState._result(spectrum, signs, logs, tail)
+
+
+def _drop_tail(state: SpectralState, num_modes: int) -> SpectralState:
+    """The zero-tail truncation: ``embed`` to ``num_modes``, law dropped, on ``embed``'s
+    arrays and lineage, so at the state's own depth an unread flow stays unread."""
+    deep = embed(state, num_modes)
+    logs = vars(deep).get("log_mags")  # None while a flow is unread
+    return SpectralState._result(deep.spectrum, deep.signs, logs, ZERO_TAIL, deep._origin)
 
 
 def _aligned(x: SpectralState, y: SpectralState):

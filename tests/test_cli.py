@@ -266,6 +266,16 @@ def test_density_certifies_deep_iterations(tmp_path, capsys):
     assert cert["iterations"] == 41 and set(cert["step_gaps"][1:]) == {0.0}
 
 
+def test_density_refuses_more_iterations_than_positive_budgets(tmp_path, capsys):
+    # eps_k = 0.1 * 2**-(k+1) underflows to 0 after 1071 steps: refused up front
+    zp = tmp_path / "z.json"
+    zero = rf.SpectralState.zeros(rf.make_heat_spectrum(4))
+    serialize.save_json(zp, serialize.state_to_dict(zero))
+    assert main(["density", "--in", str(zp), "--eps", "0.1", "--max-iters", "2000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_iters 2000 passes step 1071,") and "eps must" not in err
+
+
 def test_shift_demo(capsys):
     assert main(["shift-demo", "--resolution", "100", "--radius", "0.4"]) == 0
     payload = json.loads(capsys.readouterr().out)

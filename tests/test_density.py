@@ -285,6 +285,30 @@ def test_growth_bound_enters_schedule():
     assert math.exp(log_distance(out, x0)) <= cert.achieved_error_bound
 
 
+def test_a_count_past_the_last_positive_budget_is_refused_before_any_step():
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 0.5])
+    calls = []
+
+    def oracle(x, eps):
+        calls.append(eps)
+        return rf.truncation_preimage_oracle()(x, eps)
+
+    bound = rf.GrowthBound(1.0, 100.0)  # budgets exp(-(100 + ln 2)(k + 1)): 7 are positive
+    _, cert = rf.iterate_to_reversible(x0, 1.0, oracle, bound=bound, max_iters=7)
+    assert cert.iterations == 7 and min(cert.epsilon_schedule) > 0.0
+    calls.clear()
+    for count in (8, 2000, 10**30):
+        with pytest.raises(ValueError, match=f"max_iters {count} passes step 7,"):
+            rf.iterate_to_reversible(x0, 1.0, oracle, bound=bound, max_iters=count)
+    # a bound whose rate grows the budgets overflows exp(-rate (k + 1)) at step 141
+    with pytest.raises(ValueError, match="max_iters 500 passes step 141,"):
+        rf.iterate_to_reversible(x0, 1.0, oracle, bound=rf.GrowthBound(1.0, -5.0), max_iters=500)
+    # a contraction's budgets eps0 2**-(k+1) end where they leave float range
+    with pytest.raises(ValueError, match="max_iters 2000 passes step 1071,"):
+        rf.iterate_to_reversible(x0, 0.1, oracle, max_iters=2000)
+    assert calls == []
+
+
 def test_truncate_zero_tail_returns_the_state_and_an_empty_certificate():
     sp = rf.make_heat_spectrum(5)
     x = rf.SpectralState.from_values(sp, [1.0, -2.0, 0.0, 3.5, 1e-300])

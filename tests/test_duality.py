@@ -94,6 +94,30 @@ def test_growing_law_realizes_at_positive_offset():
     assert rf.entry_infimum(z) == pytest.approx(0.1, rel=1e-12)
 
 
+def test_a_law_past_float_range_names_its_rate_or_has_zero_coefficients():
+    # rate * lambda_n overflows from mode 5 on; numpy's warnings are errors here
+    sp = rf.make_heat_spectrum(10)
+    with pytest.raises(ValueError, match="rate -1e.306 overflows"):
+        rf.Functional.from_exp_law(sp, -1e306)
+    F = rf.Functional.from_exp_law(sp, 1e306)
+    assert F.signs.tolist() == [1] * 4 + [0] * 6 and np.all(F.log_mags[4:] == -math.inf)
+    assert np.array_equal(F.log_mags[:4], 1e306 * sp.eigenvalues[:4])
+    assert F.tail == rf.ExpTail(1e306, 1.0)
+    assert not F.signs.flags.writeable and not F.log_mags.flags.writeable
+
+
+def test_a_law_built_functional_equals_the_checked_construction():
+    sp = rf.make_heat_spectrum(12)
+    for rate, coeff in ((0.5, 1.0), (-0.1, 0.7), (0.0, 3.0)):
+        F = rf.Functional.from_exp_law(sp, rate, coeff)
+        checked = rf.Functional(sp, np.ones(12), math.log(coeff) + rate * sp.eigenvalues,
+                                rf.ExpTail(rate, coeff))
+        assert type(F) is rf.Functional and F.log_mags.tobytes() == checked.log_mags.tobytes()
+        assert F == checked
+    with pytest.raises(ValueError, match="heat spectrum"):
+        rf.Functional.from_exp_law(rf.Spectrum(np.array([-1.0, -2.0])), 0.5)
+
+
 def test_reconstruction_for_both_laws():
     sp = rf.make_heat_spectrum(20)
     for rate in (0.5, -0.1):

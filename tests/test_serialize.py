@@ -23,6 +23,18 @@ def test_state_log_roundtrip_bit_for_bit():
         assert back == state  # array_equal on signs and log magnitudes
 
 
+def test_a_state_on_a_public_heat_spectrum_roundtrips_bit_for_bit():
+    # the wire keeps a heat spectrum as its size, which is all a heat spectrum is
+    law = rf.make_heat_spectrum(5).eigenvalues.copy()
+    x = rf.SpectralState.from_values(rf.Spectrum(law, "heat"), [1.5, 0.0, -2.25, 3e-200, 7.0],
+                                     rf.PowerTail(1.5, 0.25))
+    back = serialize.state_from_dict(json.loads(json.dumps(serialize.state_to_dict(x))))
+    assert back == x and back.spectrum == x.spectrum
+    assert back.signs.tobytes() == x.signs.tobytes()
+    assert back.log_mags.tobytes() == x.log_mags.tobytes()
+    assert x == rf.SpectralState.from_values(rf.make_heat_spectrum(5), x.coeff_values(), x.tail)
+
+
 def test_state_dict_shape():
     d = serialize.state_to_dict(sample_state())
     assert d["spectrum"] == {"kind": "heat", "modes": 3}

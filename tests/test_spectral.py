@@ -22,7 +22,7 @@ import retroflow as rf
 from reference import embed_reference, mp_log_tail_sum
 from retroflow import serialize
 from retroflow.logdomain import log_tail_sum
-from retroflow.spectral import Spectrum, combine_tails_sub
+from retroflow.spectral import Spectrum, _drop_tail, combine_tails_sub, log_distance
 
 PI2 = math.pi**2
 
@@ -62,11 +62,10 @@ def test_one_eigenvalue_is_the_array_entry_bit_for_bit():
     law = rf.make_heat_spectrum(n)
     eigenvalue = law.eigenvalue
     assert [eigenvalue(k) for k in range(1, n + 1)] == _law(n).tolist()
-    # the closed form builds no array; a listed spectrum reads its own
+    # the closed form builds no array; a heat spectrum is the law, never a list near it
     assert "eigenvalues" not in vars(law) and law.eigenvalue(n + 5) == _law(n + 5)[-1]
-    listed = Spectrum(np.nextafter(_law(3), 0.0), "heat")
-    assert [listed.eigenvalue(k) for k in (1, 2, 3)] == listed.eigenvalues.tolist()
-    assert listed.eigenvalue(4) == _law(4)[-1]
+    with pytest.raises(ValueError, match="make_heat_spectrum"):
+        Spectrum(np.nextafter(_law(3), 0.0), "heat")
     custom = Spectrum(np.array([-0.5, -1.0]))
     assert custom.eigenvalue(2) == -1.0
     with pytest.raises(ValueError, match="no eigenvalue law"):
@@ -400,12 +399,12 @@ def test_embed_and_materialize_match_the_reference_formula_bit_for_bit(tail, num
     # ExpTail(1e306, ...) overflows its exponent from mode 5
     x = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -2.0, 0.0, 3.5], tail)
     signs, logs = embed_reference(x, num_modes)
-    for state in (rf.embed(x, num_modes), rf.density._materialize(x, num_modes)):
+    for state in (rf.embed(x, num_modes), _drop_tail(x, num_modes)):
         assert state.spectrum == rf.make_heat_spectrum(num_modes)
         assert state.signs.dtype == np.int8 and state.signs.tobytes() == signs.tobytes()
         assert state.log_mags.dtype == np.float64 and state.log_mags.tobytes() == logs.tobytes()
     assert rf.embed(x, num_modes).tail == x.tail
-    assert rf.density._materialize(x, num_modes).tail == rf.ZERO_TAIL
+    assert _drop_tail(x, num_modes).tail == rf.ZERO_TAIL
 
 
 def test_embed_of_zero_tail_pads_zeros():
@@ -511,8 +510,9 @@ def _bitwise_equal(a, b):
 def _results_match_the_public_constructor(monkeypatch, built):
     """Route every ``SpectralState._result`` through a check: the same arrays
     and tail, given to the public constructor, build the same state bit for
-    bit (or both refuse them), and the result's arrays are read-only.  Check
-    each lazily flowed state's first read of its logs the same way: once
+    bit (or both refuse them), and the result's arrays are read-only.  The
+    public constructor's own call to ``_result`` passes through.  Check each
+    lazily flowed state (``logs=None``) on its first read of its logs: once
     written, it is the public constructor's state from ``base + lambda_n *
     time``, bit for bit, with read-only arrays."""
     result = rf.SpectralState._result.__func__
@@ -530,14 +530,21 @@ def _results_match_the_public_constructor(monkeypatch, built):
         built.append(state)
         return logs
 
-    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL):
+    inside = []  # the public constructor ends in _result too
+
+    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, origin=None):
+        if inside or logs is None:  # a lazy flow is checked on its first read
+            return result(cls, spectrum, signs, logs, tail, origin)
+        inside.append(True)
         try:
             public = cls(spectrum, signs, logs, tail)
         except ValueError:
             with pytest.raises(ValueError):
-                result(cls, spectrum, signs, logs, tail)
+                result(cls, spectrum, signs, logs, tail, origin)
             raise
-        state = result(cls, spectrum, signs, logs, tail)
+        finally:
+            inside.pop()
+        state = result(cls, spectrum, signs, logs, tail, origin)
         assert _bitwise_equal(state, public)
         assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
         built.append(state)
@@ -553,14 +560,12 @@ def _results_match_the_public_constructor(monkeypatch, built):
        st.floats(min_value=-5.0, max_value=5.0).filter(lambda f: f != 0.0),
        st.integers(min_value=0, max_value=6))
 def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
-    from retroflow.density import _materialize
-
     x, y = pair
     built = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         _results_match_the_public_constructor(monkeypatch, built)
         flowed = rf.evolve(x, 0.5)  # its flows round once from x's logs
-        flows = [rf.evolve(x, t), rf.evolve(flowed, t), _materialize(flowed, x.num_modes + extra),
+        flows = [rf.evolve(x, t), rf.evolve(flowed, t), _drop_tail(flowed, x.num_modes + extra),
                  rf.evolve(x, 1e306)]  # eager, past 2**968: modes from 5 on underflow to zeros
         for state in (x, flowed):
             if rf.horizon(state).allows(t):
@@ -571,7 +576,7 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
         rf.scale(x, factor)
         rf.negate(x)
         rf.embed(x, x.num_modes + extra)
-        _materialize(x, x.num_modes + extra)
+        _drop_tail(x, x.num_modes + extra)
         if not (isinstance(x.tail, rf.PowerTail) and x.tail.power <= 2.5):
             rf.generator_action(x)
         rf.SpectralState.from_values(x.spectrum, x.coeff_values(), x.tail)
@@ -680,12 +685,29 @@ def test_law_built_heat_spectra_of_one_size_are_equal_without_their_eigenvalues(
 def test_a_public_heat_spectrum_equals_a_law_built_one_only_bit_for_bit():
     built = rf.make_heat_spectrum(40)
     assert Spectrum(_law(40), "heat") == built and built == Spectrum(_law(40), "heat")
-    # within the public check's tolerance, but not the law's bits
+    # one ulp off the law is not a heat spectrum: it is refused, not rounded onto the law
     nudged = _law(40)
     nudged[17] = np.nextafter(nudged[17], 0.0)
-    assert Spectrum(nudged, "heat") != built and built != Spectrum(nudged, "heat")
+    with pytest.raises(ValueError, match="bit for bit.*kind='custom'"):
+        Spectrum(nudged, "heat")
+    assert Spectrum(nudged, "custom") != built
     assert Spectrum(_law(40), "custom") != built and built != Spectrum(_law(40), "custom")
     assert Spectrum(_law(39), "heat") != built
+
+
+def test_states_on_a_public_and_a_law_built_heat_spectrum_compare():
+    # both constructions are the one law, so neither is moved onto the other
+    public = rf.SpectralState.from_values(Spectrum(_law(4), "heat"), [1.0, -2.0, 0.5, 0.0],
+                                          rf.ExpTail(0.3, 1.0))
+    built = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -2.0, 0.5, 0.0],
+                                         rf.ExpTail(0.3, 1.0))
+    assert public == built and public.spectrum == built.spectrum
+    assert log_distance(public, built) == -math.inf and rf.relative_gap(public, built) == 0.0
+    other = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -2.0, 0.5, 1e-3],
+                                         rf.ExpTail(0.3, 1.0))
+    assert log_distance(public, other) == pytest.approx(math.log(1e-3), rel=1e-12)
+    assert rf.relative_gap(other, public) == pytest.approx(1e-3 / rf.norm(other), rel=1e-12)
+    assert log_distance(public, rf.embed(built, 5)) == -math.inf
 
 
 def test_a_mode_count_is_stored_as_an_int(tmp_path):
