@@ -161,7 +161,10 @@ def truncate_to_reversible(
     envelope out as explicit modes up to there, and drop the rest.
 
     The result has a zero tail (hence full backward reach) and differs from
-    the input by exactly the dropped tail.
+    the input by exactly the dropped tail.  The call costs the depth search
+    and the input's head: the written-out modes wait for the result's first
+    read (see :func:`~retroflow.spectral.embed`), so a depth of 20M modes
+    costs no memory until then.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -223,11 +226,14 @@ def iterate_to_reversible(
     roundoff is unavoidable.  A flow rounds once from its lineage base (see
     ``SpectralState``), so where the oracle output is a backward flow of its
     target, as the truncation oracle's is from step 1 on, both gaps are
-    exactly 0 and cost no arithmetic.  A flow's logs are written on their
-    first read (below the ``2**968`` bound on ``|lambda_N|`` times the
-    lineage's time; eagerly past it), so from step 1 on the truncation
-    oracle's steps write no array: only step 0's gap reads a flowed state's
-    logs, and the result's are written when the caller reads them.
+    exactly 0 and cost no arithmetic.  At step 0 the truncation oracle's
+    output, stepped forward again, has the target's head and law written to
+    a depth and dropped there, so its gap is the dropped tail's norm, one
+    tail sum (see ``log_distance``).  Truncations and flows write their
+    arrays on first read (flows below the ``2**968`` bound on ``|lambda_N|``
+    times the lineage's time; eagerly past it), so the truncation oracle's
+    iteration writes no array: the result's are written once, when the
+    caller reads them.
     """
     if not eps0 > 0.0:
         raise ValueError("eps0 must be positive")

@@ -72,7 +72,12 @@ class TableForcing:
         # segment k runs from times[k] to the next knot with np.interp's slope;
         # the last runs on to infinity, where np.interp clamps to the last sample
         slopes = np.zeros(values.size + 1)  # and a zero past the end
-        np.divide(np.diff(values), gaps, out=slopes[:-2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(np.diff(values), gaps, out=slopes[:-2])
+        if not np.isfinite(slopes).all():
+            k = int(np.argmin(np.isfinite(slopes)))
+            (t0, t1), (v0, v1) = times[k:k + 2].tolist(), values[k:k + 2].tolist()
+            raise ValueError(f"table slope from ({t0!r}, {v0!r}) to ({t1!r}, {v1!r}) overflows")
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_bounds", np.concatenate(([-math.inf], times[1:], [math.inf])))
 
@@ -94,9 +99,10 @@ class Forcing:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(sorted(self.entries, key=lambda kv: kv[0]))
         seen = set()
-        for mode, f in entries:
+        for mode, f in self.entries:
+            if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
+                raise ValueError(f"mode indices must be integers, got {mode!r}")
             if mode < 1:
                 raise ValueError("mode indices are 1-based")
             if mode in seen:
@@ -104,7 +110,7 @@ class Forcing:
             seen.add(mode)
             if not isinstance(f, (ConstantForcing, ExponentialForcing, TableForcing)):
                 raise ValueError(f"unknown forcing kind {type(f).__name__}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda kv: kv[0])))
 
     @classmethod
     def from_dict(cls, modes: dict) -> "Forcing":
@@ -394,12 +400,20 @@ def _table_responses(lams, tables, t: float, quad: QuadratureConfig) -> list:
     return [simpson_integrate(row, 0.0, t, quad) for row in sums.tolist()]
 
 
+def _checked_time(t: float) -> float:
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    return t
+
+
 def mode_response(lam: float, forcing: ModeForcing, t: float, quad: QuadratureConfig) -> tuple[float, float]:
     """The convolution of one mode's forcing with its damping kernel over
-    ``[0, t]``; returns (value, error estimate).  Closed forms are exact; a
-    table is the one-mode case of :func:`forcing_integral`'s kernel call,
-    whose level sums are closed forms per table segment, so a level costs
-    O(segments) whatever its node count."""
+    ``[0, t]``, ``t`` finite and nonnegative; returns (value, error estimate).
+    Closed forms are exact; a table is the one-mode case of
+    :func:`forcing_integral`'s kernel call, whose level sums are closed forms
+    per table segment, so a level costs O(segments) whatever its node count."""
+    t = _checked_time(t)
     if t == 0.0:
         return 0.0, 0.0
     if not isinstance(forcing, TableForcing):
@@ -426,9 +440,7 @@ def forcing_integral(
     each forced mode's quadrature error estimate is appended to ``estimates``,
     in mode order.  Every table mode goes through one kernel call; each
     value is bit for bit its :func:`mode_response`."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    t = _checked_time(t)
     values = np.zeros(spectrum.num_modes)
     errors = []  # per forced mode in order; a table's comes from the pass
     tabled = []  # (place in errors, mode, lam, table)
@@ -464,9 +476,7 @@ def duhamel_evolve(
     forcing term is desk-scale and enters through sign-aware log addition;
     the drive is zero on unforced modes, which come out bit for bit.
     ``estimates`` is passed to :func:`forcing_integral`."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    t = _checked_time(t)
     hom = evolve(x0, t)
     if not forcing.entries:
         return hom

@@ -311,6 +311,49 @@ def _settle(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return signs, np.where(zero, LOG_ZERO, logs)
 
 
+class _LawWrite:
+    """A lineage base not yet written: the ``head`` state's modes, then its
+    tail law written out as explicit modes up to ``depth`` (see :func:`embed`).
+    :meth:`arrays` writes them on its first call and keeps them, so every
+    state of the lineage reads the same two arrays."""
+
+    __setstate__ = _freeze
+
+    def __init__(self, head: "SpectralState", depth: int):
+        self.head, self.depth = head, depth
+        self.signs = self.logs = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The signs and logs, written on the first call: the head, then new
+        modes made in place in one ``arange``, ``log(n) * -p + log c`` for a
+        power law, ``(n*pi)**2 * -r + log c`` for an exponential one."""
+        if self.logs is None:
+            head = self.head
+            old, tail = head.num_modes, head.tail
+            signs = np.empty(self.depth, dtype=np.int8)
+            logs = np.arange(1, self.depth + 1, dtype=float)
+            signs[:old], logs[:old] = head.signs, head.log_mags
+            new = logs[old:]
+            if not tail.coeff:
+                signs[old:], new[:] = 0, LOG_ZERO
+            else:
+                signs[old:] = 1
+                if tail.power:
+                    np.log(new, out=new)
+                    new *= -tail.power
+                else:
+                    new *= math.pi
+                    np.square(new, out=new)
+                    with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
+                        new *= -tail.rate
+                new += math.log(tail.coeff)
+                if new[-1] == LOG_ZERO:  # a law falls with n: only then did any log underflow
+                    signs[old:][new == LOG_ZERO] = 0
+            signs.flags.writeable = logs.flags.writeable = False
+            self.signs, self.logs = signs, logs
+        return self.signs, self.logs
+
+
 @dataclass(frozen=True)
 class SpectralState:
     """Truncated modal coefficients in sign/log form plus a tail envelope.
@@ -332,6 +375,11 @@ class SpectralState:
     largest float, so no finite log overflows and a ``-inf`` one stays
     ``-inf``: the deferred logs are bit for bit the eager ones and need no
     normalisation.  Any other flow writes its logs at the call, eagerly.
+
+    A state from :func:`embed` holds neither array: its base is a
+    :class:`_LawWrite`, a head state and a depth, written on the first read
+    of ``signs`` or ``log_mags`` of any state of its lineage and shared by
+    all of them.  Its flows defer their logs from there as above.
     """
 
     spectrum: Spectrum
@@ -363,38 +411,46 @@ class SpectralState:
             raise ValueError("tail envelopes need an eigenvalue law; use a heat spectrum")
 
     @classmethod
-    def _result(cls, spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray | None,
+    def _result(cls, spectrum: Spectrum, signs: np.ndarray | None, logs: np.ndarray | None,
                 tail: TailModel = ZERO_TAIL, origin: tuple | None = None) -> "SpectralState":
         """Every state is built here, from settled arrays (see :func:`_settle`), not checked
         again: read-only arrays, a vanished tail coefficient made zero, a decaying tail.  The
-        lineage ``origin`` is ``(logs, 0.0)`` unless given; ``logs=None`` is a lazy flow of it.
+        lineage ``origin`` is ``(logs, 0.0)`` unless given; ``logs=None`` is a lazy flow of it,
+        and ``signs=None`` too a state whose base is a :class:`_LawWrite` not yet written.
         The public constructor and ``zeros`` check first; ``from_values`` logs finite values,
         ``basis`` writes one 0, ``Functional.from_exp_law`` settles its law; ``signed_add``
         settles ``add`` and ``subtract``; ``scale``, ``negate`` and ``generator_action`` shift
-        finite logs far below ``2**970``; ``embed`` and :func:`_drop_tail` zero the signs of
-        ``-inf`` logs; flows are lazy or settled; others pass a state's own arrays."""
+        finite logs far below ``2**970``; a law write zeroes the signs of ``-inf`` logs;
+        flows are lazy or settled; others pass a state's own arrays."""
         tail = _normalized_tail(tail)
         cls._check_decay(tail)
-        signs.flags.writeable = False
         state = object.__new__(cls)
-        state.__dict__.update(spectrum=spectrum, signs=signs, tail=tail,
-                              _origin=origin or (logs, 0.0))
+        state.__dict__.update(spectrum=spectrum, tail=tail, _origin=origin or (logs, 0.0))
+        if signs is not None:
+            signs.flags.writeable = False
+            state.__dict__["signs"] = signs
         if logs is not None:
             logs.flags.writeable = False
             state.__dict__["log_mags"] = logs
         return state
 
     def __getattr__(self, name):
-        # normal lookup failed: a lazily flowed state writes its logs now
+        # normal lookup failed: a deferred state writes its arrays now
         origin = self.__dict__.get("_origin")
-        if name != "log_mags" or origin is None:
+        if name not in ("signs", "log_mags") or origin is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         base, time = origin
-        logs = self.spectrum.eigenvalues * time
-        logs += base
-        logs.flags.writeable = False
-        object.__setattr__(self, "log_mags", logs)
-        return logs
+        if isinstance(base, _LawWrite):
+            signs, base = base.arrays()
+            object.__setattr__(self, "signs", signs)
+        if "log_mags" not in self.__dict__:
+            logs = base
+            if time:
+                logs = self.spectrum.eigenvalues * time
+                logs += base
+                logs.flags.writeable = False
+            object.__setattr__(self, "log_mags", logs)
+        return self.__dict__[name]
 
     @staticmethod
     def _check_decay(tail: TailModel):
@@ -528,12 +584,12 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
         else:
             tail = ExpTail(t, tail.coeff * (num_modes + 1) ** (-tail.power))
     if num_modes == 0 or abs(spectrum.eigenvalue(num_modes) * time) < _LAZY_REACH:
-        return SpectralState._result(spectrum, state.signs, None, tail, (base, time))
+        return SpectralState._result(spectrum, vars(state).get("signs"), None, tail, (base, time))
     # past float range: -inf logs, zero coefficients; backward, +inf logs,
     # which settling refuses, or nan ones of zero coefficients, which it zeroes
     with np.errstate(over="ignore", invalid="ignore"):
         logs = spectrum.eigenvalues * time
-        logs += base
+        logs += base.arrays()[1] if isinstance(base, _LawWrite) else base
     signs, logs = _settle(state.signs, logs)
     # a flow that moved a zero starts a new lineage
     return SpectralState._result(spectrum, signs, logs, tail,
@@ -617,41 +673,23 @@ def subtract(x: SpectralState, y: SpectralState) -> SpectralState:
 def embed(state: SpectralState, num_modes: int) -> SpectralState:
     """Deepen the truncation: write the tail law out as explicit modes up to
     ``num_modes`` (laws denote nonnegative coefficients, so new modes carry a
-    plus sign) and keep the law beyond, which is per-mode and unchanged.  New
-    modes are made in place in one ``arange``: ``log(n) * -p + log c`` for a
-    power law, ``(n*pi)**2 * -r + log c`` for an exponential one."""
+    plus sign) and keep the law beyond, which is per-mode and unchanged.  The
+    call is O(1): the result records the state and the depth, and writes its
+    own arrays on the first read of either (:class:`_LawWrite`)."""
     if num_modes == state.num_modes:
         return state
     spectrum = state.spectrum.extended(num_modes)
-    old, tail = state.num_modes, state.tail
-    signs = np.empty(num_modes, dtype=np.int8)
-    logs = np.arange(1, num_modes + 1, dtype=float)
-    signs[:old], logs[:old] = state.signs, state.log_mags
-    new = logs[old:]
-    if not tail.coeff:
-        signs[old:], new[:] = 0, LOG_ZERO
-    else:
-        signs[old:] = 1
-        if tail.power:
-            np.log(new, out=new)
-            new *= -tail.power
-        else:
-            new *= math.pi
-            np.square(new, out=new)
-            with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
-                new *= -tail.rate
-        new += math.log(tail.coeff)
-        signs[old:][new == LOG_ZERO] = 0
-    # only a growing law's logs overflow to +inf, and it fails the decay check
-    return SpectralState._result(spectrum, signs, logs, tail)
+    law = _LawWrite(state, spectrum.num_modes)
+    return SpectralState._result(spectrum, None, None, state.tail, (law, 0.0))
 
 
 def _drop_tail(state: SpectralState, num_modes: int) -> SpectralState:
     """The zero-tail truncation: ``embed`` to ``num_modes``, law dropped, on ``embed``'s
-    arrays and lineage, so at the state's own depth an unread flow stays unread."""
+    arrays and lineage, so it stays unwritten until read, as an unread flow does."""
     deep = embed(state, num_modes)
-    logs = vars(deep).get("log_mags")  # None while a flow is unread
-    return SpectralState._result(deep.spectrum, deep.signs, logs, ZERO_TAIL, deep._origin)
+    written = vars(deep)
+    return SpectralState._result(deep.spectrum, written.get("signs"), written.get("log_mags"),
+                                 ZERO_TAIL, deep._origin)
 
 
 def _aligned(x: SpectralState, y: SpectralState):
@@ -663,15 +701,31 @@ def _aligned(x: SpectralState, y: SpectralState):
     raise ValueError("states live on different spectra")
 
 
+def _same_modes(x: SpectralState, y: SpectralState) -> bool:
+    """Whether aligned ``x`` and ``y`` have equal modes bit for bit, known
+    without writing them: one time, and one lineage base with one sign array,
+    or two law writes of one head (to the one depth they are aligned at)."""
+    (x_base, x_time), (y_base, y_time) = x._origin, y._origin
+    if x_time != y_time:
+        return False
+    if isinstance(x_base, _LawWrite) and isinstance(y_base, _LawWrite):
+        return x_base.head is y_base.head
+    return x_base is y_base and x.signs is y.signs
+
+
 def log_distance(x: SpectralState, y: SpectralState) -> float:
     """log of the ambient distance; heat-law states of different truncation
     depths are aligned first (the depth is representation, not substance).
-    States of one lineage at one time, with one sign array and equal tails,
-    are equal bit for bit: their distance is ``-inf``, with no arithmetic."""
+    States whose modes are equal bit for bit (:func:`_same_modes`) differ by
+    their tails alone, with no arithmetic on modes: ``-inf`` for equal tails,
+    and where one tail is zero, as for a truncation against its source, the
+    other's norm past the modes, bit for bit what the difference's norm is."""
     x, y = _aligned(x, y)
-    (x_base, x_time), (y_base, y_time) = x._origin, y._origin
-    if x_base is y_base and x_time == y_time and x.signs is y.signs and x.tail == y.tail:
-        return LOG_ZERO
+    if _same_modes(x, y):
+        if x.tail == y.tail:
+            return LOG_ZERO
+        if not (x.tail.coeff and y.tail.coeff):
+            return log_tail_norm(x if x.tail.coeff else y)
     return log_norm(subtract(x, y))
 
 

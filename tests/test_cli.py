@@ -528,3 +528,13 @@ def test_pair_reads_each_file_once(tmp_path, capsys, monkeypatch):
     want = {"pairing": value.to_linear(), "sign": value.sign, "log_mag": value.log_mag,
             "offset": zc.offset}
     assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+def test_duhamel_refuses_a_table_whose_slope_overflows(state_file, tmp_path, capsys):
+    # numpy's overflow warnings used to precede "coefficient values must be finite"
+    fp = tmp_path / "f.json"
+    fp.write_text('{"modes": [{"n": 1, "kind": "table", "times": [0, 1e-300, 1], '
+                  '"values": [0, 1e300, 0]}]}')
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: table slope from (0.0, 0.0) to (1e-300, 1e+300) overflows\n"

@@ -153,10 +153,11 @@ def test_iteration_evolves_each_iterate_once_per_step(monkeypatch):
     assert out.log_mags.tobytes() == want.log_mags.tobytes()
 
 
-def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
-    # step 0 measures its one gap once; from step 1 on the oracle output is a
-    # backward flow of its target, so both gaps meet states of one lineage at
-    # one time: no difference is built
+def test_iteration_subtracts_at_no_step(monkeypatch):
+    # step 0 meets the target and a flow of its truncation back at time 0:
+    # one head, one law, one time, so the gap is the dropped tail's norm;
+    # from step 1 on the oracle output is a backward flow of its target, so
+    # both gaps meet states of one lineage at one time: no difference is built
     steps, subtracted = [], []
     oracle = rf.truncation_preimage_oracle()
     subtract = rf.spectral.subtract
@@ -172,30 +173,53 @@ def test_iteration_subtracts_only_at_its_first_step(monkeypatch):
     monkeypatch.setattr(rf.spectral, "subtract", counted)
     x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(2.5, 1.0))
     _, cert = rf.iterate_to_reversible(x0, 1e-3, stepped, max_iters=12)
-    assert len(steps) == 12 and subtracted == [0]
+    assert len(steps) == 12 and subtracted == []
     assert cert.step_gaps[0] > 0.0 and set(cert.step_gaps[1:]) == {0.0}
+    monkeypatch.undo()
+    first, _ = rf.truncate_to_reversible(x0, 0.5 * steps[0])
+    composed = spectral.log_norm(subtract(*spectral._aligned(first, x0)))
+    assert cert.step_gaps[0] == math.exp(composed)
 
 
-def test_a_deep_iteration_writes_the_logs_of_one_flowed_state(monkeypatch):
+def test_a_deep_iteration_writes_no_array(monkeypatch):
     # 32 explicit modes under PowerTail(2.5, 1), the first truncation near
-    # mode 900: only step 0's gap reads a flowed state's logs, and the
-    # result's are left to the caller
+    # mode 900: no step reads a state's arrays, and the result's are written
+    # once, when the caller reads them
     rng = np.random.default_rng(5)
     logs = -2.5 * np.log(np.arange(1.0, 33.0)) + np.log(rng.uniform(0.5, 1.5, 32))
     x0 = rf.SpectralState(rf.make_heat_spectrum(32), rng.choice([-1, 1], 32), logs,
                           rf.PowerTail(2.5, 1.0))
     eps0 = 4.0 * math.exp(_tail_log_norm_beyond(x0, 901))
-    written, read = [], rf.SpectralState.__getattr__
+    written, read, write = [], rf.SpectralState.__getattr__, spectral._LawWrite.arrays
 
-    def spied(state, name):
-        if name == "log_mags":
-            written.append(state)
+    def spied_read(state, name):
+        written.append(name)
         return read(state, name)
 
-    monkeypatch.setattr(rf.SpectralState, "__getattr__", spied)
+    def spied_write(law):
+        written.append(law.depth)
+        return write(law)
+
+    monkeypatch.setattr(rf.SpectralState, "__getattr__", spied_read)
+    monkeypatch.setattr(spectral._LawWrite, "arrays", spied_write)
     out, cert = rf.iterate_to_reversible(x0, eps0, rf.truncation_preimage_oracle())
-    assert len(written) <= 1 and cert.iterations == 12
-    assert 850 < out.num_modes < 950 and "log_mags" not in vars(out)
+    assert written == [] and cert.iterations == 12 and 850 < out.num_modes < 950
+    out.log_mags, out.signs
+    assert written == ["log_mags", out.num_modes]
+    assert out.signs.tobytes() == embed_reference(x0, out.num_modes)[0].tobytes()
+
+
+def test_the_readme_iteration_costs_nothing_until_read():
+    # the first truncation writes 1.78M modes once the result is read
+    x0 = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        out, cert = rf.iterate_to_reversible(x0, 3e-3, rf.truncation_preimage_oracle())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_modes > 1_700_000 and cert.iterations == 12
+    assert peak < 2**20 and not {"signs", "log_mags"} & set(vars(out))
 
 
 def test_iteration_meets_exact_preimages_exactly_at_depth():

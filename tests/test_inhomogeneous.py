@@ -776,3 +776,35 @@ def test_table_refusals(times, values, message):
     # a non-finite sample is refused as such wherever it sits, before the order
     with pytest.raises(ValueError, match=message):
         rf.TableForcing(np.array(times), np.array(values))
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1e-300, 1.0], [0.0, 1e300, 0.0]),
+    ([0.0, 1.0], [-1e308, 1e308]),
+    ([0.0, 1.0, 2.0], [1.0, 1.7e308, -1.7e308]),
+])
+def test_a_table_whose_slope_overflows_is_refused(times, values):
+    # it used to build, then give (nan, nan) after numpy's overflow warnings
+    with pytest.raises(ValueError, match=r"table slope from .* overflows"):
+        rf.TableForcing(times, values)
+
+
+@pytest.mark.parametrize("t", [-0.5, -math.inf, math.inf, math.nan])
+@pytest.mark.parametrize("forcing", [rf.TableForcing([0.0, 1.0], [1.0, 2.0]), rf.ConstantForcing(1.0),
+                                     rf.ExponentialForcing(1.0, 0.5)])
+def test_mode_response_refuses_a_time_that_is_not_finite_and_nonnegative(forcing, t):
+    # t = -0.5 gave (-0.0, 0.0) for a table and -13.99 for a constant
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        mode_response(-9.87, forcing, t, DEFAULT_QUADRATURE)
+
+
+@pytest.mark.parametrize("mode", [1.5, 2.0, True, False, "1", None, np.float64(1.0)])
+def test_a_forcing_mode_index_must_be_an_integer(mode):
+    # 1.5 built and failed later with IndexError; True counted as mode 1
+    with pytest.raises(ValueError, match="mode indices must be integers"):
+        rf.Forcing(((mode, rf.ConstantForcing(1.0)),))
+
+
+def test_a_forcing_takes_numpy_integers_and_sorts_its_modes():
+    forcing = rf.Forcing(((np.int64(3), rf.ConstantForcing(1.0)), (1, rf.ConstantForcing(2.0))))
+    assert [mode for mode, _ in forcing.entries] == [1, 3]

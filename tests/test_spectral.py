@@ -22,7 +22,8 @@ import retroflow as rf
 from reference import embed_reference, mp_log_tail_sum
 from retroflow import serialize
 from retroflow.logdomain import log_tail_sum
-from retroflow.spectral import Spectrum, _drop_tail, combine_tails_sub, log_distance
+from retroflow.spectral import (Spectrum, _drop_tail, _LawWrite, combine_tails_sub,
+                                log_distance)
 
 PI2 = math.pi**2
 
@@ -512,23 +513,28 @@ def _results_match_the_public_constructor(monkeypatch, built):
     and tail, given to the public constructor, build the same state bit for
     bit (or both refuse them), and the result's arrays are read-only.  The
     public constructor's own call to ``_result`` passes through.  Check each
-    lazily flowed state (``logs=None``) on its first read of its logs: once
+    deferred state (``logs=None``) on its first read of its arrays: once
     written, it is the public constructor's state from ``base + lambda_n *
-    time``, bit for bit, with read-only arrays."""
+    time``, bit for bit, with read-only arrays, where a law write's base is
+    the reference formula's ``embed`` of its head."""
     result = rf.SpectralState._result.__func__
     read = rf.SpectralState.__getattr__
 
     def checked_read(state, name):
-        if name != "log_mags":
+        if name not in ("signs", "log_mags"):
             return read(state, name)
         base, time = state._origin
-        public = rf.SpectralState(state.spectrum, state.signs,
-                                  base + state.spectrum.eigenvalues * time, state.tail)
-        logs = read(state, name)
-        assert logs is state.log_mags and _bitwise_equal(state, public)
-        assert not state.signs.flags.writeable and not logs.flags.writeable
+        if isinstance(base, _LawWrite):
+            signs, base = embed_reference(base.head, base.depth)
+        else:
+            signs = state.signs
+        public = rf.SpectralState(state.spectrum, signs, base + state.spectrum.eigenvalues * time,
+                                  state.tail)
+        array = read(state, name)
+        assert array is getattr(state, name) and _bitwise_equal(state, public)
+        assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
         built.append(state)
-        return logs
+        return array
 
     inside = []  # the public constructor ends in _result too
 
@@ -890,3 +896,139 @@ def test_a_flow_allocates_nothing_per_mode():
             assert tracemalloc.get_traced_memory()[1] < 4096
         finally:
             tracemalloc.stop()
+
+
+# --- law writes: embed and the truncation write their arrays on first read ------
+
+def _unwritten(state):
+    return not {"signs", "log_mags"} & set(vars(state))
+
+
+@st.composite
+def _law_states(draw):
+    """A head of 0-64 modes under a power or exponential law."""
+    num_modes = draw(st.integers(min_value=0, max_value=64))
+    signs = draw(st.lists(_SIGNS, min_size=num_modes, max_size=num_modes))
+    logs = draw(st.lists(_LOGS, min_size=num_modes, max_size=num_modes))
+    coeff = draw(st.floats(min_value=1e-3, max_value=3.0))
+    tail = draw(st.one_of(st.builds(rf.ExpTail, st.floats(min_value=1e-9, max_value=2.0), st.just(coeff)),
+                          st.builds(rf.PowerTail, st.floats(min_value=0.6, max_value=4.0), st.just(coeff))))
+    return rf.SpectralState(Spectrum._heat(num_modes), signs, logs, tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_law_states(), st.integers(min_value=1, max_value=10**5), st.floats(min_value=0.0, max_value=2.0))
+def test_a_law_write_is_the_reference_formula_and_flows_as_the_written_arrays(x, depth, t):
+    depth = max(depth, x.num_modes + 1)
+    # an eps just above the norm beyond depth, so the truncation stops at or before it
+    log_eps = 0.5 * rf.spectral._tail_cross_log(x.tail, x.tail, depth + 1) + 1e-9
+    truncated, _ = rf.truncate_to_reversible(x, math.exp(max(log_eps, -700.0)))
+    assert x.num_modes <= truncated.num_modes <= depth
+    def flows(state):
+        out = [rf.evolve(state, t)]
+        if rf.horizon(state).allows(t):
+            back = rf.backward_evolve(state, t)
+            out += [back, rf.evolve(back, t)]  # the last is back at time 0
+        return out
+
+    for state in (rf.embed(x, depth), _drop_tail(x, depth), truncated):
+        if state is truncated and state.num_modes == x.num_modes:
+            continue  # the law is below eps from the head on: no law write
+        deferred = flows(state)
+        assert _unwritten(state) and all(_unwritten(flow) for flow in deferred)
+        signs, logs = embed_reference(x, state.num_modes)
+        written = rf.SpectralState(state.spectrum, signs, logs, state.tail)
+        for flow, want in zip(deferred, flows(written)):
+            assert _bitwise_equal(flow, want)
+        assert _bitwise_equal(state, written)
+        assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
+
+
+def test_a_law_write_is_shared_by_its_lineage():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(3), [1.0, 0.0, -2.0], rf.PowerTail(1.5, 2.0))
+    kept = rf.embed(x, 50)
+    dropped, flowed = _drop_tail(kept, 50), rf.evolve(kept, 0.5)
+    back = rf.evolve(rf.backward_evolve(dropped, 0.5), 0.5)
+    assert all(_unwritten(s) for s in (kept, dropped, flowed, back))
+    assert flowed.signs is kept.signs is dropped.signs is back.signs
+    assert back.log_mags is dropped.log_mags is kept.log_mags  # time 0: the written logs
+    assert log_distance(back, dropped) == -math.inf
+
+
+def test_an_unread_truncation_pickles_copies_replaces_compares_and_prints_as_its_arrays():
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(5), [1.0, 0.0, -2.0, 0.5, 3.0],
+                                     rf.ExpTail(1e-3, 1.5))
+
+    def unread():
+        state = rf.backward_evolve(rf.truncate_to_reversible(x, 1e-6)[0], 0.3)
+        assert _unwritten(state) and isinstance(state._origin[0], _LawWrite)
+        return state
+
+    read = unread()
+    read.log_mags
+    for out in (pickle.loads(pickle.dumps(unread())), copy.deepcopy(unread()),
+                dataclasses.replace(unread())):
+        assert _bitwise_equal(out, read)
+    assert unread() == read and read == unread() and repr(unread()) == repr(read)
+    assert dataclasses.replace(unread(), tail=rf.ExpTail(1.0, 1.0)) == dataclasses.replace(
+        read, tail=rf.ExpTail(1.0, 1.0))
+    with pytest.raises(AttributeError):
+        unread().no_such_attribute
+    for written in (False, True):
+        state = unread()
+        if written:
+            state.signs
+        for out in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            law = out._origin[0]
+            arrays = [law.head.signs, law.head.log_mags, out.signs, out.log_mags, law.signs, law.logs]
+            assert not any(array.flags.writeable for array in arrays)
+            assert _bitwise_equal(out, read)
+
+
+def _composed_log_distance(x, y):
+    x, y = rf.spectral._aligned(x, y)
+    return rf.log_norm(rf.subtract(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_law_states(), st.integers(min_value=0, max_value=3000), st.floats(min_value=0.0, max_value=2.0),
+       st.booleans())
+def test_a_one_lineage_gap_is_the_composed_gap_bit_for_bit(x, extra, t, swap):
+    depth = x.num_modes + extra
+    if depth == 0:
+        return
+
+    def pairs():
+        """One-lineage pairs, which take no arithmetic on modes, then one that does."""
+        def drop():
+            return _drop_tail(x, depth)
+
+        def keep():
+            return rf.embed(x, depth)
+
+        yield drop(), x
+        yield drop(), keep()
+        yield keep(), x
+        yield rf.evolve(drop(), t), rf.evolve(keep(), t)
+        yield rf.evolve(rf.backward_evolve(drop(), t), t), x
+        yield rf.evolve(drop(), 0.5), x
+
+    for k, (a, b) in enumerate(pairs()):
+        a, b = (b, a) if swap else (a, b)
+        gap = log_distance(a, b)
+        assert k == 5 or not extra or _unwritten(a if b is x else b)
+        assert gap.hex() == _composed_log_distance(a, b).hex()
+        relative = rf.relative_gap(a, b)
+        scale_log = max(0.0, rf.log_norm(a), rf.log_norm(b))
+        assert relative == (0.0 if gap == -math.inf else math.exp(gap - scale_log))
+
+
+def test_a_twenty_million_mode_truncation_writes_nothing_until_read():
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(32), rf.PowerTail(0.75, 1.0))
+    tracemalloc.start()
+    try:
+        out, _ = rf.truncate_to_reversible(x, 0.021)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_modes == 20_567_562 and _unwritten(out) and peak < 2**20
