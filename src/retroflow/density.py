@@ -168,6 +168,8 @@ def truncate_to_reversible(
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    if not state.tail.coeff:  # nothing to drop: the search would stop at the state's own depth
+        return _drop_tail(state, state.num_modes), DensityCertificate(eps, 0.0, 0, ())
     n_prime, dropped = _least_depth(state, math.log(eps))
     cert = DensityCertificate(eps, math.exp(dropped), n_prime - state.num_modes, ())
     return _drop_tail(state, n_prime), cert

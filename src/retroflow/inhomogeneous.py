@@ -5,13 +5,15 @@ Constant and exponential forcings integrate in closed form; sampled tables
 go through composite Simpson quadrature on nested grids, with the error
 estimate from the same pass as the value.  The integrand is the damping
 kernel times a piecewise-linear interpolant, so a level's nodes on one table
-segment sum in closed form (a geometric sum and its first moment): a level
-costs O(table segments), not O(nodes).  All table modes of a forcing go
-through one kernel call, which sums every level of every mode in passes of
-at most ``_CELLS`` (knot, progression) cells; each mode's sums then go
-through the rule and its stop test on their own, so each value is bit for
-bit the mode's alone.  Forcing acts on explicit modes only; tail forcing is
-out of scope.
+segment sum in closed form (a geometric sum and its first moment, walked
+from an anchor node where the interpolant is its segment's line): a level
+costs O(table segments), not O(nodes).  The first moment takes the phi'
+Taylor series only where a pair of nodes has ``m r >= -1``, and a closed
+form elsewhere.  All table modes of a forcing go through one kernel call,
+which sums every level of every mode in passes of at most ``_CELLS`` (knot,
+progression) cells; each mode's sums then go through the rule and its stop
+test on their own, so each value is bit for bit the mode's alone.  Forcing
+acts on explicit modes only; tail forcing is out of scope.
 """
 
 from __future__ import annotations
@@ -53,33 +55,39 @@ class TableForcing:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=float)
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("table needs matching 1-d times and values, at least two samples")
-        gaps = np.diff(times)
-        rising = (gaps > 0.0).all()
-        # times that rise strictly between finite ends are finite throughout
-        if not (np.isfinite(values).all() and (math.isfinite(times[0]) and math.isfinite(times[-1])
-                                               if rising else np.isfinite(times).all())):
-            raise ValueError("table times and values must be finite")
-        if not rising:
-            raise ValueError("table times must be strictly increasing")
-        times.flags.writeable = False
-        values.flags.writeable = False
+        # segment k runs from times[k] to the next knot on np.interp's line
+        # through (times[k], values[k]); the last runs on to infinity, where
+        # np.interp clamps to the last sample.  The block's columns are the
+        # segments and one past the end, its rows each segment's bottom knot,
+        # top knot, slope, left time and left value; the last two rows are the
+        # table's times and values
+        n = times.size
+        block = np.empty((5, n + 1))
+        block[3, :n], block[4, :n] = times, values
+        times, values = block[3, :n], block[4, :n]
+        block[0, 0], block[0, 1:n], block[0, n] = -math.inf, times[1:], math.inf
+        block[1, :n], block[1, n] = block[0, 1:], math.inf
+        block[2, n - 1:], block[3:, n] = 0.0, (times[-1], values[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = times[1:] - times[:-1]
+            np.divide(values[1:] - values[:-1], gaps, out=block[2, :n - 1])
+        first, last = float(times[0]), float(times[-1])
+        # gaps that are positive between finite ends with a finite difference
+        # are finite, and finite slopes from a finite first value keep every
+        # value finite
+        if not (gaps.min() > 0.0 and math.isfinite(last - first) and math.isfinite(values[0])
+                and np.isfinite(block[2]).all()):
+            _refuse(times, values, block[2])
+        block.flags.writeable = times.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        # segment k runs from times[k] to the next knot with np.interp's slope;
-        # the last runs on to infinity, where np.interp clamps to the last sample
-        slopes = np.zeros(values.size + 1)  # and a zero past the end
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(np.diff(values), gaps, out=slopes[:-2])
-        if not np.isfinite(slopes).all():
-            k = int(np.argmin(np.isfinite(slopes)))
-            (t0, t1), (v0, v1) = times[k:k + 2].tolist(), values[k:k + 2].tolist()
-            raise ValueError(f"table slope from ({t0!r}, {v0!r}) to ({t1!r}, {v1!r}) overflows")
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_bounds", np.concatenate(([-math.inf], times[1:], [math.inf])))
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_last", last)
 
     def __eq__(self, other):
         if not isinstance(other, TableForcing):
@@ -87,6 +95,22 @@ class TableForcing:
         return np.array_equal(self.times, other.times) and np.array_equal(self.values, other.values)
 
     __hash__ = None
+
+
+def _refuse(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
+    """Raise the ``ValueError`` that names what is wrong with a table that
+    fails :class:`TableForcing`'s checks: a non-finite sample wherever it
+    sits, then the order, then a span past float range, then a slope."""
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("table times and values must be finite")
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError("table times must be strictly increasing")
+    first, last = times[[0, -1]].tolist()
+    if not math.isfinite(last - first):
+        raise ValueError(f"table times from {first!r} to {last!r} span more than float range")
+    k = int(np.argmin(np.isfinite(slopes)))
+    (t0, t1), (v0, v1) = times[k:k + 2].tolist(), values[k:k + 2].tolist()
+    raise ValueError(f"table slope from ({t0!r}, {v0!r}) to ({t1!r}, {v1!r}) overflows")
 
 
 ModeForcing = Union[ConstantForcing, ExponentialForcing, TableForcing]
@@ -226,7 +250,7 @@ def simpson_integrate(sums, a: float, b: float, quad: QuadratureConfig) -> tuple
 _SLOPE_TAYLOR = np.array([(j + 1) / math.factorial(j + 2) for j in range(18)])
 # (knot, progression) cells per kernel pass; they bound every array a pass
 # builds: it sums fewer pairs than cells, and their phi' series, the largest
-# array, takes 2 * 18 doubles a pair, 2.4 MB at most
+# array where a pair needs it, takes 2 * 18 doubles a pair, 2.4 MB at most
 _CELLS = 1 << 13
 
 
@@ -255,6 +279,10 @@ def _level_sums(lams, tables, t: float, progressions: np.ndarray) -> np.ndarray:
                 used = 0
             passes[-1].append((i, lo, hi))
             used += hi - lo + 1
+    if len(passes) == 1 and len(passes[0]) == len(tables):
+        # one piece a table, in table order: the pass's rows are the sums, as
+        # np.add.at would leave them, since np.bincount adds into zeros too
+        return _pass_sums(lams, tables, t, progressions, passes[0])
     totals = np.zeros((len(tables), progressions.shape[1]))
     for pieces in passes:
         np.add.at(totals, [i for i, _, _ in pieces], _pass_sums(lams, tables, t, progressions, pieces))
@@ -271,12 +299,11 @@ def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -
     summed, so past locating the knots the work is O(min(segments, nodes)).
     """
     steps, first, count, stride = progressions
-    # the pieces' knots in one column, piece after piece, in units of t and
-    # clipped where they lie past every node anyway, so that a tiny t cannot
-    # overflow them
-    knots = np.concatenate([tables[i]._bounds[lo:hi + 1] for i, lo, hi in pieces])
-    slopes = np.concatenate([tables[i]._slopes[lo:hi + 1] for i, lo, hi in pieces])
-    knots = np.minimum(np.maximum(knots, -t), 2.0 * t) / t
+    # the pieces' segment columns side by side, piece after piece
+    block = np.concatenate([tables[i]._block[:, lo:hi + 1] for i, lo, hi in pieces], axis=1)
+    # the knots in units of t, clipped where they lie past every node anyway,
+    # so that a tiny t cannot overflow them
+    knots = np.minimum(np.maximum(block[0], -t), 2.0 * t) / t
     # each segment's progression indices [c_k, c_{k+1}), on a (knot,
     # progression) grid: a positive cell of m is a pair, its node count
     c = knots[:, None] * (steps / stride)
@@ -288,15 +315,12 @@ def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -
     starts = [0]  # each piece's first knot
     for _, lo, hi in pieces:
         starts.append(starts[-1] + hi - lo + 1)
-    for top in starts[1:-1]:
-        m[top - 1] = 0.0  # from one piece's top knot to the next one's bottom knot is no segment
+    starts = np.array(starts)
+    m[starts[1:-1] - 1] = 0.0  # from one piece's top knot to the next one's bottom knot is no segment
     held = (m > 0.0).reshape(-1).nonzero()[0]
     seg, col = np.divmod(held, steps.size)
-    # each pair's piece, and so its (piece, progression) cell and rate; each
-    # piece's pairs, in order
-    starts = np.array(starts)
+    # each pair's piece, and so its (piece, progression) cell and rate
     piece = starts.searchsorted(seg, side="right") - 1
-    ends = seg.searchsorted(starts).tolist()
     cells = piece * steps.size + col
     rates = np.array([lams[i] for i, _, _ in pieces])
     # the kernel's ratio r = -|lam| d between a pair's neighbouring nodes, d =
@@ -309,16 +333,24 @@ def _pass_sums(lams, tables, t: float, progressions: np.ndarray, pieces: list) -
     # the anchor is the top node where lam <= 0, else the bottom one; c
     # holds a pair's bottom at its place in m, and its top a knot on
     anchor = c.reshape(-1)[held + steps.size * down] - down
-    n, first, _, stride = progressions[:, col]
+    n, first, _, stride = progressions.take(col, axis=1)
     node = anchor * stride + first
     h = t / n
-    # the interpolant at the anchors, piece by piece, on the piece's knots
-    # and one more each side: np.interp there is np.interp on the whole table
-    place = node * h
-    f = np.concatenate([np.interp(place[a:b], tables[i].times[max(lo - 1, 0):hi + 2],
-                                  tables[i].values[max(lo - 1, 0):hi + 2])
-                        for (i, lo, hi), a, b in zip(pieces, ends, ends[1:])])
-    sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slopes[seg], f,
+    # the interpolant at the anchor s is its segment's line slope_k (s - t_k)
+    # + v_k, np.interp's own formula; where the grid and np.interp's search put
+    # s on two sides of a knot (s within rounding of a knot on a grid of a t
+    # that is not dyadic, say), np.interp decides
+    top, slope, left, f = block[1:].take(seg, axis=1)
+    s = node * h
+    along = s - left
+    astray = along < 0.0
+    astray |= s >= top
+    along *= slope
+    f += along
+    for a in astray.nonzero()[0].tolist():
+        table = tables[pieces[piece[a]][0]]
+        f[a] = np.interp(s[a], table.times, table.values)
+    sums = _pair_sums(lam, down, h, n, stride, m.reshape(-1)[held], node, slope, f,
                       r.reshape(-1), cells)
     return np.bincount(cells, weights=sums, minlength=len(pieces) * steps.size).reshape(len(pieces), -1)
 
@@ -358,8 +390,9 @@ def _pair_sums(lam, down, h, n, stride, m, node, slope, f, r, cells):
     2010, for the phi-functions).  ``G0 = expm1(m r) / expm1(r)``.  ``G1`` is
     ``(m^2 phi'(m r) - G0 phi'(r)) r / expm1(r)``, ``phi(x) = expm1(x) / x``,
     where ``m r >= -1``, and ``(e^r G0 - m e^{m r}) / -expm1(r)`` below; each
-    difference cancels at most 4.1-fold where it is used, and both give 0 at
-    ``m = 1``.
+    difference cancels at most 4.1-fold where it is used, and both give
+    exactly +0.0 at ``m = 1``.  So the phi' series runs only when a pair of
+    ``m >= 2`` has ``m r >= -1``; otherwise every pair takes the second form.
     """
     kernel = n - node
     kernel *= lam * h
@@ -369,17 +402,19 @@ def _pair_sums(lam, down, h, n, stride, m, node, slope, f, r, cells):
     z *= m
     g0 = np.expm1(z)
     g0 /= em1_r
-    # one series call, never of one element, where einsum sums in another order
-    phi_slope = _phi_slope(np.concatenate((z, r)))  # phi'(m r) per pair, phi'(r) per cell
-    g1 = m * m * phi_slope[:m.size]
-    g1 -= g0 * phi_slope[m.size:][cells]
-    g1 *= r[cells] / em1_r
-    # the first form holds where m r >= -1, and gives 0 at m = 1 (its two
-    # phi' are one number); the second takes the other pairs
-    if z.min(initial=0.0) < -1.0:
-        series = z >= np.minimum(r, -1.0)[cells]
+    hot = z >= -1.0
+    series = hot.any() and (m[hot] > 1.0).any()  # a pair of m >= 2 has m r >= -1
+    if series:
+        # one series call, never of one element, where einsum sums in another order
+        phi_slope = _phi_slope(np.concatenate((z, r)))  # phi'(m r) per pair, phi'(r) per cell
+        g1 = m * m * phi_slope[:m.size]
+        g1 -= g0 * phi_slope[m.size:][cells]
+        g1 *= r[cells] / em1_r
+    if not series or z.min(initial=0.0) < -1.0:
         # not expm1 + 1, which loses e^r's last digits for r << 0
-        g1 = np.where(series, g1, (np.exp(r)[cells] * g0 - m * np.exp(z)) / -em1_r)
+        below = (np.exp(r)[cells] * g0 - m * np.exp(z)) / -em1_r
+        # the first form takes m = 1 too, whatever r
+        g1 = np.where(z >= np.minimum(r, -1.0)[cells], g1, below) if series else below
     g1 *= slope
     g1 *= stride * h
     np.negative(g1, out=g1, where=down)
@@ -394,7 +429,7 @@ def _table_responses(lams, tables, t: float, quad: QuadratureConfig) -> list:
     estimate): one kernel call sums every mode's levels, and each mode's row
     goes through the rule."""
     for table in tables:
-        if t > table.times[-1] + 1e-12 * max(1.0, abs(t)) or table.times[0] > 0.0:
+        if t > table._last + 1e-12 * max(1.0, abs(t)) or table._first > 0.0:
             raise ValueError("table forcing must cover the whole interval [0, t]")
     sums = _level_sums(lams, tables, t, _ladder(quad.steps, quad.adaptive))
     return [simpson_integrate(row, 0.0, t, quad) for row in sums.tolist()]

@@ -538,3 +538,13 @@ def test_duhamel_refuses_a_table_whose_slope_overflows(state_file, tmp_path, cap
     assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
     err = capsys.readouterr().err
     assert err == "error: table slope from (0.0, 0.0) to (1e-300, 1e+300) overflows\n"
+
+
+def test_duhamel_refuses_a_table_whose_span_overflows(state_file, tmp_path, capsys):
+    # its gap overflowed to inf with a warning, and the table built
+    fp = tmp_path / "f.json"
+    fp.write_text('{"modes": [{"n": 1, "kind": "table", "times": [-1e308, 1e308], '
+                  '"values": [1, 1]}]}')
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: table times from -1e+308 to 1e+308 span more than float range\n"

@@ -342,6 +342,16 @@ def test_truncate_zero_tail_returns_the_state_and_an_empty_certificate():
     assert cert == DensityCertificate(1e-3, 0.0, 0, ())
 
 
+def test_truncating_a_zero_tail_state_searches_no_depth(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rf.spectral, "log_tail_sum", lambda *args: calls.append(args))
+    monkeypatch.setattr(rf.density, "_least_depth", lambda *args: calls.append(args))
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(4), [1.0, -2.0, 0.0, 3.5])
+    out, cert = rf.truncate_to_reversible(x, 1e-3)
+    assert calls == []
+    assert out == x and cert == DensityCertificate(1e-3, 0.0, 0, ())
+
+
 # --- the depth search ----------------------------------------------------------------
 
 def doubling_and_bisection(state, log_eps):

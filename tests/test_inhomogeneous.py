@@ -15,7 +15,7 @@ from retroflow.errors import HorizonExceededError
 from retroflow import inhomogeneous
 from retroflow.inhomogeneous import DEFAULT_QUADRATURE, mode_response, simpson_integrate
 
-from reference import mp_simpson_table
+from reference import mp_simpson_table, reference_level_sums
 
 PI2 = math.pi**2
 QUAD = rf.QuadratureConfig(steps=64)
@@ -428,6 +428,28 @@ def test_adaptive_table_quadrature_stops_where_the_reference_stops():
         assert estimate == pytest.approx(want_estimate, rel=1e-6)
 
 
+def test_the_phi_slope_series_runs_only_where_a_pair_needs_it(monkeypatch):
+    # on the benchmark's adaptive ladder no pair of two or more nodes has
+    # m r >= -1, so every pair takes the second closed form; a slow mode on a
+    # short interval has such pairs, and sums them with the series.  Both
+    # values sit within the rounding bound of the node-by-node reference
+    calls = []
+    phi_slope = inhomogeneous._phi_slope
+    monkeypatch.setattr(inhomogeneous, "_phi_slope", lambda z: calls.append(z.size) or phi_slope(z))
+    lam, table = next(bench_style_tables())
+    quad = rf.QuadratureConfig(steps=64, adaptive=True, tol=1e-10)
+    got, _ = mode_response(lam, table, 1.0, quad)
+    assert calls == []
+    want, _, want_steps = reference_simpson(table_integrand(lam, table, 1.0), 0.0, 1.0, quad)
+    assert abs(got - want) <= simpson_bound(lam, table, 1.0, want_steps)
+    lam, t = -PI2, 0.1
+    table = rf.TableForcing(t * np.arange(17) / 16, np.random.default_rng(21).uniform(-1.0, 1.0, 17))
+    got, _ = mode_response(lam, table, t, QUAD)
+    assert len(calls) == 1
+    want, _, want_steps = reference_simpson(table_integrand(lam, table, t), 0.0, t, QUAD)
+    assert abs(got - want) <= simpson_bound(lam, table, t, want_steps)
+
+
 @pytest.mark.parametrize("lam", [2.0, 0.0, -PI2, -700.0])
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_table_quadrature_without_a_cut_evaluates_the_whole_grid(lam, adaptive):
@@ -760,6 +782,40 @@ def test_pieces_that_share_a_pass_are_summed_as_alone(monkeypatch, adaptive):
     assert shared.tobytes() == np.array(alone).tobytes()
 
 
+@st.composite
+def kernel_batches(draw):
+    """A batch of one to three tables for the table kernel on one ladder: knots
+    on a grid of ``t`` (which rounds them off the Simpson nodes when ``t`` is
+    not dyadic) or anywhere, maybe a first time below 0 and a last knot past
+    ``t``, on slow, fast, deep (``lam t < -750``), flat and growing modes."""
+    t = draw(st.sampled_from([1.0, 0.1, 0.37, 1.7, 1.0 + 4e-13]))
+    steps, adaptive = draw(st.sampled_from([2, 6, 8, 64])), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams, tables = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.sampled_from([2, 3, 9, 17, 40, 700]))  # 700 knots take two pieces on an adaptive ladder
+        grid = draw(st.sampled_from([0, 4, 16, 48]))  # 0: knots anywhere
+        inner = (rng.choice(np.arange(1, grid), min(size, grid - 1), replace=False) / grid if grid
+                 else rng.uniform(0.0, 1.0, size))
+        ends = [draw(st.sampled_from([0.0, -0.3])), draw(st.sampled_from([1.0, 1.5]))]
+        times = np.unique(np.concatenate((inner, ends))) * t
+        tables.append(rf.TableForcing(times, rng.uniform(-1.0, 1.0, times.size)))
+        mode = draw(st.integers(1, 40))
+        lams.append(draw(st.sampled_from([-((mode * math.pi) ** 2), 0.0, 2.0])))
+    return lams, tables, t, inhomogeneous._ladder(steps, adaptive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=kernel_batches())
+def test_table_kernel_level_sums_are_the_reference_kernels_bit_for_bit(batch):
+    # the phi' series skipped where no pair needs it, the anchors gathered
+    # from their segments' lines and one table a piece summed without add.at:
+    # every level sum is the first kernel's, bit for bit
+    lams, tables, t, progressions = batch
+    got = inhomogeneous._level_sums(lams, tables, t, progressions)
+    assert got.tobytes() == reference_level_sums(lams, tables, t, progressions).tobytes()
+
+
 @pytest.mark.parametrize("times, values, message", [
     ([math.nan, 0.5, 1.0], [1.0, 1.0, 1.0], "finite"),
     ([0.0, math.nan, 1.0], [1.0, 1.0, 1.0], "finite"),
@@ -771,6 +827,7 @@ def test_pieces_that_share_a_pass_are_summed_as_alone(monkeypatch, adaptive):
     ([0.0, 1.0, 0.5], [1.0, 1.0, 1.0], "strictly increasing"),
     ([1.0, -1e308], [1.0, 1.0], "strictly increasing"),
     ([0.0, 1.0], [1.0], "matching"),
+    ([-1e308, 1e308], [1.0, 1.0], r"times from -1e\+308 to 1e\+308 span more than float range"),
 ])
 def test_table_refusals(times, values, message):
     # a non-finite sample is refused as such wherever it sits, before the order
