@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -258,7 +259,7 @@ def _dispatch(args) -> int:
             state, args.eps, truncation_preimage_oracle(), max_iters=args.max_iters)
         if args.output:
             serialize.save_json(args.output, serialize.state_to_dict(out))
-        _emit(serialize.certificate_to_dict(cert), None, args.format)
+        _emit(asdict(cert), None, args.format)
         return 0
 
     if args.verb == "shift-demo":
@@ -270,8 +271,7 @@ def _dispatch(args) -> int:
         payload = {
             "resolution": args.resolution,
             "distances": {str(t): distance_to_range(ones, t) for t in grid},
-            "exclusion": serialize.exclusion_report_to_dict(
-                exclusion_onset(ones, args.radius)),
+            "exclusion": asdict(exclusion_onset(ones, args.radius)),
         }
         _emit(payload, args.output, args.format)
         return 0

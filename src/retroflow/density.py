@@ -1,7 +1,8 @@
 """Constructive approximation by fully reversible states.
 
-Two routes: plain spectral truncation (drop the tail at a deep enough mode),
-and the generic preimage iteration.  The iteration assumes only an
+Two routes: plain spectral truncation (drop the tail at a deep enough mode,
+found by the heat law's depth model in :mod:`retroflow.spectral`), and the
+generic preimage iteration.  The iteration assumes only an
 approximate-preimage oracle for unit time steps plus an exponential growth
 bound on the flow, so it applies verbatim to nonexpansive nonlinear flows;
 ``regime`` records which hypothesis a certificate leans on.
@@ -14,13 +15,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NotConvergedError, OracleFailedError
-from .logdomain import log_erfc
 from .reversibility import backward_evolve
 from .spectral import (
     MAX_MODES,
     SpectralState,
     _drop_tail,
-    _tail_cross_log,
+    _law_depth,
+    _law_log_norm,
+    _tail_log_norm_beyond,
     evolve,
     log_distance,
     log_norm,
@@ -71,50 +73,6 @@ class DensityCertificate:
     def __post_init__(self):
         if self.achieved_error_bound > self.target_error * (1.0 + 1e-9):
             raise ValueError("certificate bound exceeds its target")
-
-
-def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
-    """log norm of the tail restricted to modes beyond ``n_prime``."""
-    return 0.5 * _tail_cross_log(state.tail, state.tail, n_prime + 1)
-
-
-def _law_log_norm(tail, x: float) -> float:
-    """The leading term of the log tail norm beyond ``m = x - 1/2``: half the
-    log of ``coeff^2 int_x^inf`` of the squared law.  A power law integrates
-    to ``x^(1 - P) / (P - 1)``, ``P = 2 power``; an exponential one to
-    ``sqrt(pi / 4c) erfc(sqrt(c) x)``, ``c = 2 pi^2 rate``."""
-    if tail.rate:
-        c = 2.0 * math.pi**2 * tail.rate
-        log_integral = 0.5 * math.log(math.pi / (4.0 * c)) + log_erfc(math.sqrt(c) * x)
-    else:
-        big = 2.0 * tail.power
-        log_integral = (1.0 - big) * math.log(x) - math.log(big - 1.0)
-    return math.log(tail.coeff) + 0.5 * log_integral
-
-
-def _law_depth(tail, log_norm: float) -> float:
-    """The ``x`` at which :func:`_law_log_norm` falls to ``log_norm``, at
-    most ``2 MAX_MODES``; 0 if it lies below every ``x``.  In closed form for
-    a power law; for an exponential one by Newton's method on the concave
-    ``log erfc``, from ``sqrt(-target)`` down, where ``log erfc(y) < -y^2``
-    puts the start past the root."""
-    level = 2.0 * (log_norm - math.log(tail.coeff))
-    if not tail.rate:
-        big = 2.0 * tail.power
-        u = -(level + math.log(big - 1.0)) / (big - 1.0)
-        return math.exp(min(u, math.log(2.0 * MAX_MODES)))
-    c = 2.0 * math.pi**2 * tail.rate
-    target = level - 0.5 * math.log(math.pi / (4.0 * c))  # log erfc(sqrt(c) x)
-    if not target < 0.0:
-        return 0.0
-    y = math.sqrt(-target)
-    for _ in range(60):
-        log_tail = log_erfc(y)
-        step = 0.5 * math.sqrt(math.pi) * (target - log_tail) * math.exp(y * y + log_tail)
-        y -= step
-        if step <= 1e-12 * y:
-            break
-    return min(y / math.sqrt(c), 2.0 * MAX_MODES)
 
 
 def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
@@ -237,8 +195,8 @@ def iterate_to_reversible(
     iteration writes no array: the result's are written once, when the
     caller reads them.
     """
-    if not eps0 > 0.0:
-        raise ValueError("eps0 must be positive")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {eps0!r}")
     if max_iters < 1:
         raise ValueError("at least one iteration is required")
     if regime not in ("linear", "nonexpansive"):

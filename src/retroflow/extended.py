@@ -8,7 +8,8 @@ points living outside the ambient space.
 
 The group action on these pairs is total: forward time first consumes the
 offset and then damps the representative; backward time grows the offset (or
-is absorbed into the representative's own backward horizon).
+is absorbed into the representative's own backward horizon).  The generator's
+map of a tail law is the heat law's, in :mod:`retroflow.spectral`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeneratorDomainError, NotWithinBackwardReachError
+from .errors import NotWithinBackwardReachError
 from .reversibility import backward_evolve, horizon
 from .spectral import (
-    ExpTail,
-    PowerTail,
     SpectralState,
-    _log_sup_power_vs_gauss,
+    _generator_tail,
     add,
     evolve,
     exp_or_inf,
@@ -161,24 +160,13 @@ def generator_action(state: SpectralState) -> SpectralState:
 
     Power tails map exactly (power drops by 2 on the heat law); that requires
     power > 5/2, otherwise the image has no finite norm.  Exponential tails
-    map to a dominating envelope at half rate.
+    map to a dominating envelope at half rate, whose coefficient must stay
+    inside float range (a ``ValueError`` names the rate otherwise).
     """
     eigs = state.spectrum.eigenvalues
     signs = -state.signs  # eigenvalues are negative
     logs = state.log_mags + np.log(-eigs)
-    tail = state.tail
-    if isinstance(tail, PowerTail):
-        if tail.power <= 2.5:
-            raise GeneratorDomainError(
-                f"power tail with power {tail.power!r} <= 5/2: the generator image "
-                "has no finite square sum on the heat law"
-            )
-        tail = PowerTail(tail.power - 2.0, tail.coeff * math.pi ** 2)
-    elif isinstance(tail, ExpTail):
-        start = state.num_modes + 1
-        # |lambda_n| = (n pi)^2 under a half-rate envelope
-        sup = 2.0 * math.log(math.pi) + _log_sup_power_vs_gauss(2.0, tail.rate / 2.0, start)
-        tail = ExpTail(tail.rate / 2.0, tail.coeff * math.exp(sup))
+    tail = _generator_tail(state.tail, state.num_modes + 1)
     return SpectralState._result(state.spectrum, signs, logs, tail)
 
 

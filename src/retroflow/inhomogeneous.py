@@ -96,6 +96,11 @@ class TableForcing:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # a copy or a pickle is built again from the samples, so its times and
+        # values are read-only views of the block its kernel reads
+        return TableForcing, (self.times, self.values)
+
 
 def _refuse(times: np.ndarray, values: np.ndarray, slopes: np.ndarray):
     """Raise the ``ValueError`` that names what is wrong with a table that

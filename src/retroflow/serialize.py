@@ -24,7 +24,7 @@ from .inhomogeneous import (
 )
 from .logdomain import LOG_ZERO
 from .reversibility import Classification
-from .shift import ExclusionReport, GridFunction
+from .shift import GridFunction
 from .spectral import (
     ExpTail,
     PowerTail,
@@ -34,7 +34,6 @@ from .spectral import (
     ZERO_TAIL,
     make_heat_spectrum,
 )
-from .density import DensityCertificate
 
 
 def _decodes(what: str):
@@ -238,29 +237,6 @@ def grid_from_dict(d: dict) -> GridFunction:
     if "resolution" in d and _integer(d["resolution"], "resolution") != values.size:
         raise ValueError("resolution disagrees with the number of values")
     return GridFunction(values)
-
-
-def certificate_to_dict(cert: DensityCertificate) -> dict:
-    return {
-        "target_error": cert.target_error,
-        "achieved_error_bound": cert.achieved_error_bound,
-        "iterations": cert.iterations,
-        "epsilon_schedule": list(cert.epsilon_schedule),
-        "step_bounds": list(cert.step_bounds),
-        "step_gaps": list(cert.step_gaps),
-        "residual_bound": cert.residual_bound,
-        "regime": cert.regime,
-    }
-
-
-def exclusion_report_to_dict(report: ExclusionReport) -> dict:
-    return {
-        "found": report.found,
-        "radius": report.radius,
-        "onset": report.onset,
-        "distance_at_onset": report.distance_at_onset,
-        "distance_before": report.distance_before,
-    }
 
 
 def save_json(path, payload: dict):

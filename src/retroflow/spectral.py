@@ -5,7 +5,9 @@ on a strictly negative spectrum, plus an analytic *tail envelope* describing
 the coefficient magnitudes beyond the truncation.  Tail envelopes are what
 make horizons and norms computable in closed form; they denote nonnegative
 coefficients, and linear combinations may widen an envelope one-sidedly
-(the widened envelope always dominates the true coefficients).
+(the widened envelope always dominates the true coefficients).  The heat law
+``lambda_n = -(n pi)**2`` and every rule that reads it live in one section, with
+the tail envelopes; no other module reads ``pi`` for it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_tail_sum, signed_add,
+from .errors import GeneratorDomainError
+from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_erfc, log_tail_sum, signed_add,
                         signed_logsumexp)
 
 
@@ -27,15 +30,6 @@ from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_tail_sum, signed
 #: The most explicit modes a heat spectrum may have (400 MB of eigenvalues);
 #: the truncation scan gives up past it.
 MAX_MODES = 50_000_000
-
-
-def _heat_eigenvalues(num_modes: int) -> np.ndarray:
-    """The heat law on modes ``1..num_modes``: ``x = n pi``, then ``-(x x)``,
-    the arithmetic of :meth:`Spectrum.eigenvalue`, so both agree bit for bit."""
-    x = np.arange(1, num_modes + 1, dtype=float)
-    x *= math.pi
-    np.square(x, out=x)
-    return np.negative(x, out=x)
 
 
 def _freeze(self, state: dict):
@@ -75,7 +69,7 @@ class Spectrum:
             raise ValueError("all eigenvalues must be strictly negative")
         if ev.size > 1 and not np.all(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be strictly decreasing")
-        if self.kind == "heat" and not np.array_equal(ev, _heat_eigenvalues(ev.size)):
+        if self.kind == "heat" and not np.array_equal(ev, _heat_law(np.arange(1.0, ev.size + 1))):
             raise ValueError("a heat spectrum is -(n*pi)**2 bit for bit: build it with "
                              "make_heat_spectrum, or list other eigenvalues as kind='custom'")
 
@@ -97,7 +91,7 @@ class Spectrum:
         # normal lookup failed: a heat spectrum builds its eigenvalues now
         if name != "eigenvalues" or self.kind != "heat":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ev = _heat_eigenvalues(self.num_modes)
+        ev = _heat_law(np.arange(1.0, self.num_modes + 1))
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
         return ev
@@ -106,8 +100,7 @@ class Spectrum:
         """Eigenvalue of mode ``n`` (1-based): a heat spectrum's from its law,
         without building the array, a custom one's read from its list."""
         if self.kind == "heat":
-            x = n * math.pi
-            return -(x * x)
+            return _heat_law(n)
         if n > self.num_modes:
             raise ValueError("custom spectra carry no eigenvalue law beyond the truncation")
         return float(self.eigenvalues[n - 1])
@@ -140,8 +133,16 @@ def make_heat_spectrum(num_modes: int) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# tail envelopes
+# the heat law and its tail envelopes
 # ---------------------------------------------------------------------------
+
+def _heat_law(n):
+    """``lambda_n = -(n pi)**2``, in place on a float array of modes ``n``, or of one ``n``."""
+    n *= math.pi
+    n *= n
+    n *= -1.0
+    return n
+
 
 @dataclass(frozen=True)
 class ZeroTail:
@@ -206,8 +207,11 @@ def _normalized_tail(tail: TailModel) -> TailModel:
 def _log_sup_power_vs_gauss(power: float, rate: float, start: int) -> float:
     """Upper bound for ``sup_{n >= start} power*ln(n) - rate*(n*pi)**2`` via
     the continuous maximizer (one-sided, used only to build envelopes)."""
-    n_star = math.sqrt(power / (2.0 * rate)) / math.pi
-    n_at = max(float(start), n_star)
+    ratio = power / (2.0 * rate)
+    if ratio == math.inf:  # a rate below ~1e-308: the maximizer is past any start, from logs
+        log_n_star = 0.5 * (math.log(power) - math.log(2.0) - math.log(rate)) - math.log(math.pi)
+        return power * log_n_star - 0.5 * power  # the Gaussian term there is power / 2
+    n_at = max(float(start), math.sqrt(ratio) / math.pi)
     return power * math.log(n_at) - rate * (n_at * math.pi) ** 2
 
 
@@ -226,6 +230,67 @@ def _tail_cross_log(a: TailModel, b: TailModel, start: int) -> float:
         raise ValueError("cross term of a growing tail has no finite value")
     return (math.log(a.coeff) + math.log(b.coeff)
             + log_tail_sum(a.power + b.power, rate * math.pi**2, start))
+
+
+def _generator_tail(tail: TailModel, start: int) -> TailModel:
+    """The tail law of :func:`~retroflow.extended.generator_action`'s image from mode ``start``."""
+    if tail.power:
+        if tail.power <= 2.5:
+            raise GeneratorDomainError(f"power tail with power {tail.power!r} <= 5/2: the "
+                                       "generator image has no finite square sum on the heat law")
+        return PowerTail(tail.power - 2.0, tail.coeff * math.pi ** 2)
+    if not tail.coeff:
+        return tail
+    # |lambda_n| = (n pi)^2 under a half-rate envelope
+    sup = 2.0 * math.log(math.pi) + _log_sup_power_vs_gauss(2.0, tail.rate / 2.0, start)
+    coeff = tail.coeff * exp_or_inf(sup)
+    if coeff == math.inf:
+        raise ValueError(f"the generator's envelope of an exponential tail of rate {tail.rate!r} "
+                         "has a coefficient past float range")
+    return ExpTail(tail.rate / 2.0, coeff)
+
+
+def _tail_log_norm_beyond(state: SpectralState, n_prime: int) -> float:
+    """log norm of the tail restricted to modes beyond ``n_prime``."""
+    return 0.5 * _tail_cross_log(state.tail, state.tail, n_prime + 1)
+
+
+def _law_log_norm(tail: TailModel, x: float) -> float:
+    """The leading term of the log tail norm beyond ``m = x - 1/2``: half the log of
+    ``coeff^2 int_x^inf`` of the squared law.  A power law integrates to ``x^(1 - P) / (P - 1)``,
+    ``P = 2 power``; an exponential one to ``sqrt(pi / 4c) erfc(sqrt(c) x)``, with
+    ``c = 2 pi^2 rate``."""
+    if tail.rate:
+        c = 2.0 * math.pi**2 * tail.rate
+        log_integral = 0.5 * math.log(math.pi / (4.0 * c)) + log_erfc(math.sqrt(c) * x)
+    else:
+        big = 2.0 * tail.power
+        log_integral = (1.0 - big) * math.log(x) - math.log(big - 1.0)
+    return math.log(tail.coeff) + 0.5 * log_integral
+
+
+def _law_depth(tail: TailModel, log_target: float) -> float:
+    """The ``x`` at which :func:`_law_log_norm` falls to ``log_target``, at most ``2 MAX_MODES``;
+    0 if it lies below every ``x``.  In closed form for a power law; for an exponential one by
+    Newton's method on the concave ``log erfc``, from ``sqrt(-target)`` down, where
+    ``log erfc(y) < -y^2`` puts the start past the root."""
+    level = 2.0 * (log_target - math.log(tail.coeff))
+    if not tail.rate:
+        big = 2.0 * tail.power
+        u = -(level + math.log(big - 1.0)) / (big - 1.0)
+        return math.exp(min(u, math.log(2.0 * MAX_MODES)))
+    c = 2.0 * math.pi**2 * tail.rate
+    target = level - 0.5 * math.log(math.pi / (4.0 * c))  # log erfc(sqrt(c) x)
+    if not target < 0.0:
+        return 0.0
+    y = math.sqrt(-target)
+    for _ in range(60):
+        log_tail = log_erfc(y)
+        step = 0.5 * math.sqrt(math.pi) * (target - log_tail) * math.exp(y * y + log_tail)
+        y -= step
+        if step <= 1e-12 * y:
+            break
+    return min(y / math.sqrt(c), 2.0 * MAX_MODES)
 
 
 def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailModel:
@@ -248,7 +313,7 @@ def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
     start = spectrum.num_modes + 1
     # exp law under a power envelope: coeff * sup_n n**p * exp(rate * lam_n)
     sup = _log_sup_power_vs_gauss(pow_t.power, exp_t.rate, start)
-    return PowerTail(pow_t.power, pow_t.coeff + exp_t.coeff * math.exp(sup))
+    return PowerTail(pow_t.power, pow_t.coeff + exp_t.coeff * exp_or_inf(sup))
 
 
 def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailModel:
@@ -326,7 +391,7 @@ class _LawWrite:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The signs and logs, written on the first call: the head, then new
         modes made in place in one ``arange``, ``log(n) * -p + log c`` for a
-        power law, ``(n*pi)**2 * -r + log c`` for an exponential one."""
+        power law, ``-(n*pi)**2 * r + log c`` (heat law, then rate) for an exponential one."""
         if self.logs is None:
             head = self.head
             old, tail = head.num_modes, head.tail
@@ -342,10 +407,9 @@ class _LawWrite:
                     np.log(new, out=new)
                     new *= -tail.power
                 else:
-                    new *= math.pi
-                    np.square(new, out=new)
+                    _heat_law(new)
                     with np.errstate(over="ignore"):  # past float range: -inf logs, zero coefficients
-                        new *= -tail.rate
+                        new *= tail.rate
                 new += math.log(tail.coeff)
                 if new[-1] == LOG_ZERO:  # a law falls with n: only then did any log underflow
                     signs[old:][new == LOG_ZERO] = 0
@@ -613,7 +677,7 @@ def norm(state: SpectralState) -> float:
 
 
 def log_tail_norm(state: SpectralState) -> float:
-    return 0.5 * _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
+    return _tail_log_norm_beyond(state, state.num_modes)
 
 
 def tail_norm(state: SpectralState) -> float:

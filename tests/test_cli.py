@@ -276,6 +276,15 @@ def test_density_refuses_more_iterations_than_positive_budgets(tmp_path, capsys)
     assert err.startswith("error: max_iters 2000 passes step 1071,") and "eps must" not in err
 
 
+@pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+def test_density_refuses_an_eps_that_is_not_finite_by_name(tmp_path, capsys, eps):
+    # inf was refused as "max_iters 12 passes step 0", which names no eps
+    zp = tmp_path / "z.json"
+    serialize.save_json(zp, serialize.state_to_dict(rf.SpectralState.zeros(rf.make_heat_spectrum(4))))
+    assert main(["density", "--in", str(zp), f"--eps={eps}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: eps0 must be positive and finite, got {eps}")
+
+
 def test_shift_demo(capsys):
     assert main(["shift-demo", "--resolution", "100", "--radius", "0.4"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -354,6 +363,25 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False False False"
+
+
+@pytest.mark.parametrize("extra, code, gap, tally", [
+    ((), 0, "2.274e-13", "3/3"),
+    # e^(2 n^2 k pi^2) passes decimal's default exponent cap here; the gap is
+    # the float resolution of a log seminorm near 2e6, as with mpmath
+    (("--modes", "200", "--samples", "5"), 1, "2.328e-10", "2/3"),
+])
+def test_verify_runs_without_mpmath(extra, code, gap, tally):
+    # mpmath is a test dependency only: the seminorm suite's 50-digit
+    # reference is stdlib decimal arithmetic
+    src = str(Path(rf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; sys.modules['mpmath'] = None; from retroflow.cli import main;"
+             f" sys.exit(main(['verify', '--suite', 'seminorms', *{list(extra)!r}]))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (code, "")
+    assert f"per-mode arithmetic {gap}\n" in run.stdout
+    assert run.stdout.endswith(f"{tally} checks passed\n")
 
 
 @pytest.mark.parametrize("verb, code, stderr", [

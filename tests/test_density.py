@@ -10,9 +10,9 @@ import pytest
 import retroflow as rf
 from reference import embed_reference, mp_log_tail_sum
 from retroflow import spectral
-from retroflow.density import DensityCertificate, _least_depth, _tail_log_norm_beyond
+from retroflow.density import DensityCertificate, _least_depth
 from retroflow.errors import NotConvergedError, OracleFailedError
-from retroflow.spectral import MAX_MODES, log_distance
+from retroflow.spectral import MAX_MODES, _tail_log_norm_beyond, log_distance
 
 PI2 = math.pi**2
 

@@ -8,6 +8,7 @@ high-precision summation.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,6 +151,43 @@ def test_generator_envelope_dominates_true_image():
         [0.9 * (n * math.pi) ** 2 * math.exp(-0.4 * (n * math.pi) ** 2) for n in MODES])
     envelope = law_values(out.tail, MODES)
     assert np.all(true_image <= envelope * (1 + 1e-12))
+
+
+def mp_log_sup(power, rate):
+    """log of ``max_x x**power exp(-rate (x pi)**2)`` over real ``x``, in 50 digits."""
+    with mp.workdps(50):
+        power, rate = mp.mpf(power), mp.mpf(rate)
+        x = mp.sqrt(power / (2 * rate)) / mp.pi
+        return power * mp.log(x) - rate * (x * mp.pi) ** 2
+
+
+def test_a_tiny_rate_under_a_power_envelope_has_a_finite_sup():
+    # below a rate of about 1e-308, power / 2 rate overflows: the maximizer
+    # lies past every start, and the sup is taken from logs
+    spectrum = rf.make_heat_spectrum(4)
+    x = rf.add(rf.SpectralState.zeros(spectrum, rf.ExpTail(1e-310, 1.0)),
+               rf.SpectralState.zeros(spectrum, rf.PowerTail(1.0, 1.0)))
+    assert x.tail.power == 1.0
+    assert x.tail.coeff == pytest.approx(1.0 + float(mp.exp(mp_log_sup(1.0, 1e-310))), rel=1e-12)
+    # a dominating coefficient past float range is refused like any other,
+    # where 1e-300 raised OverflowError from math.exp
+    for rate in (1e-300, 1e-310):
+        with pytest.raises(ValueError, match="coeff must be finite"):
+            rf.add(rf.SpectralState.zeros(spectrum, rf.ExpTail(rate, 1.0)),
+                   rf.SpectralState.zeros(spectrum, rf.PowerTail(3.0, 1.0)))
+
+
+def test_a_tiny_rate_generator_envelope_is_finite_or_refused_by_its_rate():
+    # pi**2 sup_n n**2 exp(-(rate / 2) (n pi)**2) is 2 / (rate e): inside
+    # float range at a rate of 1e-308, past it at 1e-309
+    spectrum = rf.make_heat_spectrum(4)
+    out = rf.generator_action(rf.SpectralState.zeros(spectrum, rf.ExpTail(1e-308, 1.0)))
+    half = 1e-308 / 2.0
+    assert out.tail.rate == half
+    want = mp.pi**2 * mp.exp(mp_log_sup(2.0, half))
+    assert out.tail.coeff == pytest.approx(float(want), rel=1e-12)
+    with pytest.raises(ValueError, match="rate 1e-309 .* past float range"):
+        rf.generator_action(rf.SpectralState.zeros(spectrum, rf.ExpTail(1e-309, 1.0)))
 
 
 def test_embedding_preserves_exponential_tail_norms():

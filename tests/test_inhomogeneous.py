@@ -1,6 +1,8 @@
 """Forced (affine) evolution: closed forms, quadrature, and inversion."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -844,6 +846,19 @@ def test_a_table_whose_slope_overflows_is_refused(times, values):
     # it used to build, then give (nan, nan) after numpy's overflow warnings
     with pytest.raises(ValueError, match=r"table slope from .* overflows"):
         rf.TableForcing(times, values)
+
+
+def test_copies_and_pickles_of_a_table_are_read_only_and_read_what_they_show():
+    # a deep copy's values were writeable, and the kernel did not read them:
+    # values[1] = 100 on a copy gave 1.368 where a fresh table gives 31.712
+    table = rf.TableForcing([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+    want = mode_response(-1.0, table, 1.0, DEFAULT_QUADRATURE)
+    for out in (copy.deepcopy(table), copy.copy(table), pickle.loads(pickle.dumps(table))):
+        assert out == table
+        for array in (out.times, out.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 100.0
+        assert mode_response(-1.0, out, 1.0, DEFAULT_QUADRATURE) == want
 
 
 @pytest.mark.parametrize("t", [-0.5, -math.inf, math.inf, math.nan])

@@ -1,5 +1,6 @@
 """One home for how a state is built: only ``spectral.py`` makes a state
-without its constructor, and a heat spectrum is one thing, its law."""
+without its constructor, and a heat spectrum is one thing, its law.  One
+home for that law too: only ``spectral.py`` reads ``pi`` for it."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,29 @@ def test_the_guard_sees_a_raw_build(tmp_path):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "spectral.py"))
 def test_only_the_spectral_module_builds_a_state_by_hand(module):
     assert raw_builds(SRC / module) == []
+
+
+def pi_reads(path):
+    """Lines that read a ``pi`` attribute (``math.pi``, ``np.pi``) or import ``pi``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "pi"
+                  or isinstance(node, ast.ImportFrom) and any(a.name == "pi" for a in node.names))
+
+
+def test_the_guard_sees_a_pi_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = n * math.pi\nfrom numpy import pi\ny = np.pi ** 2\n")
+    assert pi_reads(probe) == [1, 2, 3]
+
+
+# logdomain's erfc and Gamma constants and verification's independent oracles
+# carry pi of their own; the heat law is spectral's alone
+PI_READERS = {"spectral.py", "logdomain.py", "verification.py"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name not in PI_READERS))
+def test_only_the_spectral_module_knows_the_heat_law(module):
+    assert pi_reads(SRC / module) == []
 
 
 def test_a_heat_spectrum_has_no_second_kind():

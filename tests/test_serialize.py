@@ -1,6 +1,7 @@
 """Wire formats: bit-for-bit round trips and the documented shapes."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_grid_roundtrip_and_resolution_check():
 def test_certificate_dict_carries_full_schedule():
     x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 1.0])
     _, cert = rf.iterate_to_reversible(x0, 0.25, rf.truncation_preimage_oracle(), max_iters=4)
-    d = serialize.certificate_to_dict(cert)
+    d = asdict(cert)
     assert len(d["epsilon_schedule"]) == 4
     assert len(d["step_bounds"]) == 4
     assert d["achieved_error_bound"] <= d["target_error"]

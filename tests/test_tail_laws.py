@@ -130,6 +130,6 @@ def test_the_guard_sees_a_tail_class_check(tmp_path):
     assert tail_class_checks(probe) == [1]
 
 
-@pytest.mark.parametrize("module", ["reversibility.py", "duality.py", "density.py"])
+@pytest.mark.parametrize("module", ["reversibility.py", "duality.py", "density.py", "extended.py"])
 def test_the_reach_rule_reads_the_law_not_the_tail_class(module):
     assert tail_class_checks(SRC / module) == []
