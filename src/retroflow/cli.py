@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/validation failure,
 3 domain error (horizon exceeded, not reversible, outside a backward space).
-``RETROFLOW_TOL`` overrides the default tolerance where one applies.
+``verify --tol`` is the one way to set the verification tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -26,19 +25,6 @@ from .inhomogeneous import MAX_STEPS, QuadratureConfig, duhamel_evolve
 from .reversibility import amplification_log, backward_evolve, classify, horizon
 from .shift import constant_grid, distance_to_range, exclusion_onset
 from .spectral import SpectralState, evolve, exp_or_inf, log_norm
-
-
-def _default_tol(fallback: float = 1e-9) -> float:
-    raw = os.environ.get("RETROFLOW_TOL")
-    if raw is None:
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError as err:
-        raise ValueError(f"RETROFLOW_TOL must be a float, got {raw!r}") from err
-    if value <= 0:
-        raise ValueError("RETROFLOW_TOL must be positive")
-    return value
 
 
 def _emit(payload: dict, out_path, fmt: str):
@@ -287,10 +273,6 @@ def _dispatch(args) -> int:
             value = getattr(args, key)
             if value is not None:
                 overrides[key] = value
-        # the environment's tolerance applies only where a tolerance applies
-        if ("tol" not in overrides and os.environ.get("RETROFLOW_TOL")
-                and verification.suite_takes(args.suite, "tol")):
-            overrides["tol"] = _default_tol()
         results = verification.run_suite(args.suite, **overrides)
         failures = 0
         for result in results:

@@ -124,8 +124,8 @@ def truncate_to_reversible(
     read (see :func:`~retroflow.spectral.embed`), so a depth of 20M modes
     costs no memory until then.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not state.tail.coeff:  # nothing to drop: the search would stop at the state's own depth
         return _drop_tail(state, state.num_modes), DensityCertificate(eps, 0.0, 0, ())
     n_prime, dropped = _least_depth(state, math.log(eps))
@@ -247,7 +247,8 @@ def iterate_to_reversible(
         measured = math.exp(forward_gap)
         if measured > step_bound * (1.0 + 1e-9):
             raise OracleFailedError(
-                k, f"forward-image gap {measured:.6g} exceeds its telescoping bound {step_bound:.6g}"
+                k, f"forward-image gap {measured:.6g} exceeds its telescoping bound {step_bound:.6g}",
+                certificate(k, 0.0),
             )
         step_bounds.append(step_bound)
         step_gaps.append(measured)

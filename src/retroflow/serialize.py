@@ -247,4 +247,7 @@ def save_json(path, payload: dict):
 
 def load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested past the parser's depth") from None

@@ -9,7 +9,6 @@ the origin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ class GridFunction:
         return int(self.values.size)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(self.values**2)) / self.resolution)
+        return float(_range_distances(self, self.resolution)[-1])
 
     def __eq__(self, other):
         if not isinstance(other, GridFunction):
@@ -73,6 +72,12 @@ def shift_evolve(f: GridFunction, t: float) -> GridFunction:
     return GridFunction(out)
 
 
+def _range_distances(f: GridFunction, k: int) -> np.ndarray:
+    """Distances to the ranges at times ``1/R .. k/R``, nondecreasing: a running
+    sum of squares never decreases in floats."""
+    return np.sqrt(np.cumsum(np.square(f.values[:k])) / f.resolution)
+
+
 def distance_to_range(f: GridFunction, t: float) -> float:
     """Distance from ``f`` to the time-``t`` range: the norm of ``f`` on
     ``(0, t)`` (orthogonal projection onto functions vanishing there)."""
@@ -80,7 +85,7 @@ def distance_to_range(f: GridFunction, t: float) -> float:
     if not 0.0 < t < 1.0:
         raise ValueError("t must be a grid-aligned time in (0, 1)")
     k = _cells(t, f.resolution)
-    return math.sqrt(float(np.sum(f.values[:k] ** 2)) / f.resolution)
+    return float(_range_distances(f, k)[-1]) if k else 0.0
 
 
 @dataclass(frozen=True)
@@ -96,30 +101,18 @@ class ExclusionReport:
 
 
 def exclusion_onset(f: GridFunction, radius: float) -> ExclusionReport:
-    """Scan grid times for the first one whose range the ball ``B(f, radius)``
-    misses entirely; the infimum over such times is attained on the grid.
+    """The first grid time whose range the ball ``B(f, radius)`` misses
+    entirely, by one search over the running-sum distances; the infimum over
+    such times is attained on the grid.
 
     Returns a no-witness report when the ball meets every range (for example
     when ``radius`` reaches the norm of ``f``, since zero lies in every
     range)."""
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    resolution = f.resolution
-    # One cumulative sum gives every distance at once, nondecreasing in t.  Any
-    # order of summation errs by at most (k - 1) * 2**-53 relative, so these
-    # distances and distance_to_range's pairwise ones differ by less than
-    # margin: no time before the first one above radius * (1 - margin) can
-    # pass.  The scan starts there and decides with distance_to_range.
-    partial = np.square(f.values)
-    np.cumsum(partial, out=partial)
-    partial /= resolution
-    np.sqrt(partial, out=partial)
-    margin = (resolution + 8) * 2.0**-52
-    first = int(np.searchsorted(partial, radius * (1.0 - margin), side="right")) + 1
-    for k in range(first, resolution):
-        t = k / resolution
-        d = distance_to_range(f, t)
-        if d > radius:
-            before = distance_to_range(f, (k - 1) / resolution) if k > 1 else 0.0
-            return ExclusionReport(True, radius, t, d, before)
-    return ExclusionReport(False, radius)
+    distances = _range_distances(f, f.resolution - 1)
+    k = int(np.searchsorted(distances, radius, side="right")) + 1
+    if k == f.resolution:
+        return ExclusionReport(False, radius)
+    before = float(distances[k - 2]) if k > 1 else 0.0
+    return ExclusionReport(True, radius, k / f.resolution, float(distances[k - 1]), before)

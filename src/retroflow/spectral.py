@@ -190,8 +190,9 @@ class PowerTail:
     def __post_init__(self):
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "coeff", float(self.coeff))
-        if not 0.5 < self.power < math.inf:
-            raise ValueError("power must be finite and exceed 1/2 for a square-summable tail")
+        if not (0.5 < self.power and 2.0 * self.power < math.inf):
+            raise ValueError("power must be finite and exceed 1/2 for a square-summable tail, "
+                             f"and its double finite for a norm, got {self.power!r}")
         if not (self.coeff >= 0.0 and math.isfinite(self.coeff)):
             raise ValueError("coeff must be finite and nonnegative")
 
@@ -262,7 +263,7 @@ def _law_log_norm(tail: TailModel, x: float) -> float:
     ``c = 2 pi^2 rate``."""
     if tail.rate:
         c = 2.0 * math.pi**2 * tail.rate
-        log_integral = 0.5 * math.log(math.pi / (4.0 * c)) + log_erfc(math.sqrt(c) * x)
+        log_integral = 0.5 * (math.log(math.pi / 4.0) - math.log(c)) + log_erfc(math.sqrt(c) * x)
     else:
         big = 2.0 * tail.power
         log_integral = (1.0 - big) * math.log(x) - math.log(big - 1.0)
@@ -280,7 +281,7 @@ def _law_depth(tail: TailModel, log_target: float) -> float:
         u = -(level + math.log(big - 1.0)) / (big - 1.0)
         return math.exp(min(u, math.log(2.0 * MAX_MODES)))
     c = 2.0 * math.pi**2 * tail.rate
-    target = level - 0.5 * math.log(math.pi / (4.0 * c))  # log erfc(sqrt(c) x)
+    target = level - 0.5 * (math.log(math.pi / 4.0) - math.log(c))  # log erfc(sqrt(c) x)
     if not target < 0.0:
         return 0.0
     y = math.sqrt(-target)
@@ -321,7 +322,9 @@ def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
 
     Near-identical laws of the same family leave a residual envelope whose
     coefficient is proportional to the parameter gap, so float-perturbed
-    parameters from different evolution paths still compare as close.
+    parameters from different evolution paths still compare as close.  Two
+    exponential laws take :func:`combine_tails_add`'s law, which dominates a
+    difference too, where it is the tighter one.
     """
     a, b = _normalized_tail(a), _normalized_tail(b)
     if a == b:
@@ -334,8 +337,13 @@ def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
         if gap == 0.0:
             return ExpTail(a.rate, abs(a.coeff - b.coeff))
         # |e^{r1 L} - e^{r2 L}| <= min(1, gap*|L|) e^{base L};  |L| e^{-b|L|} <= 1/(b e)
-        slack = max(a.coeff, b.coeff) * gap * 2.0 / (base * math.e)
-        return _normalized_tail(ExpTail(base / 2.0, slack + abs(a.coeff - b.coeff)))
+        slack = max(a.coeff, b.coeff) * gap * 2.0 / (base * math.e) + abs(a.coeff - b.coeff)
+        # add's law ExpTail(base, added) decays at twice the slack law's rate: no larger at the
+        # first tail mode, it is no larger at any later one (nor than an overflowed slack)
+        added = a.coeff + b.coeff
+        if added * math.exp(0.5 * base * spectrum.eigenvalue(spectrum.num_modes + 1)) <= slack:
+            return ExpTail(base, added)
+        return _normalized_tail(ExpTail(base / 2.0, slack))
     if isinstance(a, PowerTail) and isinstance(b, PowerTail):
         gap = abs(a.power - b.power)
         base = min(a.power, b.power)
@@ -462,7 +470,7 @@ class SpectralState:
             raise ValueError("signs must be integers in {-1, 0, +1}")
         logs = np.array(self.log_mags, dtype=float)  # a copy: the caller's stays theirs
         self._check(self.spectrum, signs, logs, self.tail)
-        self.__dict__.update(vars(self._result(self.spectrum, *_settle(signs, logs), self.tail)))
+        self._result(self.spectrum, *_settle(signs, logs), self.tail, state=self)
 
     @staticmethod
     def _check(spectrum: Spectrum, signs: np.ndarray, logs: np.ndarray, tail: TailModel):
@@ -476,7 +484,8 @@ class SpectralState:
 
     @classmethod
     def _result(cls, spectrum: Spectrum, signs: np.ndarray | None, logs: np.ndarray | None,
-                tail: TailModel = ZERO_TAIL, origin: tuple | None = None) -> "SpectralState":
+                tail: TailModel = ZERO_TAIL, origin: tuple | None = None,
+                state: "SpectralState | None" = None) -> "SpectralState":
         """Every state is built here, from settled arrays (see :func:`_settle`), not checked
         again: read-only arrays, a vanished tail coefficient made zero, a decaying tail.  The
         lineage ``origin`` is ``(logs, 0.0)`` unless given; ``logs=None`` is a lazy flow of it,
@@ -485,10 +494,12 @@ class SpectralState:
         ``basis`` writes one 0, ``Functional.from_exp_law`` settles its law; ``signed_add``
         settles ``add`` and ``subtract``; ``scale``, ``negate`` and ``generator_action`` shift
         finite logs far below ``2**970``; a law write zeroes the signs of ``-inf`` logs;
-        flows are lazy or settled; others pass a state's own arrays."""
+        flows are lazy or settled; others pass a state's own arrays.  A ``state`` given is
+        filled instead of a new one: the public constructor passes itself, so it is one object."""
         tail = _normalized_tail(tail)
         cls._check_decay(tail)
-        state = object.__new__(cls)
+        if state is None:
+            state = object.__new__(cls)
         state.__dict__.update(spectrum=spectrum, tail=tail, _origin=origin or (logs, 0.0))
         if signs is not None:
             signs.flags.writeable = False

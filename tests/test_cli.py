@@ -368,8 +368,9 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("extra, code, gap, tally", [
     ((), 0, "2.274e-13", "3/3"),
     # e^(2 n^2 k pi^2) passes decimal's default exponent cap here; the gap is
-    # the float resolution of a log seminorm near 2e6, as with mpmath
-    (("--modes", "200", "--samples", "5"), 1, "2.328e-10", "2/3"),
+    # the float resolution of a log seminorm near 2e6, as with mpmath, which the
+    # check allows for
+    (("--modes", "200", "--samples", "5"), 0, "2.328e-10", "3/3"),
 ])
 def test_verify_runs_without_mpmath(extra, code, gap, tally):
     # mpmath is a test dependency only: the seminorm suite's 50-digit
@@ -419,6 +420,33 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["classify", "--in", str(bad)]) == 2
 
 
+def test_json_nested_past_the_parser_depth_exits_2(tmp_path, capsys):
+    # json's decoder recurses once per bracket: it used to end in a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["classify", "--in", str(deep)]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested past the parser's depth\n"
+
+
+def test_density_of_a_law_whose_depth_model_overflowed_exits_3(tmp_path, capsys):
+    # at rate 5e-324 the depth model's pi / (4c) overflows, which made the depth nan and
+    # exited 2; the law stays near its coefficient past the mode cap
+    xp = tmp_path / "x.json"
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(4), rf.ExpTail(5e-324, 1.0))
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    assert main(["density", "--in", str(xp), "--eps", "1e-9"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "NotConvergedError"
+
+
+def test_a_power_law_whose_double_overflows_exits_2_by_name(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text('{"spectrum": {"kind": "heat", "modes": 1}, '
+                    '"coeffs": {"encoding": "log", "values": [[0, null]]}, '
+                    '"tail": {"variant": "power_decay", "power": 1e308, "coeff": 1e308}}')
+    assert main(["density", "--in", str(path), "--eps", "1e-9"]) == 2
+    assert capsys.readouterr().err.startswith("error: power must be finite")
+
+
 def test_verify_single_suite(capsys):
     code = main(["verify", "--suite", "classification"])
     out = capsys.readouterr().out
@@ -430,9 +458,10 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
 
 
-def test_verify_respects_env_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("RETROFLOW_TOL", "1e-6")
-    assert main(["verify", "--suite", "restriction"]) == 0
+def test_verify_takes_its_tolerance_from_the_flag_alone(capsys, monkeypatch):
+    # the environment sets no tolerance: a value that is not a float is never read
+    monkeypatch.setenv("RETROFLOW_TOL", "nonsense")
+    assert main(["verify", "--suite", "backward-roundtrip"]) == 0
 
 
 def test_csv_format_output(state_file, capsys):

@@ -70,6 +70,23 @@ def test_truncate_requires_positive_budget():
         rf.truncate_to_reversible(x, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_truncate_refuses_an_eps_that_is_not_finite_by_name(eps):
+    # inf returned a certificate whose target was inf
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.ExpTail(0.1, 1.0))
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        rf.truncate_to_reversible(x, eps)
+
+
+def test_the_depth_model_is_finite_for_every_exponential_law():
+    # from the least rate, whose pi / (4c) overflowed to a nan depth, to rates whose c overflows
+    for rate in (5e-324, 1e-310, 1e-300, 1e-20, 1.0, 1e300, 1.7e308):
+        for coeff in (5e-324, 1.0, 1e308):
+            for log_target in (-745.0, -20.0, 0.0, 700.0):
+                depth = spectral._law_depth(rf.ExpTail(rate, coeff), log_target)
+                assert 0.0 <= depth <= 2 * MAX_MODES, (rate, coeff, log_target, depth)
+
+
 # --- growth bounds and certificates ----------------------------------------------
 
 def test_growth_bound_validation():
@@ -289,6 +306,39 @@ def test_bad_oracle_raises_with_partial_certificate():
     assert err.value.step == 0
     assert err.value.certificate is not None
     assert err.value.certificate.iterations == 0
+
+
+def test_an_oracle_output_that_keeps_a_tail_is_truncated_again():
+    # the oracle's preimages keep a slow exponential law: the iteration writes it out
+    # to where it is negligible and drops it, so the result is still fully reversible
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(6), np.ones(6), rf.PowerTail(1.8, 0.9))
+    plain = rf.truncation_preimage_oracle()
+    tails = []
+
+    def tailed(x, eps):
+        y = plain(x, eps)
+        tails.append(rf.ExpTail(1e-3, 0.1 * eps))
+        return rf.SpectralState(y.spectrum, y.signs, y.log_mags, tails[-1])
+
+    out, cert = rf.iterate_to_reversible(x0, 0.05, tailed, max_iters=4)
+    assert len(tails) == 4
+    assert math.exp(log_distance(out, x0)) <= cert.achieved_error_bound <= 0.05
+    assert out.tail is rf.ZERO_TAIL and rf.classify(out).label is rf.ReversibilityClass.FULL
+    # the written-out law lies past the plain oracle's depth
+    assert out.num_modes > rf.iterate_to_reversible(x0, 0.05, plain, max_iters=4)[0].num_modes
+
+
+def test_a_forward_gap_above_its_telescoping_bound_is_refused():
+    # a relative miss of 1e-8 passes the unit-step check as roundoff (under 1e-6 of the
+    # target's norm), but the step-0 forward gap it is must stay within eps0 / 2
+    x0 = rf.SpectralState.from_values(rf.make_heat_spectrum(3), [1.0, 0.5, 0.25])
+
+    def off(x, eps):
+        return rf.scale(rf.backward_evolve(x, 1.0), 1.0 + 1e-8)
+
+    with pytest.raises(OracleFailedError, match="exceeds its telescoping bound") as err:
+        rf.iterate_to_reversible(x0, 1e-9, off)
+    assert err.value.step == 0 and err.value.certificate.iterations == 0
 
 
 def test_nonexpansive_regime_recorded():

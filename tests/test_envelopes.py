@@ -128,6 +128,52 @@ def test_sub_near_identical_residual_is_small():
     assert rf.norm(state) < 1e-12
 
 
+def slack_law(a, b):
+    """The half-rate law that every two exponential laws of distinct rates took
+    before their difference could take the sum's law; ``None`` where it overflowed."""
+    base = min(a.rate, b.rate)
+    slack = max(a.coeff, b.coeff) * abs(a.rate - b.rate) * 2.0 / (base * math.e)
+    slack += abs(a.coeff - b.coeff)
+    return rf.ExpTail(base / 2.0, slack) if slack < math.inf else None
+
+
+def random_exp_pairs(rng, count):
+    yield rf.ExpTail(1e-20, 1.0), rf.ExpTail(1.0, 1.0)
+    yield rf.ExpTail(1e-310, 1.0), rf.ExpTail(1.0, 1.0)
+    for _ in range(count):
+        a = rf.ExpTail(10.0 ** rng.uniform(-12.0, 1.0), 10.0 ** rng.uniform(-3.0, 3.0))
+        if rng.random() < 0.3:  # rates a few ulps apart, as two evolution paths leave them
+            rate = a.rate * (1.0 + int(rng.integers(1, 9)) * 2.0**-52)
+        else:
+            rate = 10.0 ** rng.uniform(-12.0, 1.0)
+        yield a, rf.ExpTail(rate, a.coeff * (1.0 + rng.choice([0.0, 1e-6, 1.0])))
+
+
+def test_sub_of_two_exponential_laws_dominates_and_is_no_looser():
+    # against 30-digit values of |x_n - y_n| at the first 40 tail modes and out to 10^7
+    rng = np.random.default_rng(26)
+    took_the_sum = took_the_slack = 0
+    for a, b in random_exp_pairs(rng, 150):
+        spectrum = rf.make_heat_spectrum(int(rng.integers(1, 64)))
+        start = spectrum.num_modes + 1
+        got = combine_tails_sub(spectrum, a, b)
+        modes = [*range(start, start + 40), *np.unique(np.geomspace(start + 40, 1e7, 40).astype(int))]
+        with mp.workdps(30):
+            for n in modes:
+                lam = -(mp.mpf(int(n)) * mp.pi) ** 2
+                diff = abs(a.coeff * mp.exp(a.rate * lam) - b.coeff * mp.exp(b.rate * lam))
+                # the envelope's coefficient rounds once or twice
+                assert diff <= got.coeff * mp.exp(got.rate * lam) * (1 + 1e-15), (a, b, n)
+        old = slack_law(a, b)
+        if old is None:
+            assert got == rf.ExpTail(min(a.rate, b.rate), a.coeff + b.coeff)
+            continue
+        took_the_sum += got != old
+        took_the_slack += got == old
+        assert _tail_cross_log(got, got, start) <= _tail_cross_log(old, old, start), (a, b)
+    assert took_the_sum > 10 and took_the_slack > 10
+
+
 def test_evolved_power_envelope_dominates_true_image():
     # the true image of a power law under the flow is n^-p exp(lambda_n t);
     # both conversion branches must dominate it

@@ -1,6 +1,8 @@
 """One home for how a state is built: only ``spectral.py`` makes a state
 without its constructor, and a heat spectrum is one thing, its law.  One
-home for that law too: only ``spectral.py`` reads ``pi`` for it."""
+home for that law too: only ``spectral.py`` reads ``pi`` for it.  And no
+hidden knobs: no module reads the environment, so a call's arguments and a
+verb's flags are all that set its behaviour."""
 
 import ast
 from pathlib import Path
@@ -60,6 +62,25 @@ PI_READERS = {"spectral.py", "logdomain.py", "verification.py"}
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name not in PI_READERS))
 def test_only_the_spectral_module_knows_the_heat_law(module):
     assert pi_reads(SRC / module) == []
+
+
+def environment_reads(path):
+    """Lines that read ``os.environ`` or ``os.getenv``, or import either."""
+    names = ("environ", "getenv")
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names))
+
+
+def test_the_guard_sees_an_environment_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("tol = os.environ.get('TOL')\nfrom os import getenv\nseed = os.getenv('SEED')\n")
+    assert environment_reads(probe) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_reads_the_environment(module):
+    assert environment_reads(SRC / module) == []
 
 
 def test_a_heat_spectrum_has_no_second_kind():

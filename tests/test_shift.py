@@ -153,6 +153,19 @@ def test_exclusion_onset_equals_the_scan_on_random_grids():
             assert repr(report) == repr(exclusion_onset_by_scan(f, radius))
 
 
+def test_a_ball_of_the_norms_radius_meets_every_range():
+    # the norm is the running sum's last distance, so no distance before it is
+    # larger; a pairwise norm fell below the sequential sums on some grids whose
+    # last cell is negligible, and the ball then missed a range
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        resolution = int(rng.integers(2, 600))
+        values = rng.normal(size=resolution) * 10.0 ** rng.uniform(-3, 3, size=resolution)
+        values[-1] = 0.0 if rng.random() < 0.5 else values[-1] * 1e-9
+        f = rf.GridFunction(values)
+        assert not rf.exclusion_onset(f, f.norm()).found
+
+
 def test_exclusion_onset_without_witness_is_linear_in_the_resolution():
     start = time.perf_counter()
     report = rf.exclusion_onset(rf.constant_grid(1.0, 2**20), 2.0)

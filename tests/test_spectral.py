@@ -476,8 +476,9 @@ def test_scale_rejects_a_non_finite_factor(bad):
             rf.scale(x, bad)
 
 
-@pytest.mark.parametrize("power", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize("power", [math.inf, math.nan, 0.5, 1e308])
 def test_power_tail_rejects_a_power_that_is_not_finite_above_one_half(power):
+    # a power whose double overflows has no norm: its squared law is n**-inf
     with pytest.raises(ValueError, match="power must be finite and exceed 1/2"):
         rf.PowerTail(power, 1.0)
 
@@ -538,9 +539,9 @@ def _results_match_the_public_constructor(monkeypatch, built):
 
     inside = []  # the public constructor ends in _result too
 
-    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, origin=None):
+    def checked(cls, spectrum, signs, logs, tail=rf.ZERO_TAIL, origin=None, state=None):
         if inside or logs is None:  # a lazy flow is checked on its first read
-            return result(cls, spectrum, signs, logs, tail, origin)
+            return result(cls, spectrum, signs, logs, tail, origin, state)
         inside.append(True)
         try:
             public = cls(spectrum, signs, logs, tail)
@@ -550,7 +551,7 @@ def _results_match_the_public_constructor(monkeypatch, built):
             raise
         finally:
             inside.pop()
-        state = result(cls, spectrum, signs, logs, tail, origin)
+        state = result(cls, spectrum, signs, logs, tail, origin, state)
         assert _bitwise_equal(state, public)
         assert not state.signs.flags.writeable and not state.log_mags.flags.writeable
         built.append(state)
@@ -594,6 +595,21 @@ def test_library_results_equal_the_checked_construction(pair, t, factor, extra):
             state.log_mags
     # embed by zero extra modes and a zero step return their argument
     assert len(built) >= 10
+
+
+def test_the_public_constructor_makes_one_state(monkeypatch):
+    # _result fills the state under construction: no second state is built and copied in
+    made = []
+    result = rf.SpectralState._result.__func__
+
+    def spy(cls, *args, **kwargs):
+        made.append(result(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(rf.SpectralState, "_result", classmethod(spy))
+    x = rf.SpectralState(rf.make_heat_spectrum(3), [1, 0, -1], [0.5, -math.inf, 2.0])
+    assert len(made) == 1 and made[0] is x
+    assert x.signs.dtype == np.int8 and not x.signs.flags.writeable and x._origin[0] is x.log_mags
 
 
 def test_library_results_underflow_to_zero_coefficients():
