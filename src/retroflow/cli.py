@@ -19,7 +19,7 @@ import numpy as np
 from . import serialize
 from .density import iterate_to_reversible, truncation_preimage_oracle
 from .duality import log_pairing
-from .errors import DomainError
+from .errors import DomainError, HorizonExceededError
 from .extended import ExtendedState, canonicalize, group_evolve, lift
 from .inhomogeneous import MAX_STEPS, QuadratureConfig, duhamel_evolve
 from .reversibility import amplification_log, backward_evolve, classify, horizon
@@ -145,16 +145,13 @@ def _run_trajectory(args) -> int:
     if not 2 <= args.steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
     times = np.linspace(args.t_min, args.t_max, args.steps)
-    if args.extended:
-        start = _load_extended(args.input)
-        points = [canonicalize(group_evolve(start, float(t))) for t in times]
-    else:
-        state = _load_state(args.input)
-        points = []
-        for t in times:
-            t = float(t)
-            moved = evolve(state, t) if t >= 0 else backward_evolve(state, -t)
-            points.append(lift(moved))
+    start = _load_extended(args.input) if args.extended else lift(_load_state(args.input))
+    points = []
+    for t in times:
+        point = canonicalize(group_evolve(start, float(t)))
+        if point.offset and not args.extended:  # a state stops at its horizon
+            raise HorizonExceededError(-float(t), horizon(start.rep))
+        points.append(point)
     lead = 8
     header = ["t", "offset", "norm", "log_norm"]
     header += [f"a{k}" for k in range(1, lead + 1)]

@@ -92,7 +92,7 @@ def _least_depth(state: SpectralState, log_eps: float) -> tuple[int, float]:
     shallow, deep = state.num_modes - 1, None  # the answer lies in (shallow, deep]
     miss, run, side = 0.0, 0, None  # the model's last miss; probes in a row on one side, and that side
     while True:
-        guess = math.ceil(_law_depth(tail, log_eps - miss) - 0.5) if tail.coeff else 0
+        guess = math.ceil(_law_depth(tail, log_eps - miss) - 0.5)
         if deep is None:
             m = min(max(guess, shallow + 1, 2 * shallow if run > 2 else 0), MAX_MODES)
         else:
@@ -134,6 +134,7 @@ def truncate_to_reversible(
 
 
 PreimageOracle = Callable[[SpectralState, float], SpectralState]
+_ORACLE_MARGIN = 0.5  # the share of a step's budget the truncation oracle truncates within
 
 # Relative roundoff allowed between an oracle output's unit-step image and its
 # target.  Stepping a log magnitude ``L`` backward and forward rounds it twice,
@@ -147,15 +148,13 @@ _ROUNDOFF_ULPS = 64.0 * 2.0**-52
 _ROUNDOFF_FLOOR = 1e-6
 
 
-def truncation_preimage_oracle(margin: float = 0.5) -> PreimageOracle:
+def truncation_preimage_oracle() -> PreimageOracle:
     """Unit-time approximate-preimage oracle for the spectral model: truncate
-    within ``margin * eps`` (zero tail, unbounded backward reach), then step
-    the truncation backward by one time unit."""
-    if not 0.0 < margin < 1.0:
-        raise ValueError("margin must lie in (0, 1)")
+    within ``_ORACLE_MARGIN * eps`` (zero tail, unbounded backward reach), then
+    step the truncation backward by one time unit."""
 
     def oracle(x: SpectralState, eps: float) -> SpectralState:
-        y, _ = truncate_to_reversible(x, margin * eps)
+        y, _ = truncate_to_reversible(x, _ORACLE_MARGIN * eps)
         return backward_evolve(y, 1.0)
 
     return oracle

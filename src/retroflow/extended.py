@@ -86,8 +86,10 @@ def entry_infimum(state: ExtendedState) -> float:
 
 
 def group_evolve(state: ExtendedState, s: float) -> ExtendedState:
-    """The group action, total for every real ``s``."""
+    """The group action, total for every finite real ``s``."""
     s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"time must be finite, got {s!r}")
     if s == 0.0:
         return state
     tau = state.offset
@@ -98,6 +100,14 @@ def group_evolve(state: ExtendedState, s: float) -> ExtendedState:
     return ExtendedState(tau - s, state.rep)
 
 
+def _at_common_offset(a: ExtendedState, b: ExtendedState):
+    """The larger offset, and both representatives flowed forward to it."""
+    if a.rep.spectrum != b.rep.spectrum:
+        raise ValueError("classes live on different spectra")
+    t_star = max(a.offset, b.offset)
+    return t_star, evolve(a.rep, t_star - a.offset), evolve(b.rep, t_star - b.offset)
+
+
 def states_equal(a: ExtendedState, b: ExtendedState, tol: float = DEFAULT_EQUALITY_TOL) -> bool:
     """Class equality: flow both representatives forward to the larger offset
     and compare there, relative to ``max(1, norms)``.
@@ -105,13 +115,9 @@ def states_equal(a: ExtendedState, b: ExtendedState, tol: float = DEFAULT_EQUALI
     Exact equality is ill-posed after forward evolution of nearly-cancelling
     modes, hence the caller-visible tolerance.
     """
-    if a.rep.spectrum != b.rep.spectrum:
-        raise ValueError("classes live on different spectra")
+    _, da, db = _at_common_offset(a, b)
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    t_star = max(a.offset, b.offset)
-    da = evolve(a.rep, t_star - a.offset)
-    db = evolve(b.rep, t_star - b.offset)
     gap = log_norm(subtract(da, db))
     if gap == -math.inf:
         return True
@@ -121,20 +127,16 @@ def states_equal(a: ExtendedState, b: ExtendedState, tol: float = DEFAULT_EQUALI
 
 def log_extended_norm(state: ExtendedState, t: float) -> float:
     """log of the backward-depth-``t`` norm: the ambient norm of the class's
-    forward image at depth ``t``.
-
-    Past the offset the representative flows forward; short of it, the
-    representative steps backward within its own horizon.  Depths before the
-    class's entry infimum are outside every backward space and raise."""
+    forward image at depth ``t``, ``canonicalize(group_evolve(state, t))``.
+    Depths before the class's entry infimum, where that image keeps an
+    offset, are outside every backward space and raise."""
     t = float(t)
     if t < 0.0:
-        raise ValueError("backward depth must be nonnegative")
-    if t >= state.offset:
-        return log_norm(evolve(state.rep, t - state.offset))
-    h = horizon(state.rep)
-    if not h.allows(state.offset - t):
+        raise ValueError(f"backward depth must be nonnegative, got {t!r}")
+    point = canonicalize(group_evolve(state, t))
+    if point.offset:
         raise NotWithinBackwardReachError(t, entry_infimum(state))
-    return log_norm(backward_evolve(state.rep, state.offset - t))
+    return log_norm(point.rep)
 
 
 def extended_norm(state: ExtendedState, t: float) -> float:
@@ -143,11 +145,8 @@ def extended_norm(state: ExtendedState, t: float) -> float:
 
 def add_extended(a: ExtendedState, b: ExtendedState) -> ExtendedState:
     """Linear structure: flow both to the common offset and add there."""
-    if a.rep.spectrum != b.rep.spectrum:
-        raise ValueError("classes live on different spectra")
-    t_star = max(a.offset, b.offset)
-    rep = add(evolve(a.rep, t_star - a.offset), evolve(b.rep, t_star - b.offset))
-    return ExtendedState(t_star, rep)
+    t_star, da, db = _at_common_offset(a, b)
+    return ExtendedState(t_star, add(da, db))
 
 
 def scale_extended(a: ExtendedState, factor: float) -> ExtendedState:

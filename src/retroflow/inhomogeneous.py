@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -30,9 +30,18 @@ from .reversibility import backward_evolve
 from .spectral import SpectralState, Spectrum, add, evolve, exp_or_inf, log_norm, subtract
 
 
+def _refuse_non_finite(forcing):
+    """A closed-form forcing's every field must be finite; the first that is not is named."""
+    for field in fields(forcing):
+        value = getattr(forcing, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{type(forcing).__name__} {field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantForcing:
     value: float
+    __post_init__ = _refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class ExponentialForcing:
 
     amplitude: float
     rate: float
+    __post_init__ = _refuse_non_finite
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,9 @@ class Forcing:
             if isinstance(f, ConstantForcing):
                 out.append((mode, f))
             elif isinstance(f, ExponentialForcing):
-                out.append((mode, ExponentialForcing(f.amplitude * math.exp(f.rate * s), f.rate)))
+                # an amplitude past float range is refused by the constructor; zero stays zero
+                scale = exp_or_inf(f.rate * s) if f.amplitude else 1.0
+                out.append((mode, ExponentialForcing(f.amplitude * scale, f.rate)))
             else:
                 times = f.times - s
                 keep = times >= 0.0

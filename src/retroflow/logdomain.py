@@ -19,6 +19,7 @@ err upward.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,7 @@ _EM_TERMS = 8
 _EM_RATE = 0.35
 _HEAD_CUT = 50.0
 _TAIL_SUM_MARGIN = 1e-13
+_FLOAT_MAX = sys.float_info.max
 # B_2j / (2j) weighs the (2j-1)-th Taylor coefficient in the expansion
 _EM_WEIGHTS = [b * math.factorial(2 * j - 1) for j, b in enumerate(_BERNOULLI_OVER_FACTORIAL, 1)]
 _LOG_B2K = math.log(abs(_BERNOULLI_OVER_FACTORIAL[_EM_TERMS - 1]) * math.factorial(2 * _EM_TERMS))
@@ -293,7 +295,8 @@ def log_tail_sum(p: float, c: float, m: int) -> float:
     reach = math.sqrt(m * m + _HEAD_CUT / c) if c else math.inf
     if p * math.log(reach / m) > _HEAD_CUT:
         reach = m * math.exp(_HEAD_CUT / p)
-    end = max(m, math.ceil(4.0 * p) + 24)
+    # a 4p past reach would not expand either, and can overflow
+    end = max(m, math.ceil(min(4.0 * p, reach)) + 24)
     expand = end < reach and p / end + 2.0 * c * end <= _EM_RATE
     if not expand:
         end = max(m + 1, math.ceil(reach))
@@ -307,6 +310,7 @@ def log_tail_sum(p: float, c: float, m: int) -> float:
     else:  # f(end) + int_end^inf f, the integral bounded by either factor alone
         gauss = 0.5 / (c * end) if c else math.inf
         rest, bound = 1.0 + min(gauss, end / (p - 1.0) if p > 1.0 else math.inf), 0.0
-    top = -p * math.log(m) - c * m * m
+    # a log past float range clamps to the most negative float, still above the exact value
+    top = max(-p * math.log(m) - c * m * m, -_FLOAT_MAX)
     value = top + math.log(head + math.exp(last) * (rest + bound))
     return value + _TAIL_SUM_MARGIN + 2.0**-50 * abs(top)

@@ -1,8 +1,8 @@
 """JSON-compatible wire formats.
 
 Log-encoded coefficients round-trip bit for bit: each entry is a
-``[sign, log_mag]`` pair, with zero stored as ``[0, null]``.  Linear encoding
-is offered for desk-scale states only and refuses values outside float range.
+``[sign, log_mag]`` pair, with zero stored as ``[0, null]``.  The reader also
+takes the linear encoding, plain values, which is never written.
 """
 
 from __future__ import annotations
@@ -87,16 +87,12 @@ def spectrum_from_dict(d: dict) -> Spectrum:
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-def tail_to_dict(tail: TailModel, may_grow: bool = False) -> dict:
-    if isinstance(tail, ExpTail):
-        d = {"variant": "exp_decay", "rate": tail.rate, "coeff": tail.coeff}
-    elif isinstance(tail, PowerTail):
-        d = {"variant": "power_decay", "power": tail.power, "coeff": tail.coeff}
-    else:
-        d = {"variant": "zero"}
-    if may_grow:
-        d["may_grow"] = True
-    return d
+def tail_to_dict(tail: TailModel) -> dict:
+    if not tail.coeff:
+        return {"variant": "zero"}
+    if tail.power:
+        return {"variant": "power_decay", "power": tail.power, "coeff": tail.coeff}
+    return {"variant": "exp_decay", "rate": tail.rate, "coeff": tail.coeff}
 
 
 @_decodes("tail")
@@ -109,27 +105,6 @@ def tail_from_dict(d: dict) -> TailModel:
     if variant == "power_decay":
         return PowerTail(_real(d["power"], "power"), _real(d["coeff"], "coeff"))
     raise ValueError(f"unknown tail variant {variant!r}")
-
-
-def _coeffs_to_dict(signs, log_mags, encoding: str) -> dict:
-    if encoding == "log":
-        values = [
-            [int(s), None if s == 0 else float(l)] for s, l in zip(signs, log_mags)
-        ]
-        return {"encoding": "log", "values": values}
-    if encoding == "linear":
-        out = []
-        for s, l in zip(signs, log_mags):
-            if s == 0:
-                out.append(0.0)
-                continue
-            if l > 709.0:
-                raise ValueError(
-                    "coefficient exceeds float range; use the log encoding"
-                )
-            out.append(float(s) * math.exp(float(l)))
-        return {"encoding": "linear", "values": out}
-    raise ValueError(f"unknown coefficient encoding {encoding!r}")
 
 
 def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
@@ -148,13 +123,14 @@ def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
 
 
-def state_to_dict(state: SpectralState, encoding: str = "log") -> dict:
+def state_to_dict(state: SpectralState) -> dict:
     """A functional's tail is marked ``"may_grow": true``; a state's is not."""
-    return {
-        "spectrum": spectrum_to_dict(state.spectrum),
-        "coeffs": _coeffs_to_dict(state.signs, state.log_mags, encoding),
-        "tail": tail_to_dict(state.tail, may_grow=isinstance(state, Functional)),
-    }
+    values = [[int(s), None if s == 0 else float(l)] for s, l in zip(state.signs, state.log_mags)]
+    tail = tail_to_dict(state.tail)
+    if isinstance(state, Functional):
+        tail["may_grow"] = True
+    return {"spectrum": spectrum_to_dict(state.spectrum),
+            "coeffs": {"encoding": "log", "values": values}, "tail": tail}
 
 
 @_decodes("state")
@@ -162,17 +138,13 @@ def state_from_dict(d: dict) -> SpectralState:
     return _coefficients_from_dict(d, SpectralState)
 
 
-def extended_to_dict(state: ExtendedState, encoding: str = "log") -> dict:
-    return {"offset": state.offset, "rep": state_to_dict(state.rep, encoding)}
+def extended_to_dict(state: ExtendedState) -> dict:
+    return {"offset": state.offset, "rep": state_to_dict(state.rep)}
 
 
 @_decodes("extended class")
 def extended_from_dict(d: dict) -> ExtendedState:
     return ExtendedState(_real(d["offset"], "offset"), state_from_dict(d["rep"]))
-
-
-def functional_to_dict(functional: Functional, encoding: str = "log") -> dict:
-    return state_to_dict(functional, encoding)
 
 
 @_decodes("functional")

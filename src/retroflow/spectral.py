@@ -305,12 +305,11 @@ def combine_tails_add(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
         return b
     if not b.coeff:
         return a
-    if isinstance(a, ExpTail) and isinstance(b, ExpTail):
+    if not (a.power or b.power):
         return ExpTail(min(a.rate, b.rate), a.coeff + b.coeff)
-    if isinstance(a, PowerTail) and isinstance(b, PowerTail):
+    if a.power and b.power:
         return PowerTail(min(a.power, b.power), a.coeff + b.coeff)
-    exp_t = a if isinstance(a, ExpTail) else b
-    pow_t = b if isinstance(a, ExpTail) else a
+    exp_t, pow_t = (b, a) if a.power else (a, b)
     start = spectrum.num_modes + 1
     # exp law under a power envelope: coeff * sup_n n**p * exp(rate * lam_n)
     sup = _log_sup_power_vs_gauss(pow_t.power, exp_t.rate, start)
@@ -329,7 +328,9 @@ def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
     a, b = _normalized_tail(a), _normalized_tail(b)
     if a == b:
         return ZERO_TAIL
-    if isinstance(a, ExpTail) and isinstance(b, ExpTail):
+    if not (a.coeff and b.coeff) or bool(a.power) != bool(b.power):
+        return combine_tails_add(spectrum, a, b)
+    if not a.power:
         gap = abs(a.rate - b.rate)
         base = min(a.rate, b.rate)
         if base <= 0.0:
@@ -344,15 +345,13 @@ def combine_tails_sub(spectrum: Spectrum, a: TailModel, b: TailModel) -> TailMod
         if added * math.exp(0.5 * base * spectrum.eigenvalue(spectrum.num_modes + 1)) <= slack:
             return ExpTail(base, added)
         return _normalized_tail(ExpTail(base / 2.0, slack))
-    if isinstance(a, PowerTail) and isinstance(b, PowerTail):
-        gap = abs(a.power - b.power)
-        base = min(a.power, b.power)
-        if gap == 0.0:
-            return _normalized_tail(PowerTail(a.power, abs(a.coeff - b.coeff)))
-        eps = (base - 0.5) / 2.0
-        slack = max(a.coeff, b.coeff) * gap / (math.e * eps)
-        return _normalized_tail(PowerTail(base - eps, slack + abs(a.coeff - b.coeff)))
-    return combine_tails_add(spectrum, a, b)
+    gap = abs(a.power - b.power)
+    base = min(a.power, b.power)
+    if gap == 0.0:
+        return _normalized_tail(PowerTail(a.power, abs(a.coeff - b.coeff)))
+    eps = (base - 0.5) / 2.0
+    slack = max(a.coeff, b.coeff) * gap / (math.e * eps)
+    return _normalized_tail(PowerTail(base - eps, slack + abs(a.coeff - b.coeff)))
 
 
 def scale_tail(tail: TailModel, factor: float) -> TailModel:
@@ -633,8 +632,8 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     over-approximations are one-sided and affect only tail norms.
     """
     t = float(t)
-    if math.isnan(t):
-        raise ValueError("time must be a number, got nan")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if t < 0.0:
         raise ValueError("negative times are backward evolution; use backward_evolve")
     if t == 0.0:
@@ -651,7 +650,7 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
     spectrum, tail = state.spectrum, state.tail
     num_modes = spectrum.num_modes
     if tail.coeff:  # a state's zero tail is ZERO_TAIL, which flows to itself
-        if isinstance(tail, ExpTail):
+        if not tail.power:
             tail = ExpTail(tail.rate + t, tail.coeff)
         elif t < _POWER_FAMILY_STEP:
             first = spectrum.eigenvalue(num_modes + 1)

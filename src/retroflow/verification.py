@@ -636,13 +636,11 @@ def check_backward_uniqueness(
         f = shift.GridFunction(rng.normal(size=8))
         if np.any(shift.shift_evolve(f, 1.0).values):
             nilpotent_ok = False
-    # the unit-time range is {0}, so only the origin is fully reversible
-    collapse_ok = nilpotent_ok
     return [
         CheckResult("uniqueness.spectral-injectivity", injective_ok,
                     f"distinct states keep distinct images and invert per mode "
                     f"({samples} samples)"),
-        CheckResult("uniqueness.shift-violation", nilpotent_ok and collapse_ok,
+        CheckResult("uniqueness.shift-violation", nilpotent_ok,
                     "the unit-time shift is identically zero, so backward "
                     "uniqueness fails and the reversible set is the origin"),
     ]

@@ -447,6 +447,39 @@ def test_a_power_law_whose_double_overflows_exits_2_by_name(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: power must be finite")
 
 
+@pytest.mark.parametrize("power", [2.25e307, 8e307, 8.98e307])
+def test_density_of_a_huge_power_law_exits_by_the_contract(power, tmp_path, capsys):
+    # 8e307 ended in an OverflowError traceback with exit 1
+    path = tmp_path / "x.json"
+    path.write_text('{"spectrum": {"kind": "heat", "modes": 2}, '
+                    '"coeffs": {"encoding": "log", "values": [[1, 0.0], [0, null]]}, '
+                    f'"tail": {{"variant": "power_decay", "power": {power!r}, "coeff": 1.0}}}}')
+    assert main(["density", "--in", str(path), "--eps", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["achieved_error_bound"] <= 0.1
+
+
+def test_evolve_refuses_an_infinite_time_by_name(state_file, capsys):
+    # a zero tail's state came back as zeros with exit 0
+    assert main(["evolve", "--in", str(state_file), "--t", "inf"]) == 2
+    assert capsys.readouterr().err == "error: time must be finite, got inf\n"
+
+
+def test_group_evolve_refuses_a_nan_time_by_name(tmp_path, capsys):
+    path = tmp_path / "class.json"
+    serialize.save_json(path, serialize.extended_to_dict(rf.ExtendedState(
+        0.5, rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.ExpTail(1.0, 1.0)))))
+    assert main(["group-evolve", "--in", str(path), "--s", "nan"]) == 2
+    assert capsys.readouterr().err == "error: time must be finite, got nan\n"
+
+
+def test_duhamel_names_a_constant_forcing_that_is_not_finite(state_file, tmp_path, capsys):
+    # it exited 2 with "coefficient values must be finite", which named the output
+    fp = tmp_path / "f.json"
+    fp.write_text('{"modes": [{"n": 1, "kind": "const", "value": NaN}]}')
+    assert main(["duhamel", "--in", str(state_file), "--forcing", str(fp), "--t", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: ConstantForcing value must be finite, got nan\n"
+
+
 def test_verify_single_suite(capsys):
     code = main(["verify", "--suite", "classification"])
     out = capsys.readouterr().out

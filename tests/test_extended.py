@@ -246,3 +246,15 @@ def test_extended_class_rejects_a_growing_law():
         rf.ExtendedState(1.0, F)
     # a decaying functional is an ambient state
     assert rf.lift(rf.Functional.from_exp_law(rf.make_heat_spectrum(4), 0.1)).offset == 0.0
+
+
+@pytest.mark.parametrize("tail", [rf.ZERO_TAIL, rf.ExpTail(0.5, 1.0), rf.PowerTail(1.5, 1.0)])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_time_that_is_not_finite_is_refused_by_name(tail, t):
+    # evolve(x, inf) gave zeros for a zero tail and "rate must be finite" for the
+    # others; nan was an offset error in group_evolve and a domain error in the norm
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(3), tail)
+    z = rf.ExtendedState(0.25, x)
+    for call in (rf.evolve, rf.group_evolve, rf.log_extended_norm):
+        with pytest.raises(ValueError, match=f"got {t!r}$"):
+            call(x if call is rf.evolve else z, t)

@@ -880,3 +880,25 @@ def test_a_forcing_mode_index_must_be_an_integer(mode):
 def test_a_forcing_takes_numpy_integers_and_sorts_its_modes():
     forcing = rf.Forcing(((np.int64(3), rf.ConstantForcing(1.0)), (1, rf.ConstantForcing(2.0))))
     assert [mode for mode, _ in forcing.entries] == [1, 3]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: rf.ConstantForcing(math.nan), "ConstantForcing value must be finite, got nan"),
+    (lambda: rf.ExponentialForcing(math.inf, math.nan),
+     "ExponentialForcing amplitude must be finite, got inf"),
+    (lambda: rf.ExponentialForcing(1.0, -math.inf), "ExponentialForcing rate must be finite, got -inf"),
+])
+def test_a_closed_form_forcing_refuses_a_field_that_is_not_finite_by_name(build, message):
+    # both were built, and failed later under another name
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_a_shifted_amplitude_past_float_range_is_a_value_error():
+    # it was an OverflowError
+    forcing = rf.Forcing.from_dict({1: rf.ExponentialForcing(1.0, 800.0)})
+    with pytest.raises(ValueError, match="amplitude must be finite, got inf"):
+        forcing.shifted(1.0)
+    assert forcing.shifted(0.5).get(1) == rf.ExponentialForcing(math.exp(400.0), 800.0)
+    zero = rf.Forcing.from_dict({1: rf.ExponentialForcing(-0.0, 800.0)}).shifted(1.0).get(1)
+    assert math.copysign(1.0, zero.amplitude) == -1.0 and zero.amplitude == 0.0

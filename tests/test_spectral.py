@@ -1048,3 +1048,16 @@ def test_a_twenty_million_mode_truncation_writes_nothing_until_read():
     finally:
         tracemalloc.stop()
     assert out.num_modes == 20_567_562 and _unwritten(out) and peak < 2**20
+
+
+@pytest.mark.parametrize("power", [2.25e307, 8e307, 8.98e307])
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_a_huge_power_law_has_a_log_norm_above_its_value(power, n):
+    # the tail sum raised OverflowError from a power of 2.25e307, and a log
+    # past float range could make it nan; such a log is clamped, still above
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(n), rf.PowerTail(power, 1.0))
+    got = rf.log_norm(x)
+    assert math.isfinite(got)
+    with mp.workdps(700):
+        # the exact value exceeds the first tail term's log by less than 1e-300
+        assert mp.mpf(got) >= -mp.mpf(power) * mp.log(n + 1) + mp.mpf(10) ** -300
