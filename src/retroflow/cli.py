@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--extended", action="store_true",
-                   help="treat the input as an extended class (negative times always legal)")
 
     p = sub.add_parser("verify", help="run property-verification suites")
     p.add_argument("--suite", default="all",
@@ -145,11 +143,13 @@ def _run_trajectory(args) -> int:
     if not 2 <= args.steps <= MAX_STEPS:
         raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
     times = np.linspace(args.t_min, args.t_max, args.steps)
-    start = _load_extended(args.input) if args.extended else lift(_load_state(args.input))
+    doc = serialize.load_json(args.input)
+    is_class = isinstance(doc, dict) and "offset" in doc  # a class runs past any horizon
+    start = serialize.extended_from_dict(doc) if is_class else lift(serialize.state_from_dict(doc))
     points = []
     for t in times:
         point = canonicalize(group_evolve(start, float(t)))
-        if point.offset and not args.extended:  # a state stops at its horizon
+        if point.offset and not is_class:  # a state stops at its horizon
             raise HorizonExceededError(-float(t), horizon(start.rep))
         points.append(point)
     lead = 8

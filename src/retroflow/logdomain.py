@@ -56,14 +56,10 @@ class LogAmplitude:
             object.__setattr__(self, "log_mag", lm)
 
     @classmethod
-    def zero(cls) -> "LogAmplitude":
-        return cls(0, LOG_ZERO)
-
-    @classmethod
     def from_linear(cls, value: float) -> "LogAmplitude":
         value = float(value)
         if value == 0.0:
-            return cls.zero()
+            return cls(0, LOG_ZERO)
         if math.isnan(value) or math.isinf(value):
             raise ValueError(f"cannot encode {value!r}")
         return cls(1 if value > 0 else -1, math.log(abs(value)))
@@ -71,25 +67,6 @@ class LogAmplitude:
     def to_linear(self) -> float:
         """Decode to a float; overflows to ``+-inf`` and may underflow to 0."""
         return self.sign * exp_or_inf(self.log_mag)
-
-    def times(self, other: "LogAmplitude") -> "LogAmplitude":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return LogAmplitude.zero()
-        return LogAmplitude(sign, self.log_mag + other.log_mag)
-
-    def scaled(self, factor: float) -> "LogAmplitude":
-        """Multiply by a plain float factor."""
-        factor = float(factor)
-        if factor == 0.0 or self.sign == 0:
-            return LogAmplitude.zero()
-        sign = self.sign if factor > 0 else -self.sign
-        return LogAmplitude(sign, self.log_mag + math.log(abs(factor)))
-
-    def __neg__(self) -> "LogAmplitude":
-        if self.sign == 0:
-            return self
-        return LogAmplitude(-self.sign, self.log_mag)
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -144,9 +121,12 @@ def signed_logsumexp(signs, logs) -> tuple[int, float]:
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021), so nothing
     overflows.  The reductions are numpy's, the rest is scalar.  A sum below
     ``CANCEL_LOG`` relative to the summed magnitudes is exact zero, as is an
-    empty or all-zero row."""
+    empty or all-zero row.  A row whose largest log is ``+inf`` or nan, a
+    term past float range, raises ``ValueError``."""
     logs = np.asarray(logs, dtype=float)
     top = float(logs.max(initial=LOG_ZERO))
+    if not top < math.inf:
+        raise ValueError(f"a term of the sum passes float range (log {top!r})")
     shift = top if top > LOG_ZERO else 0.0
     terms = signs * np.exp(logs - shift)
     total = float(terms.sum())

@@ -84,6 +84,16 @@ def classify(state: SpectralState) -> Classification:
     )
 
 
+def _backward_time(t) -> float:
+    """A backward time: finite and nonnegative, as a float."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("backward time must be finite")
+    if t < 0.0:
+        raise ValueError("negative backward times are forward evolution; use evolve")
+    return t
+
+
 def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     """Backward flow: mode ``n`` is amplified by ``exp(-lambda_n * t)``.
 
@@ -96,11 +106,7 @@ def backward_evolve(state: SpectralState, t: float) -> SpectralState:
     bound the step is eager, and an image whose logs overflow raises
     ``ValueError`` here, not on a later read.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("backward time must be finite")
-    if t < 0.0:
-        raise ValueError("negative backward times are forward evolution; use evolve")
+    t = _backward_time(t)
     if t == 0.0:
         return state
     h = horizon(state)
@@ -116,9 +122,10 @@ def amplification_log(state: SpectralState, t: float) -> float:
     """Natural log of the worst amplification factor of a backward step,
     ``-lambda_N * t`` for the deepest retained mode.  Reported separately
     because the factor itself overflows floats well inside desk scale."""
+    t = _backward_time(t)
     if state.num_modes == 0:
         return 0.0
-    return -state.spectrum.eigenvalue(state.num_modes) * float(t)
+    return -state.spectrum.eigenvalue(state.num_modes) * t
 
 
 def log_backward_norm(state: SpectralState, t: float) -> float:

@@ -14,7 +14,6 @@ import numbers
 
 import numpy as np
 
-from .duality import Functional
 from .extended import ExtendedState
 from .inhomogeneous import (
     ConstantForcing,
@@ -24,7 +23,6 @@ from .inhomogeneous import (
 )
 from .logdomain import LOG_ZERO
 from .reversibility import Classification
-from .shift import GridFunction
 from .spectral import (
     ExpTail,
     PowerTail,
@@ -107,35 +105,27 @@ def tail_from_dict(d: dict) -> TailModel:
     raise ValueError(f"unknown tail variant {variant!r}")
 
 
-def _coefficients_from_dict(d: dict, cls: type) -> SpectralState:
+def state_to_dict(state: SpectralState) -> dict:
+    values = [[int(s), None if s == 0 else float(l)] for s, l in zip(state.signs, state.log_mags)]
+    return {"spectrum": spectrum_to_dict(state.spectrum),
+            "coeffs": {"encoding": "log", "values": values}, "tail": tail_to_dict(state.tail)}
+
+
+@_decodes("state")
+def state_from_dict(d: dict) -> SpectralState:
     spectrum = spectrum_from_dict(d["spectrum"])
     tail = tail_from_dict(d.get("tail", {"variant": "zero"}))
     coeffs = d["coeffs"]
     encoding = coeffs.get("encoding", "linear")
     values = coeffs["values"]
     if encoding == "linear":
-        return cls.from_values(spectrum, _reals(values, "linear value"), tail)
+        return SpectralState.from_values(spectrum, _reals(values, "linear value"), tail)
     if encoding == "log":
         signs = [_integer(pair[0], "sign") for pair in values]
         logs = [LOG_ZERO if sign == 0 else _real(pair[1], "log magnitude of a nonzero sign")
                 for sign, pair in zip(signs, values)]
-        return cls(spectrum, np.array(signs), np.array(logs), tail)
+        return SpectralState(spectrum, np.array(signs), np.array(logs), tail)
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
-
-
-def state_to_dict(state: SpectralState) -> dict:
-    """A functional's tail is marked ``"may_grow": true``; a state's is not."""
-    values = [[int(s), None if s == 0 else float(l)] for s, l in zip(state.signs, state.log_mags)]
-    tail = tail_to_dict(state.tail)
-    if isinstance(state, Functional):
-        tail["may_grow"] = True
-    return {"spectrum": spectrum_to_dict(state.spectrum),
-            "coeffs": {"encoding": "log", "values": values}, "tail": tail}
-
-
-@_decodes("state")
-def state_from_dict(d: dict) -> SpectralState:
-    return _coefficients_from_dict(d, SpectralState)
 
 
 def extended_to_dict(state: ExtendedState) -> dict:
@@ -145,11 +135,6 @@ def extended_to_dict(state: ExtendedState) -> dict:
 @_decodes("extended class")
 def extended_from_dict(d: dict) -> ExtendedState:
     return ExtendedState(_real(d["offset"], "offset"), state_from_dict(d["rep"]))
-
-
-@_decodes("functional")
-def functional_from_dict(d: dict) -> Functional:
-    return _coefficients_from_dict(d, Functional)
 
 
 def classification_to_dict(c: Classification) -> dict:
@@ -197,18 +182,6 @@ def forcing_from_dict(d: dict) -> Forcing:
             raise ValueError(f"unknown forcing kind {kind!r}")
         entries.append((_integer(item["n"], "mode n"), f))
     return Forcing(tuple(entries))
-
-
-def grid_to_dict(f: GridFunction) -> dict:
-    return {"resolution": f.resolution, "values": list(map(float, f.values))}
-
-
-@_decodes("grid function")
-def grid_from_dict(d: dict) -> GridFunction:
-    values = _reals(d["values"], "value")
-    if "resolution" in d and _integer(d["resolution"], "resolution") != values.size:
-        raise ValueError("resolution disagrees with the number of values")
-    return GridFunction(values)
 
 
 def save_json(path, payload: dict):

@@ -44,6 +44,10 @@ class GridFunction:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # a copy or a pickle is built again through the checks, so its values are read-only
+        return GridFunction, (self.values,)
+
 
 def constant_grid(value: float, resolution: int) -> GridFunction:
     return GridFunction(np.full(resolution, float(value)))

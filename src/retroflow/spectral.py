@@ -650,8 +650,9 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
     spectrum, tail = state.spectrum, state.tail
     num_modes = spectrum.num_modes
     if tail.coeff:  # a state's zero tail is ZERO_TAIL, which flows to itself
-        if not tail.power:
-            tail = ExpTail(tail.rate + t, tail.coeff)
+        if not tail.power:  # a rate past float range is a law zero in floats: lambda_n <= -pi^2
+            rate = tail.rate + t
+            tail = ExpTail(rate, tail.coeff) if rate < math.inf else ZERO_TAIL
         elif t < _POWER_FAMILY_STEP:
             first = spectrum.eigenvalue(num_modes + 1)
             tail = PowerTail(tail.power, tail.coeff * math.exp(first * t))
@@ -675,10 +676,20 @@ def _flow(state: SpectralState, t: float) -> SpectralState:
 # ---------------------------------------------------------------------------
 
 def log_norm(state: SpectralState) -> float:
-    """Natural log of the ambient (square-sum) norm; ``-inf`` for zero."""
+    """Natural log of the ambient (square-sum) norm; ``-inf`` for zero.
+
+    The logs are shifted by the largest before they are doubled, so a log
+    near float range, either way, squares without overflowing."""
     tail_squares = _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
-    squares = np.concatenate((2.0 * state.log_mags, [tail_squares]))
-    return 0.5 * signed_logsumexp(1, squares)[1]
+    half = np.concatenate((state.log_mags, [0.5 * tail_squares]))
+    top = float(half.max())
+    if top == LOG_ZERO:
+        return LOG_ZERO
+    half -= top
+    # below -2**1022 a square is exp(-2**1023) = 0 all the same, and doubles in range
+    np.maximum(half, -2.0**1022, out=half)
+    half *= 2.0
+    return top + 0.5 * signed_logsumexp(1, half)[1]
 
 
 def norm(state: SpectralState) -> float:
@@ -696,12 +707,14 @@ def tail_norm(state: SpectralState) -> float:
 
 
 def log_inner_product(x: SpectralState, y: SpectralState) -> LogAmplitude:
-    """Sign-aware log-domain inner product, including the tail cross term."""
+    """Sign-aware log-domain inner product, including the tail cross term.
+    A term whose log passes float range raises ``ValueError``."""
     _require_same_spectrum(x, y)
     # the tail cross term is one more positive entry (envelopes are nonnegative)
     cross = _tail_cross_log(x.tail, y.tail, x.num_modes + 1)
     signs = np.concatenate((x.signs * y.signs, [1]))
-    logs = np.concatenate((x.log_mags + y.log_mags, [cross]))
+    with np.errstate(over="ignore"):  # a log past float range is +inf, which the sum refuses
+        logs = np.concatenate((x.log_mags + y.log_mags, [cross]))
     return LogAmplitude(*signed_logsumexp(signs, logs))
 
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 import retroflow as rf
+from retroflow.logdomain import signed_logsumexp
+from retroflow.spectral import _tail_cross_log
 
 
 def mp_log_tail_sum(p, c, m, dps=40):
@@ -201,3 +203,11 @@ def _reference_pair_sums(lam, down, h, n, stride, m, node, slope, f, r, cells):
     g0 += g1
     g0 *= kernel
     return g0
+
+
+def reference_log_norm(state):
+    """``log_norm`` as first written: the logs doubled, then one sum.  A log
+    whose double passes float range makes it wrong, so it holds only inside."""
+    tail_squares = _tail_cross_log(state.tail, state.tail, state.num_modes + 1)
+    squares = np.concatenate((2.0 * state.log_mags, [tail_squares]))
+    return 0.5 * signed_logsumexp(1, squares)[1]

@@ -8,6 +8,7 @@ defaults; nothing is deferred to later calibration.
 
 import pytest
 
+import retroflow as rf
 from retroflow import verification
 
 
@@ -120,3 +121,23 @@ def test_the_seminorm_check_sees_a_log_off_by_1e_9(monkeypatch):
     assert results == {"reversibility.seminorm-separation": True,
                        "reversibility.seminorm-arithmetic": False,
                        "reversibility.seminorm-zero": True}
+
+
+@pytest.mark.parametrize("modes", [512, 1024, 4096])
+def test_the_group_checks_hold_past_512_modes(modes):
+    """Two routes to one class round their times apart by a few units of
+    2**-53, which moves the deepest mode by |lambda_N| times that: 1e-9
+    relative from about 512 modes.  The checks count a gap past it."""
+    _run("group-law", modes=modes)
+    _run("group-structure", modes=modes)
+
+
+def test_the_group_checks_see_a_class_off_by_3e_9(monkeypatch):
+    """The time-rounding allowance is about 2e-10 at the default 64 modes, so
+    a composed side scaled by 1 + 3e-9 still fails both checks."""
+    real = verification.extended.states_equal
+    monkeypatch.setattr(verification.extended, "states_equal", lambda a, b, tol: real(
+        a, rf.ExtendedState(b.offset, rf.scale(b.rep, 1.0 + 3e-9)), tol))
+    assert [r.passed for r in verification.run_suite("group-law")] == [False]
+    results = {r.name: r.passed for r in verification.run_suite("group-structure")}
+    assert results["group.inverse"] is False

@@ -102,6 +102,22 @@ def test_pair_requires_reversible_state(power_state_file, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "NotFullyReversibleError"
 
 
+def test_a_state_with_a_log_near_float_range_norms_and_pairs_honestly(tmp_path, capsys):
+    # its norm read 0 with numpy overflow warnings, and a pairing whose log
+    # overflows returned zero; now the norm is exact and the pairing refused
+    x = rf.SpectralState(rf.make_heat_spectrum(2), [1, 1], [0.0, 1e308])
+    xp, zp, out = tmp_path / "x.json", tmp_path / "z.json", tmp_path / "traj.csv"
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    serialize.save_json(zp, serialize.extended_to_dict(rf.lift(x)))
+    assert main(["trajectory", "--in", str(xp), "--t-min", "0", "--t-max", "1",
+                 "--steps", "2", "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[3]) for r in rows[1:]] == [1e308, 1e308]
+    assert main(["pair", "--x", str(xp), "--z", str(zp)]) == 2
+    assert "passes float range" in capsys.readouterr().err
+
+
 def test_duhamel_verb(tmp_path, capsys):
     sp = rf.make_heat_spectrum(2)
     x0 = rf.SpectralState.zeros(sp)
@@ -313,11 +329,31 @@ def test_trajectory_extended_allows_negative_times(tmp_path):
     serialize.save_json(zp, serialize.extended_to_dict(z))
     out = tmp_path / "traj.csv"
     code = main(["trajectory", "--in", str(zp), "--t-min", "-1", "--t-max", "1",
-                 "--steps", "3", "--out", str(out), "--extended"])
+                 "--steps", "3", "--out", str(out)])
     assert code == 0
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][1]) == pytest.approx(1.0)  # offset column at t = -1
+
+
+def test_trajectory_of_a_state_document_stops_at_its_horizon(tmp_path, capsys):
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.PowerTail(1.0, 1.0))
+    xp = tmp_path / "x.json"
+    serialize.save_json(xp, serialize.state_to_dict(x))
+    code = main(["trajectory", "--in", str(xp), "--t-min", "-1", "--t-max", "1",
+                 "--steps", "3", "--out", str(tmp_path / "traj.csv")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "HorizonExceededError"
+
+
+@pytest.mark.parametrize("doc", [5, [1, 2], "offset", None])
+def test_trajectory_of_a_document_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["trajectory", "--in", str(path), "--t-min", "0", "--t-max", "1",
+                 "--steps", "2", "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_trajectory_two_steps_are_exact_endpoints(state_file, tmp_path):

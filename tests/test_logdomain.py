@@ -57,7 +57,7 @@ def test_overflow_decodes_to_inf():
 
 def test_exact_cancellation():
     a = LogAmplitude.from_linear(3.25)
-    assert log_add(a, -a).sign == 0
+    assert log_add(a, LogAmplitude(-a.sign, a.log_mag)).sign == 0
 
 
 def test_near_total_cancellation_snaps_to_zero():
@@ -105,13 +105,6 @@ def test_log_sum_matches_fsum(values):
         assert abs(got) <= biggest * 1e-8
     else:
         assert got == pytest.approx(want, rel=1e-12 + 1e-12 * biggest / abs(want))
-
-
-def test_scaled_and_times():
-    a = LogAmplitude.from_linear(-1.5)
-    assert a.scaled(-2.0).to_linear() == pytest.approx(3.0, rel=1e-15)
-    assert a.times(a).to_linear() == pytest.approx(2.25, rel=1e-15)
-    assert a.scaled(0.0).sign == 0
 
 
 # --- the array kernel ---------------------------------------------------------

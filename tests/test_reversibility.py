@@ -83,6 +83,16 @@ def test_backward_amplification_frozen_scalar():
     ) == pytest.approx(7205.817471970954, rel=1e-12)
 
 
+@pytest.mark.parametrize("t, match", [(math.nan, "finite"), (math.inf, "finite"),
+                                      (-1.0, "negative backward times")])
+def test_amplification_refuses_what_backward_evolve_refuses(t, match):
+    # it gave nan, inf and -39.5 on two modes
+    x = rf.SpectralState.from_values(rf.make_heat_spectrum(2), [1.0, 2.0])
+    for call in (rf.amplification_log, rf.backward_evolve):
+        with pytest.raises(ValueError, match=match):
+            call(x, t)
+
+
 def test_backward_of_power_tail_raises_with_horizon():
     x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.PowerTail(1.0, 1.0))
     with pytest.raises(HorizonExceededError) as err:

@@ -1,7 +1,9 @@
 """The nilpotent right-shift witness: ranges, distances, exclusion onsets."""
 
+import copy
 import itertools
 import math
+import pickle
 import time
 
 import numpy as np
@@ -171,3 +173,12 @@ def test_exclusion_onset_without_witness_is_linear_in_the_resolution():
     report = rf.exclusion_onset(rf.constant_grid(1.0, 2**20), 2.0)
     assert time.perf_counter() - start < 2.0
     assert not report.found
+
+
+def test_copies_and_pickles_of_a_grid_function_are_read_only_and_equal():
+    # a deep copy's and a pickle's values were writeable
+    g = rf.GridFunction([1.0, 2.0])
+    for out in (copy.deepcopy(g), copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert out == g
+        with pytest.raises(ValueError, match="read-only"):
+            out.values[0] = 5.0

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflow as rf
-from reference import embed_reference, mp_log_tail_sum
+from reference import embed_reference, mp_log_tail_sum, reference_log_norm
 from retroflow import serialize
 from retroflow.logdomain import log_tail_sum
 from retroflow.spectral import (Spectrum, _drop_tail, _LawWrite, combine_tails_sub,
@@ -1061,3 +1061,60 @@ def test_a_huge_power_law_has_a_log_norm_above_its_value(power, n):
     with mp.workdps(700):
         # the exact value exceeds the first tail term's log by less than 1e-300
         assert mp.mpf(got) >= -mp.mpf(power) * mp.log(n + 1) + mp.mpf(10) ** -300
+
+
+# --- norms of logs near float range ------------------------------------------
+
+MAX_FLOAT = np.finfo(float).max
+
+
+@pytest.mark.parametrize("log", [8.99e307, 1e308, MAX_FLOAT, -1e308])
+def test_a_log_near_float_range_norms_to_itself(log):
+    # the logs were doubled before they were shifted: a log above 8.99e307
+    # doubled to +inf, the sum turned nan and returned zero, and -1e308 to -inf
+    x = rf.SpectralState(rf.make_heat_spectrum(2), [1, 1], [0.0, log])
+    assert rf.log_norm(x) == max(log, 0.0)
+    alone = rf.SpectralState(rf.make_heat_spectrum(2), [1, 0], [log, 0.0])
+    assert rf.log_norm(alone) == log
+
+
+def test_a_huge_state_is_far_from_zero():
+    x = rf.SpectralState(rf.make_heat_spectrum(2), [1, 1], [0.0, 1e308])
+    zeros = rf.SpectralState.zeros(x.spectrum)
+    assert rf.norm(x) == math.inf
+    assert rf.relative_gap(x, zeros) == 1.0
+    assert not rf.states_equal(rf.lift(x), rf.lift(zeros))
+
+
+def test_an_inner_product_whose_log_overflows_is_refused():
+    # it returned the zero amplitude
+    x = rf.SpectralState(rf.make_heat_spectrum(2), [1, 1], [0.0, 1e308])
+    with pytest.raises(ValueError, match="passes float range"):
+        rf.log_inner_product(x, x)
+
+
+@st.composite
+def states_of_every_tail(draw):
+    n = draw(st.integers(1, 63))
+    coeff = draw(st.floats(1e-3, 1e3))
+    tail = draw(st.sampled_from([rf.ZERO_TAIL, rf.ExpTail(draw(st.floats(1e-6, 10.0)), coeff),
+                                 rf.PowerTail(draw(st.floats(0.75, 50.0)), coeff)]))
+    signs = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    logs = draw(st.lists(st.floats(-1e12, 1e12), min_size=n, max_size=n))
+    return rf.SpectralState(rf.make_heat_spectrum(n), np.array(signs), np.array(logs), tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states_of_every_tail())
+def test_log_norm_is_the_doubled_sum_bit_for_bit_inside_float_range(x):
+    # shifting by the largest log before doubling commutes with the rounding
+    assert rf.log_norm(x) == reference_log_norm(x)
+
+
+# --- a flow whose law passes float range -------------------------------------
+
+def test_a_forward_step_whose_rate_overflows_leaves_a_zero_law():
+    # the flowed rate overflowed and the step raised "rate must be finite"
+    x = rf.SpectralState.zeros(rf.make_heat_spectrum(2), rf.ExpTail(1e308, 1.0))
+    assert rf.evolve(x, 1e308).tail == rf.ZERO_TAIL
+    assert rf.log_extended_norm(rf.ExtendedState(0.0, x), 1.5e308) == -math.inf
