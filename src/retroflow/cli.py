@@ -19,9 +19,9 @@ import numpy as np
 from . import serialize
 from .density import iterate_to_reversible, truncation_preimage_oracle
 from .duality import log_pairing
-from .errors import DomainError, HorizonExceededError
+from .errors import MAX_STEPS, DomainError, HorizonExceededError, count
 from .extended import ExtendedState, canonicalize, group_evolve, lift
-from .inhomogeneous import MAX_STEPS, QuadratureConfig, duhamel_evolve
+from .inhomogeneous import QuadratureConfig, duhamel_evolve
 from .reversibility import amplification_log, backward_evolve, classify, horizon
 from .shift import constant_grid, distance_to_range, exclusion_onset
 from .spectral import SpectralState, evolve, exp_or_inf, log_norm
@@ -32,7 +32,7 @@ def _emit(payload: dict, out_path, fmt: str):
         if out_path:
             serialize.save_json(out_path, payload)
         else:
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     # flat CSV: one header row, one value row
     flat = _flatten(payload)
@@ -140,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_trajectory(args) -> int:
-    if not 2 <= args.steps <= MAX_STEPS:
-        raise ValueError(f"steps must be between 2 and {MAX_STEPS}")
-    times = np.linspace(args.t_min, args.t_max, args.steps)
+    times = np.linspace(args.t_min, args.t_max, count(args.steps, "steps", 2, MAX_STEPS))
     doc = serialize.load_json(args.input)
     is_class = isinstance(doc, dict) and "offset" in doc  # a class runs past any horizon
     start = serialize.extended_from_dict(doc) if is_class else lift(serialize.state_from_dict(doc))
@@ -187,8 +185,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "horizon":
         h = horizon(_load_state(args.input))
-        payload = {"value": "inf" if math.isinf(h.value) else h.value,
-                   "open": h.open_at_endpoint}
+        payload = {"value": serialize.number_to_json(h.value), "open": h.open_at_endpoint}
         _emit(payload, args.output, args.format)
         return 0
 
@@ -217,7 +214,7 @@ def _dispatch(args) -> int:
         z = canonicalize(_load_extended(args.z))
         value = log_pairing(x, z)
         payload = {
-            "pairing": value.to_linear(),
+            "pairing": serialize.number_to_json(value.to_linear()),
             "sign": value.sign,
             "log_mag": None if value.sign == 0 else value.log_mag,
             "offset": z.offset,
@@ -246,9 +243,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "shift-demo":
-        if args.resolution > MAX_STEPS:
-            raise ValueError(f"resolution must be at most {MAX_STEPS}")
-        ones = constant_grid(1.0, args.resolution)
+        ones = constant_grid(1.0, count(args.resolution, "resolution", 1, MAX_STEPS))
         grid = [k / args.resolution for k in (1, 2, 5, 10, args.resolution // 4,
                                               args.resolution // 2) if 0 < k < args.resolution]
         payload = {

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NotConvergedError, OracleFailedError
+from .errors import MAX_MODES, NotConvergedError, OracleFailedError, count, real
 from .reversibility import backward_evolve
 from .spectral import (
-    MAX_MODES,
     SpectralState,
     _drop_tail,
     _law_depth,
@@ -38,10 +37,9 @@ class GrowthBound:
     rate: float
 
     def __post_init__(self):
-        if not self.factor >= 1.0:
+        if real(self.factor, "growth factor") < 1.0:
             raise ValueError("growth factor must be at least 1")
-        if not math.isfinite(self.rate):
-            raise ValueError("growth rate must be finite")
+        real(self.rate, "growth rate")
 
     def at(self, t: float) -> float:
         return self.factor * math.exp(self.rate * t)
@@ -124,7 +122,7 @@ def truncate_to_reversible(
     read (see :func:`~retroflow.spectral.embed`), so a depth of 20M modes
     costs no memory until then.
     """
-    if not 0.0 < eps < math.inf:
+    if real(eps, "eps", "positive and finite") <= 0.0:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not state.tail.coeff:  # nothing to drop: the search would stop at the state's own depth
         return _drop_tail(state, state.num_modes), DensityCertificate(eps, 0.0, 0, ())
@@ -194,10 +192,9 @@ def iterate_to_reversible(
     iteration writes no array: the result's are written once, when the
     caller reads them.
     """
-    if not 0.0 < eps0 < math.inf:
+    if real(eps0, "eps0", "positive and finite") <= 0.0:
         raise ValueError(f"eps0 must be positive and finite, got {eps0!r}")
-    if max_iters < 1:
-        raise ValueError("at least one iteration is required")
+    max_iters = count(max_iters, "max_iters", 1)
     if regime not in ("linear", "nonexpansive"):
         raise ValueError("regime must be 'linear' or 'nonexpansive'")
 

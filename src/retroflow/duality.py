@@ -34,9 +34,9 @@ class Functional(SpectralState):
         """Functional following ``b_n = coeff * exp(rate * lambda_n)`` on every
         mode, explicit up to the truncation and as a law beyond it.  Negative
         rates grow; a rate past float range gives zero coefficients or an error."""
-        if coeff <= 0.0:
-            raise ValueError("coeff must be positive for a law-built functional")
         tail = ExpTail(rate, coeff)
+        if not tail.coeff:
+            raise ValueError("coeff must be positive for a law-built functional")
         with np.errstate(over="ignore"):
             logs = tail.rate * spectrum.eigenvalues + math.log(tail.coeff)
         if np.any(logs == math.inf):

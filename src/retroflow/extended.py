@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotWithinBackwardReachError
+from .errors import NotWithinBackwardReachError, real
 from .reversibility import backward_evolve, horizon
 from .spectral import (
     SpectralState,
@@ -52,9 +52,9 @@ class ExtendedState:
     rep: SpectralState
 
     def __post_init__(self):
-        offset = float(self.offset)
-        if not (offset >= 0.0 and math.isfinite(offset)):
-            raise ValueError("offset must be finite and nonnegative")
+        offset = real(self.offset, "offset", "finite and nonnegative")
+        if offset < 0.0:
+            raise ValueError(f"offset must be finite and nonnegative, got {offset!r}")
         SpectralState._check_decay(self.rep.tail)
         object.__setattr__(self, "offset", offset)
 
@@ -87,9 +87,7 @@ def entry_infimum(state: ExtendedState) -> float:
 
 def group_evolve(state: ExtendedState, s: float) -> ExtendedState:
     """The group action, total for every finite real ``s``."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"time must be finite, got {s!r}")
+    s = real(s, "time")
     if s == 0.0:
         return state
     tau = state.offset
@@ -116,7 +114,7 @@ def states_equal(a: ExtendedState, b: ExtendedState, tol: float = DEFAULT_EQUALI
     modes, hence the caller-visible tolerance.
     """
     _, da, db = _at_common_offset(a, b)
-    if tol <= 0.0:
+    if real(tol, "tolerance") <= 0.0:
         raise ValueError("tolerance must be positive")
     gap = log_norm(subtract(da, db))
     if gap == -math.inf:
@@ -130,7 +128,7 @@ def log_extended_norm(state: ExtendedState, t: float) -> float:
     forward image at depth ``t``, ``canonicalize(group_evolve(state, t))``.
     Depths before the class's entry infimum, where that image keeps an
     offset, are outside every backward space and raise."""
-    t = float(t)
+    t = real(t, "backward depth")
     if t < 0.0:
         raise ValueError(f"backward depth must be nonnegative, got {t!r}")
     point = canonicalize(group_evolve(state, t))

@@ -20,22 +20,21 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
+from .errors import MAX_STEPS, count, real
 from .reversibility import backward_evolve
 from .spectral import SpectralState, Spectrum, add, evolve, exp_or_inf, log_norm, subtract
 
 
 def _refuse_non_finite(forcing):
-    """A closed-form forcing's every field must be finite; the first that is not is named."""
+    """A closed-form forcing's every field, kept as a finite float; the first that is not is named."""
     for field in fields(forcing):
-        value = getattr(forcing, field.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{type(forcing).__name__} {field.name} must be finite, got {value!r}")
+        value = real(getattr(forcing, field.name), f"{type(forcing).__name__} {field.name}")
+        object.__setattr__(forcing, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -138,18 +137,15 @@ class Forcing:
     entries: tuple
 
     def __post_init__(self):
-        seen = set()
+        seen = {}
         for mode, f in self.entries:
-            if isinstance(mode, bool) or not isinstance(mode, numbers.Integral):
-                raise ValueError(f"mode indices must be integers, got {mode!r}")
-            if mode < 1:
-                raise ValueError("mode indices are 1-based")
+            mode = count(mode, "mode indices", 1, rule="integers from 1")
             if mode in seen:
                 raise ValueError(f"duplicate forcing for mode {mode}")
-            seen.add(mode)
             if not isinstance(f, (ConstantForcing, ExponentialForcing, TableForcing)):
                 raise ValueError(f"unknown forcing kind {type(f).__name__}")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda kv: kv[0])))
+            seen[mode] = f
+        object.__setattr__(self, "entries", tuple(sorted(seen.items())))
 
     @classmethod
     def from_dict(cls, modes: dict) -> "Forcing":
@@ -189,9 +185,6 @@ class Forcing:
 ZERO_FORCING = Forcing(())
 
 
-MAX_STEPS = 1 << 20  # the finest coarse grid; its refinement has 2 * MAX_STEPS + 1 nodes
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Composite Simpson settings; ``adaptive`` doubles the step count until
@@ -203,13 +196,9 @@ class QuadratureConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2 or self.steps % 2:
+        if count(self.steps, "steps", 2, MAX_STEPS, "at most {high} and a positive even integer") % 2:
             raise ValueError("steps must be a positive even integer")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}")
-        if not self.tol > 0.0:
+        if real(self.tol, "tolerance") <= 0.0:
             raise ValueError("tolerance must be positive")
 
 
@@ -453,8 +442,8 @@ def _table_responses(lams, tables, t: float, quad: QuadratureConfig) -> list:
 
 
 def _checked_time(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t < math.inf:
+    t = real(t, "t", "finite and nonnegative")
+    if t < 0.0:
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     return t
 
@@ -544,8 +533,8 @@ def affine_backward(
     """Invert the affine flow: subtract the forcing convolution, then run the
     homogeneous flow backward.  Legal only when the translated state's
     horizon admits ``t``; the horizon error propagates from the backward step."""
-    translated = subtract(x, forcing_integral(x.spectrum, forcing, float(t), quad))
-    return backward_evolve(translated, float(t))
+    translated = subtract(x, forcing_integral(x.spectrum, forcing, t, quad))
+    return backward_evolve(translated, t)
 
 
 def log_affine_norm(

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import HorizonExceededError, NotFullyReversibleError
+from .errors import HorizonExceededError, NotFullyReversibleError, count, real
 from .spectral import SpectralState, _flow, exp_or_inf, log_norm
 
 
@@ -86,9 +86,7 @@ def classify(state: SpectralState) -> Classification:
 
 def _backward_time(t) -> float:
     """A backward time: finite and nonnegative, as a float."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("backward time must be finite")
+    t = real(t, "backward time")
     if t < 0.0:
         raise ValueError("negative backward times are forward evolution; use evolve")
     return t
@@ -144,8 +142,7 @@ def frechet_seminorms(state: SpectralState, n_max: int) -> list[float]:
 
 
 def log_frechet_seminorms(state: SpectralState, n_max: int) -> list[float]:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = count(n_max, "n_max", 0)
     c = classify(state)
     if c.label is not ReversibilityClass.FULL:
         raise NotFullyReversibleError(

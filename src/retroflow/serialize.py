@@ -10,10 +10,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 
 import numpy as np
 
+from .errors import ScalarTypeError, count, real
 from .extended import ExtendedState
 from .inhomogeneous import (
     ConstantForcing,
@@ -37,36 +37,25 @@ from .spectral import (
 def _decodes(what: str):
     """Report a malformed ``what`` document as a ``ValueError`` naming it: a
     wrong type, or a missing key or entry, raises one of the errors below
-    while decoding."""
+    while decoding; a value a constructor refuses keeps its message."""
     def wrap(decode):
         @functools.wraps(decode)
         def checked(d):
             try:
                 return decode(d)
-            except (TypeError, AttributeError, IndexError, KeyError) as err:
+            except (ScalarTypeError, TypeError, AttributeError, IndexError, KeyError) as err:
                 raise ValueError(f"malformed {what}: {type(err).__name__}: {err}") from err
         return checked
     return wrap
 
 
-def _integer(value, what: str) -> int:
-    """An integer field; a bool or a float is refused, not coerced."""
-    if type(value) is not int and (isinstance(value, bool)
-                                   or not isinstance(value, numbers.Integral)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    """A real field; a bool or a string is refused, not coerced."""
-    if type(value) is not float and (isinstance(value, bool)
-                                     or not isinstance(value, numbers.Real)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _reals(values, what: str) -> np.ndarray:
-    return np.array([_real(v, what) for v in values], dtype=float)
+    return np.array([real(v, what) for v in values], dtype=float)
+
+
+def number_to_json(value: float):
+    """A float for JSON, whose grammar has no infinity: ``inf`` is written ``"inf"``."""
+    return str(value) if math.isinf(value) else value
 
 
 def spectrum_to_dict(spectrum: Spectrum) -> dict:
@@ -79,7 +68,7 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
 def spectrum_from_dict(d: dict) -> Spectrum:
     kind = d.get("kind")
     if kind == "heat":
-        return make_heat_spectrum(_integer(d["modes"], "modes"))
+        return make_heat_spectrum(d["modes"])
     if kind == "custom":
         return Spectrum(_reals(d["eigenvalues"], "eigenvalue"), "custom")
     raise ValueError(f"unknown spectrum kind {kind!r}")
@@ -99,13 +88,17 @@ def tail_from_dict(d: dict) -> TailModel:
     if variant == "zero":
         return ZERO_TAIL
     if variant == "exp_decay":
-        return ExpTail(_real(d["rate"], "rate"), _real(d["coeff"], "coeff"))
+        return ExpTail(d["rate"], d["coeff"])
     if variant == "power_decay":
-        return PowerTail(_real(d["power"], "power"), _real(d["coeff"], "coeff"))
+        return PowerTail(d["power"], d["coeff"])
     raise ValueError(f"unknown tail variant {variant!r}")
 
 
 def state_to_dict(state: SpectralState) -> dict:
+    try:  # a functional's law may grow
+        SpectralState._check_decay(state.tail)
+    except ValueError as err:
+        raise ValueError(f"{err}; write the class functional_to_extended gives") from None
     values = [[int(s), None if s == 0 else float(l)] for s, l in zip(state.signs, state.log_mags)]
     return {"spectrum": spectrum_to_dict(state.spectrum),
             "coeffs": {"encoding": "log", "values": values}, "tail": tail_to_dict(state.tail)}
@@ -121,8 +114,8 @@ def state_from_dict(d: dict) -> SpectralState:
     if encoding == "linear":
         return SpectralState.from_values(spectrum, _reals(values, "linear value"), tail)
     if encoding == "log":
-        signs = [_integer(pair[0], "sign") for pair in values]
-        logs = [LOG_ZERO if sign == 0 else _real(pair[1], "log magnitude of a nonzero sign")
+        signs = [count(pair[0], "sign", -1, 1) for pair in values]
+        logs = [LOG_ZERO if sign == 0 else real(pair[1], "log magnitude of a nonzero sign")
                 for sign, pair in zip(signs, values)]
         return SpectralState(spectrum, np.array(signs), np.array(logs), tail)
     raise ValueError(f"unknown coefficient encoding {encoding!r}")
@@ -134,14 +127,14 @@ def extended_to_dict(state: ExtendedState) -> dict:
 
 @_decodes("extended class")
 def extended_from_dict(d: dict) -> ExtendedState:
-    return ExtendedState(_real(d["offset"], "offset"), state_from_dict(d["rep"]))
+    return ExtendedState(d["offset"], state_from_dict(d["rep"]))
 
 
 def classification_to_dict(c: Classification) -> dict:
     value = c.horizon.value
     return {
         "class": c.label.value,
-        "horizon": "inf" if math.isinf(value) else value,
+        "horizon": number_to_json(value),
         "open": c.horizon.open_at_endpoint,
         "certificate": c.certificate,
     }
@@ -172,22 +165,21 @@ def forcing_from_dict(d: dict) -> Forcing:
     for item in d.get("modes", []):
         kind = item.get("kind")
         if kind == "const":
-            f = ConstantForcing(_real(item["value"], "value"))
+            f = ConstantForcing(item["value"])
         elif kind == "exp":
-            amplitude = _real(item["amplitude"], "amplitude")
-            f = ExponentialForcing(amplitude, _real(item["rate"], "rate"))
+            f = ExponentialForcing(item["amplitude"], item["rate"])
         elif kind == "table":
             f = TableForcing(_reals(item["times"], "time"), _reals(item["values"], "value"))
         else:
             raise ValueError(f"unknown forcing kind {kind!r}")
-        entries.append((_integer(item["n"], "mode n"), f))
+        entries.append((count(item["n"], "mode n", 1), f))
     return Forcing(tuple(entries))
 
 
 def save_json(path, payload: dict):
+    text = json.dumps(payload, indent=2, allow_nan=False)  # strict JSON: no NaN or Infinity
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path) -> dict:

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import count, real
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -50,7 +52,7 @@ class GridFunction:
 
 
 def constant_grid(value: float, resolution: int) -> GridFunction:
-    return GridFunction(np.full(resolution, float(value)))
+    return GridFunction(np.full(count(resolution, "resolution", 1), real(value, "value")))
 
 
 def _cells(t: float, resolution: int) -> int:
@@ -66,7 +68,7 @@ def shift_evolve(f: GridFunction, t: float) -> GridFunction:
 
     Nilpotent: any ``t >= 1`` maps everything to zero.
     """
-    t = float(t)
+    t = real(t, "t")
     if t < 0.0:
         raise ValueError("the shift flow is defined forward in time only")
     k = _cells(t, f.resolution)
@@ -85,7 +87,7 @@ def _range_distances(f: GridFunction, k: int) -> np.ndarray:
 def distance_to_range(f: GridFunction, t: float) -> float:
     """Distance from ``f`` to the time-``t`` range: the norm of ``f`` on
     ``(0, t)`` (orthogonal projection onto functions vanishing there)."""
-    t = float(t)
+    t = real(t, "t")
     if not 0.0 < t < 1.0:
         raise ValueError("t must be a grid-aligned time in (0, 1)")
     k = _cells(t, f.resolution)
@@ -112,7 +114,7 @@ def exclusion_onset(f: GridFunction, radius: float) -> ExclusionReport:
     Returns a no-witness report when the ball meets every range (for example
     when ``radius`` reaches the norm of ``f``, since zero lies in every
     range)."""
-    if not radius > 0.0:
+    if real(radius, "radius") <= 0.0:
         raise ValueError("radius must be positive")
     distances = _range_distances(f, f.resolution - 1)
     k = int(np.searchsorted(distances, radius, side="right")) + 1

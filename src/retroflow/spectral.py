@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GeneratorDomainError
+from .errors import MAX_MODES, GeneratorDomainError, count, real
 from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_erfc, log_tail_sum, signed_add,
                         signed_logsumexp)
 
@@ -26,10 +26,6 @@ from .logdomain import (LOG_ZERO, LogAmplitude, exp_or_inf, log_erfc, log_tail_s
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
-
-#: The most explicit modes a heat spectrum may have (400 MB of eigenvalues);
-#: the truncation scan gives up past it.
-MAX_MODES = 50_000_000
 
 
 def _freeze(self, state: dict):
@@ -65,8 +61,8 @@ class Spectrum:
         object.__setattr__(self, "num_modes", ev.size)
         if self.kind not in ("heat", "custom"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        if ev.size and not np.all(ev < 0):
-            raise ValueError("all eigenvalues must be strictly negative")
+        if not np.all((-math.inf < ev) & (ev < 0.0)):
+            raise ValueError("all eigenvalues must be finite and strictly negative")
         if ev.size > 1 and not np.all(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be strictly decreasing")
         if self.kind == "heat" and not np.array_equal(ev, _heat_law(np.arange(1.0, ev.size + 1))):
@@ -75,16 +71,10 @@ class Spectrum:
 
     @classmethod
     def _heat(cls, num_modes: int) -> "Spectrum":
-        """The heat law on ``num_modes`` modes, without the checks it passes by
-        construction and without its eigenvalues until they are read.
-        ``num_modes`` past :data:`MAX_MODES` or not integral is refused."""
-        if num_modes > MAX_MODES:
-            raise ValueError(f"{num_modes} modes exceed the budget of {MAX_MODES}")
-        count = int(num_modes)
-        if count != num_modes:
-            raise ValueError(f"a mode count must be an integer, got {num_modes!r}")
+        """The heat law on ``num_modes`` modes, a count :func:`_mode_count` passed,
+        without the checks it passes by construction or its eigenvalues until read."""
         spectrum = object.__new__(cls)
-        spectrum.__dict__.update(kind="heat", num_modes=count)
+        spectrum.__dict__.update(kind="heat", num_modes=num_modes)
         return spectrum
 
     def __getattr__(self, name):
@@ -107,11 +97,9 @@ class Spectrum:
 
     def extended(self, num_modes: int) -> "Spectrum":
         """Same law with more explicit modes; heat only."""
-        if num_modes < self.num_modes:
-            raise ValueError("cannot shrink a spectrum")
         if self.kind != "heat":
             raise ValueError("custom spectra cannot be extended")
-        return Spectrum._heat(num_modes)
+        return Spectrum._heat(_mode_count(num_modes, self.num_modes))
 
     def __eq__(self, other):
         if self is other:
@@ -127,9 +115,11 @@ class Spectrum:
 
 def make_heat_spectrum(num_modes: int) -> Spectrum:
     """Dirichlet-Laplacian spectrum ``-(n*pi)**2`` for ``n = 1..num_modes``."""
-    if num_modes < 1:
-        raise ValueError("num_modes must be at least 1")
-    return Spectrum._heat(num_modes)
+    return Spectrum._heat(_mode_count(num_modes, 1))
+
+
+def _mode_count(num_modes, low: int) -> int:
+    return count(num_modes, "num_modes", low, MAX_MODES, "an integer from {low} to the budget of {high}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +160,8 @@ class ExpTail:
     power = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "coeff", float(self.coeff))
-        if not math.isfinite(self.rate):
-            raise ValueError("rate must be finite")
-        if not (self.coeff >= 0.0 and math.isfinite(self.coeff)):
-            raise ValueError("coeff must be finite and nonnegative")
+        object.__setattr__(self, "rate", real(self.rate, "rate"))
+        object.__setattr__(self, "coeff", _law_coeff(self.coeff))
 
 
 @dataclass(frozen=True)
@@ -188,13 +174,19 @@ class PowerTail:
     rate = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "power", float(self.power))
-        object.__setattr__(self, "coeff", float(self.coeff))
-        if not (0.5 < self.power and 2.0 * self.power < math.inf):
-            raise ValueError("power must be finite and exceed 1/2 for a square-summable tail, "
-                             f"and its double finite for a norm, got {self.power!r}")
-        if not (self.coeff >= 0.0 and math.isfinite(self.coeff)):
-            raise ValueError("coeff must be finite and nonnegative")
+        rule = "finite and exceed 1/2 for a square-summable tail, and its double finite for a norm"
+        power = real(self.power, "power", rule)
+        if not (0.5 < power and 2.0 * power < math.inf):
+            raise ValueError(f"power must be {rule}, got {power!r}")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "coeff", _law_coeff(self.coeff))
+
+
+def _law_coeff(value) -> float:
+    coeff = real(value, "coeff", "finite and nonnegative")
+    if coeff < 0.0:
+        raise ValueError(f"coeff must be finite and nonnegative, got {coeff!r}")
+    return coeff
 
 
 TailModel = Union[ZeroTail, ExpTail, PowerTail]
@@ -555,8 +547,7 @@ class SpectralState:
     @classmethod
     def basis(cls, spectrum: Spectrum, mode: int) -> "SpectralState":
         """Unit coefficient on one mode (1-based)."""
-        if not 1 <= mode <= spectrum.num_modes:
-            raise ValueError(f"mode {mode} outside 1..{spectrum.num_modes}")
+        mode = count(mode, "mode", 1, spectrum.num_modes)
         n = spectrum.num_modes
         signs = np.zeros(n, dtype=np.int8)
         logs = np.full(n, LOG_ZERO)
@@ -571,7 +562,7 @@ class SpectralState:
         return self.spectrum.num_modes
 
     def coeff(self, mode: int) -> LogAmplitude:
-        i = mode - 1
+        i = count(mode, "mode", 1, self.num_modes) - 1
         return LogAmplitude(int(self.signs[i]), float(self.log_mags[i]))
 
     def coeff_values(self) -> np.ndarray:
@@ -631,9 +622,7 @@ def evolve(state: SpectralState, t: float) -> SpectralState:
     steps below ``_POWER_FAMILY_STEP``, to a dominating power envelope.  Both
     over-approximations are one-sided and affect only tail norms.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    t = real(t, "time")
     if t < 0.0:
         raise ValueError("negative times are backward evolution; use backward_evolve")
     if t == 0.0:
@@ -735,9 +724,7 @@ def add(x: SpectralState, y: SpectralState) -> SpectralState:
 
 
 def scale(state: SpectralState, factor: float) -> SpectralState:
-    factor = float(factor)
-    if not math.isfinite(factor):
-        raise ValueError(f"a scale factor must be finite, got {factor!r}")
+    factor = real(factor, "a scale factor")
     if factor == 0.0:
         return SpectralState.zeros(state.spectrum)
     signs = state.signs * (1 if factor > 0 else -1)
@@ -763,7 +750,7 @@ def embed(state: SpectralState, num_modes: int) -> SpectralState:
     plus sign) and keep the law beyond, which is per-mode and unchanged.  The
     call is O(1): the result records the state and the depth, and writes its
     own arrays on the first read of either (:class:`_LawWrite`)."""
-    if num_modes == state.num_modes:
+    if _mode_count(num_modes, state.num_modes) == state.num_modes:
         return state
     spectrum = state.spectrum.extended(num_modes)
     law = _LawWrite(state, spectrum.num_modes)

@@ -18,14 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import density, duality, extended, inhomogeneous, reversibility, shift, spectral
-from .errors import GeneratorDomainError, HorizonExceededError
+from .errors import MAX_SAMPLES, GeneratorDomainError, HorizonExceededError, count, real
 from .logdomain import LOG_ZERO
 
 DEFAULT_SEED = 20260810
-# --samples above this is refused: at the cap the slowest suite per sample,
-# density, runs about 23 s on one x86-64 core (seminorms 15 s), fifty times
-# its default 200 samples
-MAX_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -764,10 +760,10 @@ def run_suite(name: str, **overrides) -> list[CheckResult]:
     rejects an override it does not take instead of dropping it silently.
     Override names are the ``verify`` flags, so the error names the flag.
     """
-    if "tol" in overrides and not overrides["tol"] > 0.0:
+    if "tol" in overrides and real(overrides["tol"], "--tol", "positive and finite") <= 0.0:
         raise ValueError(f"--tol must be positive, got {overrides['tol']!r}")
-    if "samples" in overrides and not 1 <= overrides["samples"] <= MAX_SAMPLES:
-        raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}, got {overrides['samples']!r}")
+    if "samples" in overrides:
+        count(overrides["samples"], "--samples", 1, MAX_SAMPLES)
     if name == "all":
         out = []
         for fn in SUITES.values():

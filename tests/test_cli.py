@@ -94,6 +94,26 @@ def test_pair_verb(tmp_path, capsys):
     assert payload["sign"] == 1
 
 
+def _strict(text: str):
+    """Parse as strict JSON: ``NaN`` and ``Infinity`` are not in its grammar."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_pair_writes_an_overflowed_pairing_as_a_string(tmp_path, capsys):
+    # it wrote "pairing": Infinity, which strict JSON parsers refuse
+    sp = rf.make_heat_spectrum(2)
+    z = rf.lift(rf.SpectralState(sp, [1, 0], [1000.0, -math.inf]))
+    xp, zp, out = tmp_path / "x.json", tmp_path / "z.json", tmp_path / "pair.json"
+    serialize.save_json(xp, serialize.state_to_dict(rf.SpectralState.basis(sp, 1)))
+    serialize.save_json(zp, serialize.extended_to_dict(z))
+    assert main(["pair", "--x", str(xp), "--z", str(zp)]) == 0
+    assert main(["pair", "--x", str(xp), "--z", str(zp), "--out", str(out)]) == 0
+    want = {"pairing": "inf", "sign": 1, "log_mag": 1000.0, "offset": 0.0}
+    assert _strict(capsys.readouterr().out) == want == _strict(out.read_text())
+
+
 def test_pair_requires_reversible_state(power_state_file, tmp_path, capsys):
     z = rf.lift(rf.SpectralState.basis(rf.make_heat_spectrum(2), 1))
     zp = tmp_path / "z.json"
@@ -303,9 +323,24 @@ def test_density_refuses_an_eps_that_is_not_finite_by_name(tmp_path, capsys, eps
 
 def test_shift_demo(capsys):
     assert main(["shift-demo", "--resolution", "100", "--radius", "0.4"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict(capsys.readouterr().out)
     assert payload["exclusion"]["found"] is True
     assert payload["exclusion"]["onset"] == pytest.approx(0.17)
+
+
+def test_shift_demo_refuses_an_infinite_radius(capsys):
+    # it wrote "radius": Infinity
+    assert main(["shift-demo", "--resolution", "100", "--radius", "inf"]) == 2
+    assert capsys.readouterr() == ("", "error: radius must be finite, got inf\n")
+
+
+def test_a_custom_eigenvalue_past_float_range_exits_2(tmp_path, capsys):
+    # -1e400 reads as -inf; the spectrum took it, and the generator's image had a +inf log
+    path = tmp_path / "custom.json"
+    path.write_text('{"spectrum": {"kind": "custom", "eigenvalues": [-1.0, -1e400]}, '
+                    '"coeffs": {"encoding": "log", "values": [[1, 0.0], [1, 0.0]]}}')
+    assert main(["classify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: eigenvalue must be finite, got -inf\n"
 
 
 def test_trajectory_csv(state_file, tmp_path):
@@ -621,8 +656,9 @@ def test_coerced_state_fields_are_named(doc, part, tmp_path, capsys):
     assert f"{part} must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_verify_rejects_a_tolerance_that_is_not_positive(tol, capsys):
+    # inf passed every check of the suite
     assert main(["verify", "--suite", "shift", "--tol", tol]) == 2
     assert "--tol must be positive" in capsys.readouterr().err
 

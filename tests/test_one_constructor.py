@@ -1,8 +1,9 @@
 """One home for how a state is built: only ``spectral.py`` makes a state
 without its constructor, and a heat spectrum is one thing, its law.  One
-home for that law too: only ``spectral.py`` reads ``pi`` for it.  And no
-hidden knobs: no module reads the environment, so a call's arguments and a
-verb's flags are all that set its behaviour."""
+home for that law too: only ``spectral.py`` reads ``pi`` for it.  One home
+for argument checks and budgets: only ``errors.py`` imports ``numbers`` or
+sets a budget.  And no hidden knobs: no module reads the environment, so a
+call's arguments and a verb's flags are all that set its behaviour."""
 
 import ast
 from pathlib import Path
@@ -81,6 +82,37 @@ def test_the_guard_sees_an_environment_read(tmp_path):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_module_reads_the_environment(module):
     assert environment_reads(SRC / module) == []
+
+
+BUDGETS = ("MAX_MODES", "MAX_STEPS", "MAX_SAMPLES")
+
+
+def own_checks(path):
+    """Lines that import ``numbers`` or assign a budget."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(n, ast.Name) and n.id in BUDGETS
+                   for target in targets for n in ast.walk(target)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_sees_a_check_of_its_own(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numbers\nfrom numbers import Real\nMAX_STEPS = 1 << 20\n"
+                     "MAX_MODES: int = 5\nMAX_SAMPLES, k = 9, 1\nfrom .errors import MAX_MODES\n")
+    assert own_checks(probe) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "errors.py"))
+def test_only_the_errors_module_checks_a_scalar_or_sets_a_budget(module):
+    assert own_checks(SRC / module) == []
 
 
 def test_a_heat_spectrum_has_no_second_kind():

@@ -61,6 +61,17 @@ def test_custom_spectrum_roundtrip():
     assert back.spectrum.kind == "custom"
 
 
+def test_a_growing_functional_has_no_state_document():
+    # it was written, and reading it back raised "must decay"
+    functional = rf.Functional.from_exp_law(rf.make_heat_spectrum(4), -0.2)
+    with pytest.raises(ValueError, match="must decay.*functional_to_extended"):
+        serialize.state_to_dict(functional)
+    z = rf.functional_to_extended(functional)
+    assert serialize.extended_from_dict(serialize.extended_to_dict(z)) == z
+    decaying = rf.Functional.from_exp_law(rf.make_heat_spectrum(4), 0.2)
+    assert serialize.state_from_dict(serialize.state_to_dict(decaying)) == decaying
+
+
 def test_extended_roundtrip():
     z = rf.ExtendedState(0.75, sample_state())
     back = serialize.extended_from_dict(serialize.extended_to_dict(z))

@@ -45,6 +45,13 @@ def test_heat_spectrum_strictly_decreasing():
     assert sp.eigenvalues[0] > sp.eigenvalues[1]
 
 
+@pytest.mark.parametrize("eigenvalues", [[-1.0, -math.inf], [-math.inf], [-1.0, math.nan], [0.0]])
+def test_a_custom_spectrum_takes_only_finite_negative_eigenvalues(eigenvalues):
+    # -inf was accepted, and the generator's image of a state on it had a +inf log
+    with pytest.raises(ValueError, match="^all eigenvalues must be finite and strictly negative$"):
+        Spectrum(np.array(eigenvalues))
+
+
 def test_library_heat_spectra_equal_checked_ones():
     # make_heat_spectrum and extended skip the constructor's checks; the
     # public constructor keeps them
